@@ -21,7 +21,7 @@ not reveal how many opponents showed up, so rationalizing profiles are not
 confined to the original dimension.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .mechanisms import (
     MarketOutcome,
+    _posted_pass,
     archer_tardos_payment,
     edmonds_greedy,
     run_mechanism,
@@ -50,7 +51,7 @@ STRATEGY_KINDS = (
 
 #: default phantom amplitude: the extraction target per round is
 #: epsilon_scale * (max realized value); the phantom's level itself is
-#: placed by the operator, see `apply_deviation` / `best_ghost_deviation`.
+#: placed by the operator, see `apply_deviation` / `sim.best_ghost`.
 GHOST_EPSILON_SCALE = 1.1
 
 MATCH_TOL = 1e-9
@@ -327,21 +328,6 @@ def _auto_ghost_source(bids, level):
     return max(live, key=lambda k: (bids[k], -k))
 
 
-def _posted_allocation(oracle, bids, posted_price, arrival):
-    """Posted-price pass over an explicit arrival order."""
-    alloc = {i: 0.0 for i in range(oracle.n)}
-    taken = set()
-    base = 0.0
-    for i in arrival:
-        if bids[i] < posted_price or bids[i] <= 0:
-            continue
-        taken.add(i)
-        new = oracle.rank(taken)
-        alloc[i] = new - base
-        base = new
-    return alloc
-
-
 def _ghost_posted_outcomes(oracle, bids, mechanism, seed, source, level):
     """Posted-price world with the phantom arriving just ahead of its source."""
     n = oracle.n
@@ -355,7 +341,7 @@ def _ghost_posted_outcomes(oracle, bids, mechanism, seed, source, level):
             dev_arrival.append(clone_id)
         dev_arrival.append(i)
     bids_plus = list(bids) + [level]
-    alloc = _posted_allocation(plus, bids_plus, mechanism.posted_price, dev_arrival)
+    alloc = _posted_pass(plus, bids_plus, mechanism.posted_price, dev_arrival)
     pay = {i: mechanism.posted_price * alloc[i] for i in range(n)}
     out = MarketOutcome(
         allocation={i: alloc[i] for i in range(n)},
@@ -790,59 +776,3 @@ def check_safe_deviation(
         if cert is not None:
             return True, cert
     return False, {"flag": "budget"}
-
-
-def best_ghost_deviation(bids, oracle, mechanism, seed=0, objective="damage"):
-    """Operator-side scan for the most damaging profitable phantom.
-
-    Enumerates (source, window) placements — every agent with capacity, and
-    every gap between consecutive bid levels of agents entangled with it —
-    evaluates each candidate exactly by rerunning the mechanism with the
-    substitute clone, and keeps profitable ones (surplus > 0). Objective
-    "damage" picks the max welfare destruction among those; "surplus" picks
-    the max revenue gain. Returns (strategy, result) or None.
-    """
-    n = oracle.n
-    bids = [float(b) for b in bids]
-    top = max(bids) if bids else 0.0
-    if top <= 0:
-        return None
-    best = None
-    seen = set()
-    for s in range(n):
-        if oracle.rank({s}) <= RANK_TOL:
-            continue
-        rivals = [
-            bids[k]
-            for k in range(n)
-            if k != s and bids[k] > max(bids[s], 0.0) and pair_gap(oracle, s, k) > RANK_TOL
-        ]
-        levels = sorted(set(rivals))
-        floor = max(bids[s], 0.0)
-        windows = []
-        lo = floor
-        for lv in levels:
-            if lv > lo + RANK_TOL:
-                windows.append((lo, lv))
-            lo = lv
-        windows.append((lo, max(lo, top) * GHOST_EPSILON_SCALE))
-        for w_lo, w_hi in windows:
-            if w_hi - w_lo <= RANK_TOL:
-                continue
-            level = w_lo + 0.9 * (w_hi - w_lo)
-            key = (s, round(level, 12))
-            if key in seen:
-                continue
-            seen.add(key)
-            strategy = DeviationStrategy(kind="ghost_bid", source=s, level=level)
-            result = apply_deviation(strategy, bids, mechanism, oracle, seed=seed)
-            surplus = result.operator_surplus
-            if surplus <= RANK_TOL:
-                continue
-            damage = result.honest.welfare(bids) - result.deviated.welfare(bids)
-            score = damage if objective == "damage" else surplus
-            if best is None or score > best[0]:
-                best = (score, strategy, result)
-    if best is None:
-        return None
-    return best[1], best[2]

@@ -20,6 +20,7 @@ from .adversary import DeviationResult, DeviationStrategy, apply_deviation
 from .errors import (
     CapacityNotBindingWarning,
     ConfigError,
+    CredmarketError,
     DomainError,
     MatroidBoundaryError,
     StructureError,
@@ -195,53 +196,60 @@ def verify_transcript(transcript, commitment_root, oracle=None):
         seg_ranks.clear()
         seg_clinches.clear()
 
-    for ev in events:
-        if not isinstance(ev, dict) or "event" not in ev:
-            raise StructureError(f"malformed event {ev!r}")
-        kind = ev["event"]
-        if kind == "price_step":
-            _require(ev, "price")
-            flush_segment(price)
-            price = float(ev["price"])
-            seen_price = True
-        elif kind == "demand":
-            _require(ev, "agent", "demand")
-            if seen_price and float(ev["demand"]) > demands.get(ev["agent"], 0.0):
-                violations.append(
-                    {
-                        "kind": "wrong_clinch",
-                        "price_step": price,
-                        "agent": ev["agent"],
-                        "expected_clinch": 0.0,
-                        "announced_clinch": 0.0,
-                        "note": "demand raised mid-auction",
-                    }
-                )
-            demands[ev["agent"]] = float(ev["demand"])
-        elif kind == "rank_announce":
-            _require(ev, "subset", "value", "auth_tag")
-            subset = frozenset(ev["subset"])
-            value = float(ev["value"])
-            if ev["auth_tag"] != rank_auth_tag(commitment_root, subset, ev["value"]):
-                violations.append(
-                    {"kind": "inauthentic_rank", "subset": sorted(subset)}
-                )
-            elif oracle is not None and abs(oracle.rank(subset) - value) > CLINCH_TOL:
-                violations.append(
-                    {
-                        "kind": "wrong_rank",
-                        "subset": sorted(subset),
-                        "announced": value,
-                        "recomputed": oracle.rank(subset),
-                    }
-                )
-            seg_ranks[subset] = value
-        elif kind == "clinch":
-            _require(ev, "agent", "qty", "price")
-            seg_clinches.append((ev["agent"], float(ev["qty"]), float(ev["price"])))
-        else:
-            raise StructureError(f"unknown event kind {kind!r}")
-    flush_segment(price)
+    # a field of the wrong type (a non-numeric price, an unhashable agent or
+    # subset element) fails its coercion; that is a malformed transcript
+    try:
+        for ev in events:
+            if not isinstance(ev, dict) or "event" not in ev:
+                raise StructureError(f"malformed event {ev!r}")
+            kind = ev["event"]
+            if kind == "price_step":
+                _require(ev, "price")
+                flush_segment(price)
+                price = float(ev["price"])
+                seen_price = True
+            elif kind == "demand":
+                _require(ev, "agent", "demand")
+                if seen_price and float(ev["demand"]) > demands.get(ev["agent"], 0.0):
+                    violations.append(
+                        {
+                            "kind": "wrong_clinch",
+                            "price_step": price,
+                            "agent": ev["agent"],
+                            "expected_clinch": 0.0,
+                            "announced_clinch": 0.0,
+                            "note": "demand raised mid-auction",
+                        }
+                    )
+                demands[ev["agent"]] = float(ev["demand"])
+            elif kind == "rank_announce":
+                _require(ev, "subset", "value", "auth_tag")
+                subset = frozenset(ev["subset"])
+                value = float(ev["value"])
+                if ev["auth_tag"] != rank_auth_tag(commitment_root, subset, ev["value"]):
+                    violations.append(
+                        {"kind": "inauthentic_rank", "subset": sorted(subset)}
+                    )
+                elif oracle is not None and abs(oracle.rank(subset) - value) > CLINCH_TOL:
+                    violations.append(
+                        {
+                            "kind": "wrong_rank",
+                            "subset": sorted(subset),
+                            "announced": value,
+                            "recomputed": oracle.rank(subset),
+                        }
+                    )
+                seg_ranks[subset] = value
+            elif kind == "clinch":
+                _require(ev, "agent", "qty", "price")
+                seg_clinches.append((ev["agent"], float(ev["qty"]), float(ev["price"])))
+            else:
+                raise StructureError(f"unknown event kind {kind!r}")
+        flush_segment(price)
+    except CredmarketError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"malformed transcript: {exc}") from exc
     return Verdict.from_violations(violations)
 
 
@@ -289,15 +297,6 @@ def tamper_forge_rank(transcript, delta=1.0, which=0):
     t.events[k]["value"] = t.events[k]["value"] + delta
     t.mutation = {"kind": "forged_rank", "index": k, "delta": delta}
     return t
-
-
-def transcript_fixture_json(transcript):
-    import json
-
-    obj = {"commitment_root": transcript.commitment_root, "events": transcript.events}
-    if getattr(transcript, "mutation", None):
-        obj["mutation"] = transcript.mutation
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------

@@ -21,14 +21,6 @@ class StructureError(CredmarketError, ValueError):
     """Malformed structural input: disconnected cluster, unparsable transcript."""
 
 
-class FaithfulnessError(CredmarketError):
-    """Quotient rank disagrees with the original rank on some mapped subset."""
-
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
-
-
 class Level2RegimeError(CredmarketError, ValueError):
     """Non-integer capacity: the construction only covers the integer regime."""
 

@@ -69,9 +69,11 @@ class MarketOutcome:
 def _validate_bids(oracle, bids):
     if len(bids) != oracle.n:
         raise DomainError(f"expected {oracle.n} bids, got {len(bids)}")
-    if any(b < 0 for b in bids):
-        raise DomainError("bids must be nonnegative")
-    return [float(b) for b in bids]
+    bids = [float(b) for b in bids]
+    # NaN fails both comparisons, so one pass rejects NaN, inf and negatives
+    if not all(0.0 <= b < math.inf for b in bids):
+        raise DomainError("bids must be finite and nonnegative")
+    return bids
 
 
 def priority_order(bids, priority=None):
@@ -242,13 +244,9 @@ def first_price_outcome(oracle, bids):
     return MarketOutcome(allocation=alloc, payments=pay, order=order, rule="first_price")
 
 
-def posted_price_outcome(oracle, bids, posted_price, seed):
-    """Accept agents with b_i >= posted price in seeded random arrival order."""
-    bids = _validate_bids(oracle, bids)
-    if posted_price < 0:
-        raise ConfigError("posted price must be nonnegative")
-    rng = np.random.default_rng(seed)
-    arrival = list(rng.permutation(oracle.n))
+def _posted_pass(oracle, bids, posted_price, arrival):
+    """Serve each agent with b_i >= posted price, in `arrival` order, its
+    marginal rank over those served before it."""
     alloc = {i: 0.0 for i in range(oracle.n)}
     taken = set()
     base = 0.0
@@ -259,6 +257,17 @@ def posted_price_outcome(oracle, bids, posted_price, seed):
         new = oracle.rank(taken)
         alloc[i] = new - base
         base = new
+    return alloc
+
+
+def posted_price_outcome(oracle, bids, posted_price, seed):
+    """Accept agents with b_i >= posted price in seeded random arrival order."""
+    bids = _validate_bids(oracle, bids)
+    if posted_price < 0:
+        raise ConfigError("posted price must be nonnegative")
+    rng = np.random.default_rng(seed)
+    arrival = list(rng.permutation(oracle.n))
+    alloc = _posted_pass(oracle, bids, posted_price, arrival)
     pay = {i: posted_price * alloc[i] for i in range(oracle.n)}
     return MarketOutcome(
         allocation=alloc,
@@ -388,9 +397,7 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     others drop out, so cumulative clinches never have to be revoked.
     """
     n = oracle.n
-    values = [float(v) for v in values]
-    if len(values) != n:
-        raise DomainError(f"expected {n} values, got {len(values)}")
+    values = _validate_bids(oracle, values)
     if step <= 0:
         raise ConfigError("clock step must be positive")
     demand = {i: oracle.rank({i}) for i in range(n)}

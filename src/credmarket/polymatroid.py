@@ -1,5 +1,5 @@
 """Rank oracles over capacity networks, non-modularity analysis, topology
-generators, the encapsulation quotient, and the token-matroid construction.
+generators, and the token-matroid construction.
 
 The central object is a polymatroid rank function f: 2^E -> R>=0 over an
 agent ground set E = {0..n-1}: f(S) is the maximum joint service rate any
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
-    FaithfulnessError,
     Level2RegimeError,
     MatroidBoundaryError,
     StructureError,
@@ -167,31 +166,12 @@ def sp_rank(node, subset):
     raise StructureError(f"not an SP grammar node: {node!r}")
 
 
-def sp_agents(node):
-    if isinstance(node, SPLeaf):
-        return [node.agent]
-    if isinstance(node, SPSeries):
-        return sp_agents(node.child)
-    return [a for c in node.children for a in sp_agents(c)]
-
-
 def _sp_describe(node):
     if isinstance(node, SPLeaf):
         return ["leaf", node.agent, node.cap]
     if isinstance(node, SPSeries):
         return ["series", _sp_describe(node.child), node.link_cap]
     return ["parallel", [_sp_describe(c) for c in node.children]]
-
-
-def _sp_parse(obj):
-    kind = obj[0]
-    if kind == "leaf":
-        return SPLeaf(int(obj[1]), float(obj[2]))
-    if kind == "series":
-        return SPSeries(_sp_parse(obj[1]), float(obj[2]))
-    if kind == "parallel":
-        return SPParallel(tuple(_sp_parse(c) for c in obj[1]))
-    raise StructureError(f"bad SP node kind {kind!r}")
 
 
 def sp_to_dag(root):
@@ -266,11 +246,8 @@ class RankOracle:
 
     def __init__(self, n_agents):
         self.ground = GroundSet(tuple(range(n_agents)))
+        self.n = self.ground.n  # a plain attribute: rank() reads it per element
         self._memo = {} if n_agents <= MEMO_MAX_AGENTS else None
-
-    @property
-    def n(self):
-        return self.ground.n
 
     def rank(self, subset):
         s = frozenset(subset)
@@ -298,9 +275,6 @@ class RankOracle:
     def digest(self):
         blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def clone_substitute(self, position_agent):
-        return SubstituteCloneOracle(self, position_agent)
 
 
 class TableOracle(RankOracle):
@@ -773,116 +747,6 @@ def verify_axioms(oracle, n_samples=2000, seed=0):
 
 
 # --------------------------------------------------------------------------
-# Encapsulation quotient
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class QuotientGraph:
-    clusters: dict  # cluster id -> list of original nodes
-    slice_capacity: dict  # cluster id -> max-flow of its sub-DAG
-    quotient: CapacityDag
-    leaf_map: dict  # agent -> cluster id
-
-
-def _subdag_capacity(dag, cluster_nodes):
-    """Max-flow through the induced sub-DAG from its entry side to its exit side."""
-    inside = set(cluster_nodes)
-    g = nx.DiGraph()
-    for v in cluster_nodes:
-        c = dag.node_capacity[v]
-        if math.isinf(c):
-            g.add_edge((v, "in"), (v, "out"))
-        else:
-            g.add_edge((v, "in"), (v, "out"), capacity=c)
-    entries, exits = set(), set()
-    leaf_nodes = set(dag.leaves.values())
-    preds = {v: [] for v in dag.nodes}
-    succs = {v: [] for v in dag.nodes}
-    for u, v in dag.edges:
-        preds[v].append(u)
-        succs[u].append(v)
-        if u in inside and v in inside:
-            g.add_edge((u, "out"), (v, "in"))
-    for v in cluster_nodes:
-        if v in leaf_nodes or any(p not in inside for p in preds[v]) or not preds[v]:
-            entries.add(v)
-        if v == dag.sink or any(s not in inside for s in succs[v]):
-            exits.add(v)
-    if not exits:
-        # interior cluster with no outward edge: can only happen for the sink cluster
-        exits = {max(cluster_nodes, key=lambda v: len(succs[v]))}
-    for v in entries:
-        g.add_edge("__in__", (v, "in"))
-    for v in exits:
-        g.add_edge((v, "out"), "__out__")
-    value, _ = nx.maximum_flow(g, "__in__", "__out__")
-    return float(value)
-
-
-def encapsulate(dag, partition, faithfulness_samples=50, seed=0):
-    """Contract node clusters into composite services with scalar capacities.
-
-    `partition` maps every node to a cluster id. Each cluster must induce a
-    weakly connected sub-DAG. The quotient's rank is verified against the
-    original on leaf subsets (exhaustive when there are <= 10 leaves).
-    """
-    missing = [v for v in dag.nodes if v not in partition]
-    if missing:
-        raise StructureError(f"partition does not cover nodes: {missing}")
-    clusters = {}
-    for v in dag.nodes:
-        clusters.setdefault(partition[v], []).append(v)
-    for cid, members in clusters.items():
-        sub = nx.Graph()
-        sub.add_nodes_from(members)
-        inside = set(members)
-        sub.add_edges_from((u, v) for u, v in dag.edges if u in inside and v in inside)
-        if not nx.is_connected(sub):
-            raise StructureError(f"cluster {cid!r} induces a disconnected sub-DAG")
-
-    slice_cap = {cid: _subdag_capacity(dag, members) for cid, members in clusters.items()}
-
-    qnodes = sorted(clusters, key=str)
-    qedges = sorted(
-        {(partition[u], partition[v]) for u, v in dag.edges if partition[u] != partition[v]},
-        key=str,
-    )
-    qleaves = {agent: partition[leaf] for agent, leaf in dag.leaves.items()}
-    quotient = CapacityDag(
-        nodes=list(qnodes),
-        node_capacity=dict(slice_cap),
-        edges=list(qedges),
-        leaves=qleaves,
-        sink=partition[dag.sink],
-        topology_class="general",
-    )
-
-    original = MaxflowOracle(dag)
-    mapped = MaxflowOracle(quotient)
-    agents = sorted(dag.leaves)
-    if len(agents) <= 10:
-        test_sets = [
-            frozenset(s)
-            for r in range(len(agents) + 1)
-            for s in itertools.combinations(agents, r)
-        ]
-    else:
-        rng = np.random.default_rng(seed)
-        test_sets = [
-            frozenset(int(a) for a in rng.choice(agents, size=rng.integers(0, len(agents) + 1), replace=False))
-            for _ in range(faithfulness_samples)
-        ]
-    for s in test_sets:
-        ro, rq = original.rank(s), mapped.rank(s)
-        if abs(ro - rq) > RANK_TOL:
-            raise FaithfulnessError(
-                f"quotient rank {rq} != original rank {ro} on {sorted(s)}", witness=tuple(sorted(s))
-            )
-    return QuotientGraph(clusters=clusters, slice_capacity=slice_cap, quotient=quotient, leaf_map=qleaves)
-
-
-# --------------------------------------------------------------------------
 # Token matroid (direct sum of partition matroids over integrator slots)
 # --------------------------------------------------------------------------
 
@@ -1030,24 +894,3 @@ def dag_to_obj(dag):
         "sink": dag.sink,
         "sp": _sp_describe(dag.sp_tree) if dag.sp_tree is not None else None,
     }
-
-
-def dag_to_json(dag):
-    return json.dumps(dag_to_obj(dag), sort_keys=True, separators=(",", ":"))
-
-
-def dag_from_obj(obj):
-    sp = _sp_parse(obj["sp"]) if obj.get("sp") else None
-    return CapacityDag(
-        nodes=[n["id"] for n in obj["nodes"]],
-        node_capacity={n["id"]: float(n["cap"]) for n in obj["nodes"]},
-        edges=[tuple(e) for e in obj["edges"]],
-        leaves={int(a): v for a, v in obj["leaves"].items()},
-        sink=obj["sink"],
-        topology_class=obj["class"],
-        sp_tree=sp,
-    )
-
-
-def dag_from_json(text):
-    return dag_from_obj(json.loads(text))

@@ -16,8 +16,9 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -63,6 +64,14 @@ ARRIVAL_STREAM_TAG = 777  # rng substream for posted-price arrival order
 # Scenario configuration
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class Pod:
     tier: int
@@ -83,6 +92,18 @@ class ScenarioConfig:
     topology_class: str = "tree"
 
     def __post_init__(self):
+        # reject rather than coerce: to_dict() feeds the report digest
+        if not all(_is_int(v) for v in (self.n_agents, self.rounds, *self.seeds)):
+            raise ConfigError("agent count, rounds, and seeds must be integers")
+        reals = (
+            *self.tier_capacities, *self.tier_latencies_ms, *self.deadlines_ms,
+            self.value_decay_per_ms, self.arrival_rate,
+        )
+        if not all(_is_finite(v) for v in reals):
+            raise ConfigError(
+                "capacities, latencies, deadlines, decay, and arrival rate "
+                "must be finite numbers"
+            )
         if self.n_agents <= 0 or self.rounds <= 0 or self.arrival_rate <= 0:
             raise ConfigError("agent count, rounds, and arrival rate must be positive")
         if not self.seeds:
@@ -93,8 +114,8 @@ class ScenarioConfig:
             l <= 0 for l in self.tier_latencies_ms
         ):
             raise ConfigError("capacities and latencies must be positive")
-        if any(d <= 0 for d in self.deadlines_ms):
-            raise ConfigError("deadlines must be positive")
+        if not self.deadlines_ms or any(d <= 0 for d in self.deadlines_ms):
+            raise ConfigError("deadlines must be non-empty and positive")
         if self.value_decay_per_ms < 0:
             raise ConfigError("value decay must be nonnegative")
 
@@ -142,6 +163,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigError("a scenario config must be a JSON object")
         obj = dict(obj)
         version = obj.pop("version", SCENARIO_SCHEMA_VERSION)
         if version != SCENARIO_SCHEMA_VERSION:
@@ -152,6 +175,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         for key in ("tier_capacities", "tier_latencies_ms", "deadlines_ms", "seeds"):
             if key in obj:
+                if not isinstance(obj[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list")
                 obj[key] = tuple(obj[key])
         return cls(**obj)
 
@@ -164,7 +189,6 @@ class RoundProfile:
     demands: np.ndarray
     pod_of: np.ndarray
     pod_caps: np.ndarray
-    pod_tiers: np.ndarray
     root_cap: float
 
     @property
@@ -217,7 +241,6 @@ def generate_round(config, seed, round_index):
         demands=np.array(demands),
         pod_of=np.array(pod_of),
         pod_caps=np.array([p.capacity for p in pods]),
-        pod_tiers=np.array([p.tier for p in pods]),
         root_cap=config.tier_capacities[-1],
     )
 
@@ -292,23 +315,41 @@ def pod_threshold_payment(agent, members, bids, demands, cap, clone_of=None, clo
     return b_a * x_a - area, x_a
 
 
-def settle_threshold(profile):
-    """Honest greedy + threshold payments, pod by pod."""
+def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
+    """Greedy allocation and threshold payments of one pod, phantom optional.
+
+    Returns (alloc, pay) keyed by `members`; only members served more than
+    POS_TOL are priced, the rest pay zero.
+    """
+    alloc, _ = pod_allocation(members, bids, demands, cap, clone_of, clone_level)
+    pay = {}
+    for a, x in alloc.items():
+        if x > POS_TOL:
+            pay[a], _ = pod_threshold_payment(
+                a, members, bids, demands, cap, clone_of, clone_level
+            )
+        else:
+            pay[a] = 0.0
+    return alloc, pay
+
+
+def _settle_pods(profile, source=None, level=0.0):
+    """Settle every pod; the phantom, when given, enters its source's pod."""
     alloc, pay = {}, {}
     for p in range(len(profile.pod_caps)):
-        members = profile.members(p)
-        pod_alloc, _ = pod_allocation(
-            members, profile.bids, profile.demands, profile.pod_caps[p]
+        in_pod = source is not None and profile.pod_of[source] == p
+        pod_alloc, pod_pay = settle_pod(
+            profile.members(p), profile.bids, profile.demands, profile.pod_caps[p],
+            clone_of=source if in_pod else None, clone_level=level,
         )
-        for a, x in pod_alloc.items():
-            alloc[a] = x
-            if x > POS_TOL:
-                pay[a], _ = pod_threshold_payment(
-                    a, members, profile.bids, profile.demands, profile.pod_caps[p]
-                )
-            else:
-                pay[a] = 0.0
+        alloc.update(pod_alloc)
+        pay.update(pod_pay)
     return alloc, pay
+
+
+def settle_threshold(profile):
+    """Honest greedy + threshold payments, pod by pod."""
+    return _settle_pods(profile)
 
 
 def settle_first_price(profile):
@@ -398,23 +439,13 @@ def ghost_candidates(profile, alloc=None, pay=None):
                 if hi - lo <= 1e-6:
                     continue
                 level = lo + 0.9 * (hi - lo)
-                dev_alloc, _ = pod_allocation(
+                dev_alloc, dev_pay = settle_pod(
                     members, bids, demands, cap, clone_of=source, clone_level=level
                 )
                 surplus = damage = 0.0
                 for m in members:
-                    if bids[m] <= 0:
-                        continue
-                    x_dev = dev_alloc.get(m, 0.0)
-                    if x_dev > POS_TOL:
-                        p_dev, _ = pod_threshold_payment(
-                            m, members, bids, demands, cap,
-                            clone_of=source, clone_level=level,
-                        )
-                    else:
-                        p_dev = 0.0
-                    surplus += p_dev - pay.get(m, 0.0)
-                    damage += (alloc.get(m, 0.0) - x_dev) * bids[m]
+                    surplus += dev_pay[m] - pay.get(m, 0.0)
+                    damage += (alloc.get(m, 0.0) - dev_alloc[m]) * bids[m]
                 if surplus > POS_TOL:
                     out.append(GhostCandidate(surplus, damage, source, level, p))
     return out
@@ -430,25 +461,7 @@ def best_ghost(profile, alloc=None, pay=None, objective="damage"):
 
 def ghost_settle(profile, source, level):
     """Deviated allocation and threshold payments with the phantom folded in."""
-    alloc, pay = {}, {}
-    ghost_pod = int(profile.pod_of[source])
-    for p in range(len(profile.pod_caps)):
-        members = profile.members(p)
-        kw = {}
-        if p == ghost_pod:
-            kw = {"clone_of": source, "clone_level": level}
-        pod_alloc, _ = pod_allocation(
-            members, profile.bids, profile.demands, profile.pod_caps[p], **kw
-        )
-        for a, x in pod_alloc.items():
-            alloc[a] = x
-            if x > POS_TOL:
-                pay[a], _ = pod_threshold_payment(
-                    a, members, profile.bids, profile.demands, profile.pod_caps[p], **kw
-                )
-            else:
-                pay[a] = 0.0
-    return alloc, pay
+    return _settle_pods(profile, source, level)
 
 
 def certify_ghost(profile, source, level, honest, deviated):
@@ -467,6 +480,10 @@ def certify_ghost(profile, source, level, honest, deviated):
     pod = int(profile.pod_of[source])
     members = profile.members(pod)
     cap = profile.pod_caps[pod]
+    # the pod replayed with the source bidding at the phantom level
+    lifted = bids.copy()
+    lifted[source] = level
+    lift_alloc, lift_pay = settle_pod(members, lifted, demands, cap)
     safe, certs = {}, {}
     for a in range(profile.n):
         moved = (
@@ -478,17 +495,9 @@ def certify_ghost(profile, source, level, honest, deviated):
             certs[a] = {"family": "honest", "profile": None}
             continue
         if a != source:
-            # replay this pod with the source bidding at the phantom level
-            lifted = bids.copy()
-            lifted[source] = level
-            check_alloc, _ = pod_allocation(members, lifted, demands, cap)
-            if check_alloc.get(a, 0.0) > POS_TOL:
-                check_pay, _ = pod_threshold_payment(a, members, lifted, demands, cap)
-            else:
-                check_pay = 0.0
             ok = (
-                abs(check_alloc.get(a, 0.0) - alloc_d[a]) <= 1e-7
-                and abs(check_pay - pay_d[a]) <= 1e-7
+                abs(lift_alloc.get(a, 0.0) - alloc_d[a]) <= 1e-7
+                and abs(lift_pay.get(a, 0.0) - pay_d[a]) <= 1e-7
             )
             safe[a] = ok
             certs[a] = {"family": "lifted_source", "agent": a, "level": level}
@@ -569,8 +578,6 @@ class RoundResult:
     honest: tuple  # (revenue, welfare, payments_total)
     deviated: tuple
     detected: bool
-    observations: dict = None
-    detection_events: list = field(default_factory=list)
 
     def row(self):
         return {

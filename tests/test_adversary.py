@@ -137,6 +137,20 @@ def test_ghost_deviated_outcome_holds_real_agents_only():
     assert set(result.deviated.payments) == {0, 1, 2}
 
 
+def test_posted_ghost_leaves_zero_bidders_served():
+    # at price 0 every agent, zero bidders included, is served honestly;
+    # a phantom fronting agent 1 must not touch agent 0's outcome
+    oracle = LaminarOracle([1.0, 1.0, 1.0], [0, 0, 0], [3.0])
+    mech = Mechanism(payment_rule="posted_price", posted_price=0.0)
+    strategy = DeviationStrategy(kind="ghost_bid", source=1, level=2.5)
+    result = apply_deviation(strategy, [0.0, 2.0, 3.0], mech, oracle)
+    assert result.deviated.allocation[0] == result.honest.allocation[0] == 1.0
+    assert result.deviated.payments[0] == result.honest.payments[0]
+    assert result.undetectable[0]
+    assert result.deviated.allocation[1] == 0.0
+    assert result.ghost["undelivered"] == 1.0
+
+
 # --------------------------------------------------------------------------
 # Detectable strategies
 

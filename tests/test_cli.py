@@ -2,9 +2,13 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import credmarket
 from credmarket.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, dispatch
 from credmarket.credibility import make_commitment, tamper_inflate_clinch
 from credmarket.mechanisms import ClinchTranscript, clinching_auction
@@ -124,6 +128,22 @@ def test_verify_requires_commitment_root(tmp_path, capsys):
     path.write_text(json.dumps({"events": []}))
     assert dispatch(["verify", "--transcript", str(path)]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_verify_rejects_malformed_field(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"commitment_root": "r00t", "events": [{"event": "price_step", "price": "abc"}]}
+    ))
+    src = os.path.dirname(os.path.dirname(credmarket.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "credmarket.cli", "verify", "--transcript", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --------------------------------------------------------------------------

@@ -115,6 +115,15 @@ def test_malformed_transcript_raises():
         verify_transcript({"events": [{"event": "clinch", "agent": 0}]}, "root")
     with pytest.raises(StructureError):
         verify_transcript(42, "root")
+    # a field that fails its coercion is malformed too
+    with pytest.raises(StructureError):
+        verify_transcript({"events": [{"event": "price_step", "price": "abc"}]}, "root")
+    with pytest.raises(StructureError):
+        verify_transcript(
+            {"events": [{"event": "rank_announce", "subset": [[0]], "value": 1.0,
+                         "auth_tag": "x"}]},
+            "root",
+        )
 
 
 def test_broadcast_channel_logs_in_order():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ def test_zero_bids_receive_no_service():
 def test_negative_bid_rejected():
     with pytest.raises(DomainError):
         edmonds_greedy(WORKED, [10.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bids_rejected(bad):
+    with pytest.raises(DomainError):
+        vcg_outcome(LaminarOracle([1, 1], [0, 0], [1]), [bad, 5.0])
+    with pytest.raises(DomainError):
+        clinching_auction(WORKED, [bad, 5.0])
 
 
 # --------------------------------------------------------------------------

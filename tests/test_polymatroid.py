@@ -56,6 +56,7 @@ def test_laminar_oracle_axioms_and_closed_form():
     caps = [4.0, 7.0]
     oracle = LaminarOracle(demands, group_of, caps, root_cap=9.0)
     assert verify_axioms(oracle).ok
+    dag = oracle.to_dag()
     # hand expansion: groups clip, then the root clips the total
     for s in all_subsets(5):
         loads = [0.0, 0.0]
@@ -63,6 +64,8 @@ def test_laminar_oracle_axioms_and_closed_form():
             loads[group_of[a]] += demands[a]
         expected = min(sum(min(l, c) for l, c in zip(loads, caps)), 9.0)
         assert oracle.rank(s) == pytest.approx(expected, abs=1e-12)
+        # and the closed form is the min cut of its own capacity tree
+        assert oracle.rank(s) == bruteforce_cut_rank(dag, s)
 
 
 @given(

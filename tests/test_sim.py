@@ -51,6 +51,27 @@ def test_config_validation():
         ScenarioConfig(deadlines_ms=(100.0, -1.0))
     with pytest.raises(ConfigError):
         ScenarioConfig(value_decay_per_ms=-0.1)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(deadlines_ms=())
+    # config-file values are rejected, never coerced: to_dict() is digested
+    base = ScenarioConfig().to_dict()
+    for bad in (
+        {"rounds": "abc"},
+        {"rounds": 2.0},
+        {"rounds": True},
+        {"seeds": [1.5]},
+        {"seeds": [True]},
+        {"seeds": 17},
+        {"arrival_rate": float("nan")},
+        {"arrival_rate": "2"},
+        {"value_decay_per_ms": float("inf")},
+        {"tier_capacities": [200.0, float("nan"), 500.0]},
+        {"deadlines_ms": [100.0, None, 200.0]},
+    ):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({**base, **bad})
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict([("rounds", 3)])
 
 
 def test_config_dict_roundtrip():
@@ -213,7 +234,6 @@ def _toy_profile():
         demands=np.array([8.0, 5.0, 4.0]),
         pod_of=np.array([0, 0, 0]),
         pod_caps=np.array([10.0]),
-        pod_tiers=np.array([0]),
         root_cap=500.0,
     )
 
@@ -271,6 +291,14 @@ def test_exp3_small_run_is_exact():
     assert summary["applied_rounds"] >= 1
     assert summary["all_exact"]
     assert summary["all_positive"]
+
+
+@pytest.mark.parametrize("exp", ["exp1", "exp2", "exp3", "r5"])
+def test_parallel_jobs_keep_the_digest(exp):
+    config = ScenarioConfig(rounds=4, seeds=(17, 42))
+    serial = run_experiment(exp, config=config, jobs=1)
+    parallel = run_experiment(exp, config=config, jobs=2)
+    assert parallel["digest"] == serial["digest"]
 
 
 def test_r5_ghost_surplus_is_rule_invariant():
