@@ -93,34 +93,6 @@ class DeviationStrategy:
                 raise ConfigError("discriminate needs a nonempty favored set")
             self.favored_set = frozenset(self.favored_set)
 
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.kind == "payment_perturb":
-            out["pair"] = list(self.pair)
-            out["delta"] = self.delta
-        elif self.kind == "ghost_bid":
-            out["epsilon_scale"] = self.epsilon_scale
-            if self.level is not None:
-                out["level"] = self.level
-            if self.source is not None:
-                out["source"] = self.source
-        elif self.kind == "capacity_misreport":
-            out["shrink_factor"] = self.shrink_factor
-        elif self.kind == "posted_price_inflate":
-            out["markup"] = self.markup
-        elif self.kind == "discriminate":
-            out["favored_set"] = sorted(self.favored_set)
-        return out
-
-    @classmethod
-    def from_json(cls, blob):
-        blob = dict(blob)
-        if "pair" in blob:
-            blob["pair"] = tuple(blob["pair"])
-        if "favored_set" in blob:
-            blob["favored_set"] = frozenset(blob["favored_set"])
-        return cls(**blob)
-
 
 @dataclass
 class AgentObservation:
@@ -139,14 +111,6 @@ class AgentObservation:
             own_allocation=float(outcome.allocation[agent]),
             own_payment=float(outcome.payments[agent]),
         )
-
-    def to_json(self):
-        return {
-            "agent": self.agent,
-            "own_bid": self.own_bid,
-            "own_allocation": self.own_allocation,
-            "own_payment": self.own_payment,
-        }
 
 
 @dataclass
@@ -176,13 +140,6 @@ class Certificate:
             abs(x - observation.own_allocation) <= tol
             and abs(p - observation.own_payment) <= tol
         )
-
-    def to_json(self):
-        return {
-            "agent": self.agent,
-            "profile": [float(b) for b in self.profile],
-            "entrant": self.entrant,
-        }
 
 
 @dataclass
@@ -216,28 +173,6 @@ class DeviationResult:
                 self.observation(i), mechanism, oracle, seed=seed, tol=tol
             )
         return verdict
-
-    def to_json(self):
-        def outcome_json(out):
-            return {
-                "allocation": {str(k): v for k, v in out.allocation.items()},
-                "payments": {str(k): v for k, v in out.payments.items()},
-                "rule": out.rule,
-            }
-
-        return {
-            "strategy": self.strategy.to_json(),
-            "bids": [float(b) for b in self.bids],
-            "honest": outcome_json(self.honest),
-            "deviated": outcome_json(self.deviated),
-            "operator_surplus": self.operator_surplus,
-            "undetectable": {str(k): bool(v) for k, v in self.undetectable.items()},
-            "certificates": {
-                str(k): (c.to_json() if c is not None else None)
-                for k, c in self.certificates.items()
-            },
-            "ghost": self.ghost,
-        }
 
 
 def walrasian_gap(bids, pair):
@@ -360,6 +295,28 @@ def _unchanged(honest, deviated, i, tol=MATCH_TOL):
     )
 
 
+def _first_match(candidates, deviated, bids, mechanism, oracle, seed):
+    """The first candidate certificate whose honest replay reproduces what
+    its agent saw in `deviated`, else None."""
+    for cert in candidates:
+        obs = AgentObservation.from_outcome(deviated, bids, cert.agent)
+        if cert.matches(obs, mechanism, oracle, seed=seed):
+            return cert
+    return None
+
+
+def _checked_certificates(deviated, bids, mechanism, oracle, seed):
+    """Run the agent-side checker on every agent's view of `deviated`."""
+    certs = {}
+    for i in range(len(bids)):
+        obs = AgentObservation.from_outcome(deviated, bids, i)
+        ok, cert = check_safe_deviation(
+            obs, mechanism, oracle, prior=None, search_budget=64, seed=seed
+        )
+        certs[i] = cert if ok else None
+    return certs
+
+
 def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source, level):
     """Per-agent rationalizations of a ghost world.
 
@@ -372,35 +329,24 @@ def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source,
     n = len(bids)
     raised = list(bids)
     raised[source] = level
-    certs, safe = {}, {}
+    certs = {}
     for i in range(n):
         if _unchanged(honest, deviated, i):
-            cert = Certificate(agent=i, profile=list(bids))
+            candidates = [Certificate(agent=i, profile=list(bids))]
         elif i != source:
-            cert = Certificate(agent=i, profile=raised)
+            candidates = [Certificate(agent=i, profile=raised)]
         else:
-            cert = None
             top = max(max(bids), level)
             fill = [top if k != source else bids[source] for k in range(n)]
-            cand = Certificate(agent=source, profile=fill)
-            obs = AgentObservation.from_outcome(deviated, bids, source)
-            if cand.matches(obs, mechanism, oracle, seed=seed):
-                cert = cand
-            elif level > bids[source]:
-                cand = Certificate(
+            candidates = [Certificate(agent=source, profile=fill)]
+            if level > bids[source]:
+                candidates.append(Certificate(
                     agent=source,
                     profile=list(bids),
                     entrant={"source": source, "level": level},
-                )
-                if cand.matches(obs, mechanism, oracle, seed=seed):
-                    cert = cand
-        if cert is not None:
-            obs = AgentObservation.from_outcome(deviated, bids, i)
-            if not cert.matches(obs, mechanism, oracle, seed=seed):
-                cert = None
-        certs[i] = cert
-        safe[i] = cert is not None
-    return certs, safe
+                ))
+        certs[i] = _first_match(candidates, deviated, bids, mechanism, oracle, seed)
+    return certs
 
 
 def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
@@ -412,7 +358,8 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
     allocation goes undelivered. Payment perturbation recomputes the
     winner's threshold under the nudged counterfactual; the allocation is
     untouched. Misreports scale the oracle; markups scale posted payments;
-    discrimination reorders priority.
+    discrimination reorders priority. An agent cannot detect the deviation
+    exactly when it holds a certificate.
     """
     bids = [float(b) for b in bids]
     n = oracle.n
@@ -426,19 +373,13 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
 
     honest = run_mechanism(oracle, bids, mechanism, seed=seed)
     agents = range(n)
+    ghost = None
 
     if strategy.kind == "identity":
+        deviated = honest
         certs = {i: Certificate(agent=i, profile=list(bids)) for i in agents}
-        return DeviationResult(
-            strategy=strategy,
-            bids=bids,
-            honest=honest,
-            deviated=honest,
-            undetectable={i: True for i in agents},
-            certificates=certs,
-        )
 
-    if strategy.kind == "payment_perturb":
+    elif strategy.kind == "payment_perturb":
         i, j = strategy.pair
         gap = walrasian_gap(bids, (i, j))
         if not strategy.delta < gap:
@@ -461,24 +402,15 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             rule=honest.rule,
             meta={"perturbed_agent": j, "delta": strategy.delta},
         )
-        certs, safe = {}, {}
-        for k in agents:
-            profile = perturbed if k == i else list(bids)
-            cert = Certificate(agent=k, profile=list(profile))
-            obs = AgentObservation.from_outcome(deviated, bids, k)
-            ok = cert.matches(obs, mechanism, oracle, seed=seed)
-            certs[k] = cert if ok else None
-            safe[k] = ok
-        return DeviationResult(
-            strategy=strategy,
-            bids=bids,
-            honest=honest,
-            deviated=deviated,
-            undetectable=safe,
-            certificates=certs,
-        )
+        certs = {
+            k: _first_match(
+                [Certificate(agent=k, profile=list(perturbed if k == i else bids))],
+                deviated, bids, mechanism, oracle, seed,
+            )
+            for k in agents
+        }
 
-    if strategy.kind == "ghost_bid":
+    elif strategy.kind == "ghost_bid":
         level = strategy.level
         if level is None:
             level = strategy.epsilon_scale * max(bids)
@@ -504,20 +436,12 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
                 meta={"ghost_level": level, "ghost_source": source},
             )
             undelivered = out_plus.allocation[plus.clone_id]
-        certs, safe = _ghost_certificates(
+        certs = _ghost_certificates(
             oracle, bids, mechanism, seed, honest, deviated, source, level
         )
-        return DeviationResult(
-            strategy=strategy,
-            bids=bids,
-            honest=honest,
-            deviated=deviated,
-            undetectable=safe,
-            certificates=certs,
-            ghost={"source": source, "level": level, "undelivered": undelivered},
-        )
+        ghost = {"source": source, "level": level, "undelivered": undelivered}
 
-    if strategy.kind == "capacity_misreport":
+    elif strategy.kind == "capacity_misreport":
         shrunk = _ScaledOracle(oracle, strategy.shrink_factor)
         dev = run_mechanism(shrunk, bids, mechanism, seed=seed)
         deviated = MarketOutcome(
@@ -527,24 +451,9 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             rule=dev.rule,
             meta={"shrink_factor": strategy.shrink_factor},
         )
-        certs, safe = {}, {}
-        for i in agents:
-            obs = AgentObservation.from_outcome(deviated, bids, i)
-            ok, cert = check_safe_deviation(
-                obs, mechanism, oracle, prior=None, search_budget=64, seed=seed
-            )
-            certs[i] = cert if ok else None
-            safe[i] = ok
-        return DeviationResult(
-            strategy=strategy,
-            bids=bids,
-            honest=honest,
-            deviated=deviated,
-            undetectable=safe,
-            certificates=certs,
-        )
+        certs = _checked_certificates(deviated, bids, mechanism, oracle, seed)
 
-    if strategy.kind == "posted_price_inflate":
+    elif strategy.kind == "posted_price_inflate":
         factor = 1.0 + strategy.markup
         payments = {i: honest.payments[i] * factor for i in agents}
         deviated = MarketOutcome(
@@ -554,67 +463,54 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             rule=honest.rule,
             meta={"markup": strategy.markup},
         )
-        certs, safe = {}, {}
-        for i in agents:
-            if deviated.allocation[i] <= 0:
-                cert = Certificate(agent=i, profile=list(bids))
-                certs[i], safe[i] = cert, True
-            else:
-                # charged agents see a unit price above the posted one; no
-                # honest execution can produce that
-                certs[i], safe[i] = None, False
-        return DeviationResult(
-            strategy=strategy,
-            bids=bids,
-            honest=honest,
-            deviated=deviated,
-            undetectable=safe,
-            certificates=certs,
-        )
+        # charged agents see a unit price above the posted one; no honest
+        # execution can produce that
+        certs = {
+            i: Certificate(agent=i, profile=list(bids))
+            if deviated.allocation[i] <= 0
+            else None
+            for i in agents
+        }
 
-    # discriminate: favored agents outrank everyone regardless of bid
-    favored = strategy.favored_set
-    lift = 2.0 * max(bids) + 1.0
-    prio = [bids[k] + (lift if k in favored else 0.0) for k in agents]
-    alloc, order = edmonds_greedy(oracle, bids, priority=prio)
-    if rule == "first_price":
-        payments = {i: bids[i] * alloc[i] for i in agents}
     else:
-        def priority_of(k, b):
-            return b + (lift if k in favored else 0.0)
+        # discriminate: favored agents outrank everyone regardless of bid
+        favored = strategy.favored_set
+        lift = 2.0 * max(bids) + 1.0
+        prio = [bids[k] + (lift if k in favored else 0.0) for k in agents]
+        alloc, order = edmonds_greedy(oracle, bids, priority=prio)
+        if rule == "first_price":
+            payments = {i: bids[i] * alloc[i] for i in agents}
+        else:
+            def priority_of(k, b):
+                return b + (lift if k in favored else 0.0)
 
-        payments = {}
-        for i in agents:
-            same_class = [bids[k] for k in agents if k != i and (k in favored) == (i in favored)]
-            payments[i] = (
-                archer_tardos_payment(
-                    oracle, bids, i, priority_of=priority_of, breakpoints=same_class
+            payments = {}
+            for i in agents:
+                same_class = [bids[k] for k in agents if k != i and (k in favored) == (i in favored)]
+                payments[i] = (
+                    archer_tardos_payment(
+                        oracle, bids, i, priority_of=priority_of, breakpoints=same_class
+                    )
+                    if alloc[i] > 0
+                    else 0.0
                 )
-                if alloc[i] > 0
-                else 0.0
-            )
-    deviated = MarketOutcome(
-        allocation=alloc,
-        payments=payments,
-        order=order,
-        rule=rule,
-        meta={"favored": sorted(favored)},
-    )
-    certs, safe = {}, {}
-    for i in agents:
-        obs = AgentObservation.from_outcome(deviated, bids, i)
-        ok, cert = check_safe_deviation(
-            obs, mechanism, oracle, prior=None, search_budget=64, seed=seed
+        deviated = MarketOutcome(
+            allocation=alloc,
+            payments=payments,
+            order=order,
+            rule=rule,
+            meta={"favored": sorted(favored)},
         )
-        certs[i] = cert if ok else None
-        safe[i] = ok
+        certs = _checked_certificates(deviated, bids, mechanism, oracle, seed)
+
     return DeviationResult(
         strategy=strategy,
         bids=bids,
         honest=honest,
         deviated=deviated,
-        undetectable=safe,
+        undetectable={i: cert is not None for i, cert in certs.items()},
         certificates=certs,
+        ghost=ghost,
     )
 
 

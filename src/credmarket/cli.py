@@ -48,8 +48,8 @@ def build_parser():
     p_run.add_argument("--config", help="scenario config JSON file")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, help="replace the seed list with one seed")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (default: CRED_SIM_JOBS or 1)")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes, at least 1 (default: 1)")
     p_run.add_argument("--format", default="csv", choices=("csv", "json"),
                        help="per-round row format")
 
@@ -112,10 +112,7 @@ def _cmd_run(args):
         config = ScenarioConfig.from_dict(
             {**config.to_dict(), "seeds": [args.seed]}
         )
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CRED_SIM_JOBS", "1"))
-    report = run_experiment(args.exp, config, jobs=jobs)
+    report = run_experiment(args.exp, config, jobs=args.jobs)
 
     os.makedirs(args.out, exist_ok=True)
     rows = report.pop("rows")

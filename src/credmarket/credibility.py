@@ -274,7 +274,6 @@ def tamper_inflate_clinch(transcript, factor=2.0, which=0):
     t = _copy_transcript(transcript)
     k = _clinch_indices(t.events)[which]
     t.events[k]["qty"] = t.events[k]["qty"] * factor
-    t.mutation = {"kind": "inflated_clinch", "index": k, "factor": factor}
     return t
 
 def tamper_ghost_clinch(transcript, agent, qty=1.0, which=-1):
@@ -283,7 +282,6 @@ def tamper_ghost_clinch(transcript, agent, qty=1.0, which=-1):
     k = _clinch_indices(t.events)[which]
     price = t.events[k]["price"]
     t.events.insert(k + 1, {"event": "clinch", "agent": agent, "qty": qty, "price": price})
-    t.mutation = {"kind": "ghost_clinch", "index": k + 1, "agent": agent, "qty": qty}
     return t
 
 
@@ -295,7 +293,6 @@ def tamper_forge_rank(transcript, delta=1.0, which=0):
         raise DomainError("transcript has no rank announcements")
     k = idx[which]
     t.events[k]["value"] = t.events[k]["value"] + delta
-    t.mutation = {"kind": "forged_rank", "index": k, "delta": delta}
     return t
 
 
@@ -328,14 +325,6 @@ class DraState:
     @property
     def slashed_total(self):
         return sum(e["amount"] for e in self.slash_events)
-
-    def to_json(self):
-        return {
-            "commitment": self.commitment,
-            "deposits": {str(k): v for k, v in self.deposits.items()},
-            "phase": self.phase,
-            "slash_events": list(self.slash_events),
-        }
 
 
 def _matroid_oracle(matroid):

@@ -419,7 +419,8 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
         return val
 
     def clinch_round(price):
-        # each active agent clinches up to the slack its opponents leave
+        # each active agent clinches up to the slack its opponents leave;
+        # returns the announced f(active) the clearing test reuses
         f_active = announce(active)
         for i in sorted(active):
             f_without = announce(active - {i})
@@ -430,14 +431,14 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
                 paid[i] += take * price
                 if transcript is not None:
                     transcript.clinch(i, take, price)
+        return f_active
 
     price = 0.0
     if transcript is not None:
         transcript.price_step(price)
     while active:
-        f_active = oracle.rank(active)
         total_demand = sum(demand[i] for i in active)
-        clinch_round(price)
+        f_active = clinch_round(price)
         if total_demand <= f_active + 1e-12:
             # market cleared: remaining quantities go out at the current price
             for i in sorted(active):

@@ -9,7 +9,7 @@ and the additive credibility/competition decomposition).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,7 +355,7 @@ def _stacked_increment(oracle, bids, losers, delta):
             continue
         honest += archer_tardos_payment(oracle, bids, i)
         dev += archer_tardos_payment(oracle, raised, i)
-    return dev - honest, honest
+    return dev - honest
 
 
 @dataclass
@@ -365,7 +365,6 @@ class ScalingFit:
     concabs: list  # mean over seeds per parameter value
     slope: float
     slope_ci: tuple  # (lo, hi) from per-seed slopes
-    rows: list = field(default_factory=list)  # (param, seed, concabs, rev_base)
 
     def to_json(self):
         return {
@@ -394,23 +393,20 @@ def scaling_sweep(topology_class, parameter_grid, seeds, delta=0.25):
         raise ConfigError(f"no scaling witness for class {topology_class!r}")
     build = _WITNESSES[topology_class]
     seeds = list(seeds)
-    rows = []
     per_seed = {s: [] for s in seeds}
     for param in grid:
         for s in seeds:
             rng = np.random.default_rng((s, param))
             oracle, bids, losers = build(param, rng)
-            inc, rev_base = _stacked_increment(oracle, bids, losers, delta)
+            inc = _stacked_increment(oracle, bids, losers, delta)
             if inc <= 0:
                 raise ConfigError(
                     f"witness for {topology_class}@{param} produced no increment; "
                     "saturation failed"
                 )
-            rows.append((param, s, inc, rev_base))
             per_seed[s].append(inc)
     means = [
-        float(np.mean([inc for p, _, inc, _ in rows if p == param]))
-        for param in grid
+        float(np.mean([per_seed[s][k] for s in seeds])) for k in range(len(grid))
     ]
     logp = np.log(np.asarray(grid, dtype=float))
     slope = float(np.polyfit(logp, np.log(means), 1)[0])
@@ -424,7 +420,6 @@ def scaling_sweep(topology_class, parameter_grid, seeds, delta=0.25):
         concabs=means,
         slope=slope,
         slope_ci=(lo, hi),
-        rows=rows,
     )
 
 

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -33,26 +34,8 @@ MEMO_MAX_AGENTS = 32  # bitmask memoisation only below this ground-set size
 
 
 # --------------------------------------------------------------------------
-# Ground set and capacity DAG
+# Capacity DAG
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Ordered agent identifiers 0..n-1."""
-
-    agents: tuple
-
-    def __post_init__(self):
-        if len(self.agents) < 1:
-            raise ConfigError("ground set must contain at least one agent")
-        if list(self.agents) != list(range(len(self.agents))):
-            raise ConfigError("agent identifiers must be 0..n-1 in order")
-
-    @property
-    def n(self):
-        return len(self.agents)
-
 
 TOPOLOGY_CLASSES = ("single_edge", "series", "parallel", "tree", "sp", "general")
 
@@ -235,7 +218,7 @@ def random_sp_instance(n_agents, seed):
 
 
 class RankOracle:
-    """Base class: memoised, immutable rank function over GroundSet.
+    """Base class: memoised, immutable rank function over agents 0..n-1.
 
     Rank memoisation is a plain dict keyed by subset bitmask; in CPython the
     GIL makes concurrent reads safe, and oracles are never mutated after
@@ -245,9 +228,11 @@ class RankOracle:
     evaluator = None
 
     def __init__(self, n_agents):
-        self.ground = GroundSet(tuple(range(n_agents)))
-        self.n = self.ground.n  # a plain attribute: rank() reads it per element
-        self._memo = {} if n_agents <= MEMO_MAX_AGENTS else None
+        # a plain int attribute: rank() reads it per element
+        self.n = operator.index(n_agents)
+        if self.n < 1:
+            raise ConfigError("ground set must contain at least one agent")
+        self._memo = {} if self.n <= MEMO_MAX_AGENTS else None
 
     def rank(self, subset):
         s = frozenset(subset)

@@ -118,6 +118,13 @@ class ScenarioConfig:
             raise ConfigError("deadlines must be non-empty and positive")
         if self.value_decay_per_ms < 0:
             raise ConfigError("value decay must be nonnegative")
+        if not isinstance(self.topology_class, str) or (
+            self.topology_class not in CLASS_TIER_LATENCIES
+        ):
+            raise ConfigError(
+                f"topology_class must be one of {sorted(CLASS_TIER_LATENCIES)}, "
+                f"got {self.topology_class!r}"
+            )
 
     def pods(self):
         """Pod layout: two small edge pods, two regional pods, four core
@@ -264,7 +271,7 @@ def arrival_order(config, seed, round_index):
 
 
 def pod_allocation(members, bids, demands, cap, clone_of=None, clone_level=0.0):
-    """Greedy fill in bid order inside one pod; returns (alloc, ghost_take).
+    """Greedy fill in bid order inside one pod; returns the members' alloc.
 
     The clone presses its source: after the phantom consumes, the source's
     own arrival grants nothing (perfect substitutes).
@@ -275,17 +282,14 @@ def pod_allocation(members, bids, demands, cap, clone_of=None, clone_level=0.0):
         items.sort(key=lambda t: (-t[0], t[2], t[1]))
     residual = float(cap)
     alloc = {a: 0.0 for a in members}
-    ghost_take = 0.0
     pressed = set()
     for _, is_ghost, a in items:
         take = min(demands[a], residual) if a not in pressed else 0.0
         pressed.add(a)
-        if is_ghost:
-            ghost_take = take
-        else:
+        if not is_ghost:
             alloc[a] = take
         residual -= take
-    return alloc, ghost_take
+    return alloc
 
 
 def pod_threshold_payment(agent, members, bids, demands, cap, clone_of=None, clone_level=0.0):
@@ -312,7 +316,7 @@ def pod_threshold_payment(agent, members, bids, demands, cap, clone_of=None, clo
 
     x_a = curve(b_a)
     area = sum(curve((lo + hi) / 2.0) * (hi - lo) for lo, hi in zip(zs[:-1], zs[1:]))
-    return b_a * x_a - area, x_a
+    return b_a * x_a - area
 
 
 def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
@@ -321,11 +325,11 @@ def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
     Returns (alloc, pay) keyed by `members`; only members served more than
     POS_TOL are priced, the rest pay zero.
     """
-    alloc, _ = pod_allocation(members, bids, demands, cap, clone_of, clone_level)
+    alloc = pod_allocation(members, bids, demands, cap, clone_of, clone_level)
     pay = {}
     for a, x in alloc.items():
         if x > POS_TOL:
-            pay[a], _ = pod_threshold_payment(
+            pay[a] = pod_threshold_payment(
                 a, members, bids, demands, cap, clone_of, clone_level
             )
         else:
@@ -508,7 +512,7 @@ def certify_ghost(profile, source, level, honest, deviated):
         for m in members:
             if m != a:
                 walls[m] = wall_level
-        check_alloc, _ = pod_allocation(members, walls, demands, cap)
+        check_alloc = pod_allocation(members, walls, demands, cap)
         ok = (
             alloc_d[a] <= POS_TOL
             and pay_d[a] <= POS_TOL
@@ -1002,11 +1006,11 @@ def _r5_task(config, task):
 
 
 def _map_jobs(fn, tasks, jobs):
-    if jobs is None:
-        jobs = 1
-    if jobs <= 1 or len(tasks) <= 1:
+    # a fork pool starts all its workers up front: never more than the tasks
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -1018,6 +1022,8 @@ def run_experiment(spec, config=None, jobs=1):
     if isinstance(spec, str):
         spec = experiment_spec(spec)
     spec.validate()
+    if not _is_int(jobs) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     if config is None:
         config = ScenarioConfig()
     report = _RUNNERS[spec.id](config, jobs=jobs)

@@ -70,7 +70,7 @@ def test_perturbation_certificates_all_safe():
     strategy = construct_perturbation([10.0, 5.0], WORKED)
     result = apply_deviation(strategy, [10.0, 5.0], VCG, WORKED)
     assert all(result.undetectable.values())
-    assert result.verify_certificates(VCG, WORKED)
+    assert all(result.verify_certificates(VCG, WORKED).values())
 
 
 def test_no_window_on_ties():
@@ -114,7 +114,7 @@ def test_ghost_bid_profitable_and_certified():
     assert result.ghost["source"] == 1
     assert result.ghost["undelivered"] == pytest.approx(0.0, abs=1e-9)
     assert all(result.undetectable.values())
-    assert result.verify_certificates(VCG, oracle)
+    assert all(result.verify_certificates(VCG, oracle).values())
 
 
 def test_ghost_bid_displacement_goes_undelivered():
@@ -219,6 +219,28 @@ def test_checker_uses_hint_for_ghost_world():
         obs, VCG, oracle, prior=UniformPrior(1.0, 11.0), hint=hint
     )
     assert safe
+
+
+POSTED = Mechanism(payment_rule="posted_price", posted_price=4.0)
+EVERY_KIND = [
+    (DeviationStrategy(kind="identity"), VCG),
+    (DeviationStrategy(kind="ghost_bid", source=1, level=7.0), VCG),
+    (DeviationStrategy(kind="payment_perturb", pair=(0, 1), delta=1.0), VCG),
+    (DeviationStrategy(kind="capacity_misreport", shrink_factor=0.5), VCG),
+    (DeviationStrategy(kind="posted_price_inflate", markup=0.1), POSTED),
+    (DeviationStrategy(kind="discriminate", favored_set={2}), VCG),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, mechanism", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND]
+)
+def test_undetectable_iff_certified(strategy, mechanism):
+    oracle = LaminarOracle([1.0, 1.0, 1.0], [0, 0, 0], [2.0])
+    result = apply_deviation(strategy, [10.0, 5.0, 3.0], mechanism, oracle)
+    assert set(result.undetectable) == set(result.certificates) == {0, 1, 2}
+    for i, cert in result.certificates.items():
+        assert result.undetectable[i] == (cert is not None)
 
 
 @given(seed=st.integers(0, 5_000))

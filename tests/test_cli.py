@@ -108,6 +108,13 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_zero_jobs(tmp_path, capsys):
+    code = dispatch(["run", "--exp", "exp1", "--jobs", "0", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 # --------------------------------------------------------------------------
 # verify
 

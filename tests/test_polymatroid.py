@@ -164,6 +164,11 @@ def test_table_oracle_rejects_unknown_agents():
         oracle.rank({0, 5})
 
 
+def test_oracle_needs_one_agent():
+    with pytest.raises(ConfigError):
+        TableOracle(0, {(): 0.0})
+
+
 def test_digest_tracks_content():
     t1 = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})
     t2 = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})

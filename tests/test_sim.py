@@ -4,6 +4,7 @@ routes, ghost scan, and the experiment runners."""
 import numpy as np
 import pytest
 
+from credmarket import sim
 from credmarket.errors import ConfigError
 from credmarket.mechanisms import rank_auth_tag, vcg_outcome
 from credmarket.polymatroid import SubstituteCloneOracle
@@ -67,6 +68,8 @@ def test_config_validation():
         {"value_decay_per_ms": float("inf")},
         {"tier_capacities": [200.0, float("nan"), 500.0]},
         {"deadlines_ms": [100.0, None, 200.0]},
+        {"topology_class": "banana"},
+        {"topology_class": ["tree"]},
     ):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({**base, **bad})
@@ -299,6 +302,36 @@ def test_parallel_jobs_keep_the_digest(exp):
     serial = run_experiment(exp, config=config, jobs=1)
     parallel = run_experiment(exp, config=config, jobs=2)
     assert parallel["digest"] == serial["digest"]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, True, "2", None])
+def test_run_experiment_rejects_bad_jobs(jobs):
+    with pytest.raises(ConfigError):
+        run_experiment("exp1", config=TINY, jobs=jobs)
+
+
+def test_pool_never_outsizes_the_tasks(monkeypatch):
+    # a recorder in place of the pool: nothing is started
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
+    assert sim._map_jobs(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+    assert sim._map_jobs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert sim._map_jobs(abs, [-4], 8) == [4]
+    assert sizes == [3, 2]
 
 
 def test_r5_ghost_surplus_is_rule_invariant():
