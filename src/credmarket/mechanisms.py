@@ -79,7 +79,8 @@ def _validate_bids(oracle, bids):
 def priority_order(bids, priority=None):
     """Descending priority, lower agent id first on exact ties."""
     keys = bids if priority is None else priority
-    return sorted(range(len(bids)), key=lambda i: (-keys[i], i))
+    # a reversed sort is still stable: equal keys keep ascending ids
+    return sorted(range(len(bids)), key=keys.__getitem__, reverse=True)
 
 
 def edmonds_greedy(oracle, bids, priority=None, active=None):
@@ -92,7 +93,7 @@ def edmonds_greedy(oracle, bids, priority=None, active=None):
     """
     bids = _validate_bids(oracle, bids)
     order = priority_order(bids, priority)
-    alloc = {i: 0.0 for i in range(oracle.n)}
+    alloc = dict.fromkeys(range(oracle.n), 0.0)
     taken = set()
     base = 0.0
     for i in order:

@@ -228,26 +228,36 @@ class RankOracle:
     evaluator = None
 
     def __init__(self, n_agents):
-        # a plain int attribute: rank() reads it per element
+        # a plain int attribute: rank() reads it on every call
         self.n = operator.index(n_agents)
         if self.n < 1:
             raise ConfigError("ground set must contain at least one agent")
         self._memo = {} if self.n <= MEMO_MAX_AGENTS else None
 
     def rank(self, subset):
-        s = frozenset(subset)
-        for a in s:
-            if not isinstance(a, (int, np.integer)) or not 0 <= a < self.n:
-                raise DomainError(f"agent id {a!r} is not in the ground set")
-        if self._memo is None:
-            return self._rank(s)
+        if not isinstance(subset, (frozenset, set, list, tuple)):
+            subset = tuple(subset)  # a generator can be read only once
+        # one pass checks every id before any deduplication (a frozenset
+        # would fold 1.0 into 1) and builds the memo's bitmask key;
+        # operator.index maps numpy ints to exact Python ints, where a raw
+        # `1 << np.int64(100)` overflows onto a valid key
+        n = self.n
         key = 0
-        for a in s:
-            key |= 1 << a
-        val = self._memo.get(key)
+        for a in subset:
+            try:
+                i = operator.index(a)
+            except TypeError:
+                i = -1
+            if not 0 <= i < n:
+                raise DomainError(f"agent id {a!r} is not in the ground set")
+            key |= 1 << i
+        memo = self._memo
+        if memo is None:
+            return self._rank(frozenset(subset))
+        val = memo.get(key)
         if val is None:
-            val = self._rank(s)
-            self._memo[key] = val
+            val = self._rank(frozenset(subset))
+            memo[key] = val
         return val
 
     def _rank(self, subset):

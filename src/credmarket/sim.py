@@ -7,8 +7,15 @@ with service latency and expires past a deadline; the round bid is the
 best unexpired value and the round demand is the arrived unit count.
 
 Because the root capacity never binds, allocation and threshold payments
-decompose pod by pod; the engine here computes them in closed form and is
-cross-checked against the generic greedy/threshold route in the tests.
+decompose pod by pod. The engine here settles one pod with one sorted pass
+over its footprints (each live member at its bid, a phantom's source at
+the phantom's level): suffix demand totals give every served member's
+allocation curve, so a pod of m members is priced in O(m^2) time, and the
+ghost scan repeats that once per phantom placement. Demands (unit size
+times an arrival count) and pod capacities are integers, so every load in
+the sweep is an exact float and each payment is bitwise the segment-by-
+segment threshold integral. The tests cross-check the engine against the
+generic greedy/threshold route.
 """
 
 import csv
@@ -17,15 +24,16 @@ import io
 import json
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .adversary import DeviationStrategy, apply_deviation
 from .credibility import make_commitment, verify_transcript
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, CredmarketError, DomainError
 from .mechanisms import ClinchTranscript, Mechanism, UniformPrior, clinching_auction
 from .metrics import cliffs_delta, conc
 from .polymatroid import LaminarOracle, SubstituteCloneOracle
@@ -202,8 +210,16 @@ class RoundProfile:
     def n(self):
         return len(self.bids)
 
+    @cached_property
+    def pod_members(self):
+        """Each pod's members in agent order, built once per profile."""
+        pods = [[] for _ in range(len(self.pod_caps))]
+        for a, p in enumerate(self.pod_of.tolist()):
+            pods[p].append(a)
+        return tuple(tuple(m) for m in pods)
+
     def members(self, pod):
-        return [a for a in range(self.n) if self.pod_of[a] == pod]
+        return list(self.pod_members[pod])
 
     def oracle(self):
         return LaminarOracle(
@@ -267,56 +283,39 @@ def arrival_order(config, seed, round_index):
 # With the root slack, rank decomposes as f(S) = sum_p min(cap_p, load_p):
 # greedy allocation and threshold payments within a pod depend only on that
 # pod, so both come out in closed form. A phantom enters as a substitute
-# clone of its source: one footprint, never two.
+# clone of its source: one footprint, never two. Payments are a sweep:
+# sort the pod's footprints once, keep suffix demand totals T(z), and read
+# each served member's curve off T at the shared segment midpoints. The
+# sweep is exact because demands and capacities are integer-valued.
 
 
 def pod_allocation(members, bids, demands, cap, clone_of=None, clone_level=0.0):
     """Greedy fill in bid order inside one pod; returns the members' alloc.
 
-    The clone presses its source: after the phantom consumes, the source's
-    own arrival grants nothing (perfect substitutes).
+    Ties go to the lower agent id, and the clone ranks as the highest id
+    (after every real bidder at its level), as in the generic route over
+    `SubstituteCloneOracle`. The clone presses its source: once either of
+    the two has consumed, the other's arrival grants nothing (perfect
+    substitutes).
     """
-    items = sorted(((bids[a], 0, a) for a in members if bids[a] > 0), reverse=True)
+    clone = math.inf
+    items = [(-bids[a], a) for a in members if bids[a] > 0]
     if clone_of is not None:
-        items.append((clone_level, 1, clone_of))
-        items.sort(key=lambda t: (-t[0], t[2], t[1]))
+        items.append((-clone_level, clone))
+    items.sort()
     residual = float(cap)
-    alloc = {a: 0.0 for a in members}
-    pressed = set()
-    for _, is_ghost, a in items:
-        take = min(demands[a], residual) if a not in pressed else 0.0
-        pressed.add(a)
-        if not is_ghost:
+    alloc = dict.fromkeys(members, 0.0)
+    pressed = False
+    for _, a in items:
+        if a == clone_of or a == clone:
+            if pressed:
+                continue
+            pressed = True
+        take = min(demands[clone_of if a == clone else a], residual)
+        if a != clone:
             alloc[a] = take
         residual -= take
     return alloc
-
-
-def pod_threshold_payment(agent, members, bids, demands, cap, clone_of=None, clone_level=0.0):
-    """Exact threshold payment of one pod member.
-
-    The allocation curve x_a(z) is piecewise constant with breakpoints at
-    opponent bid levels (and the phantom's level); the integral is a sum of
-    midpoint-evaluated segments. The clone contributes its source's
-    footprint only when the source itself is below the evaluation point.
-    """
-    others = [m for m in members if m != agent and bids[m] > 0]
-    b_a = bids[agent]
-    breakpoints = {bids[m] for m in others if bids[m] < b_a}
-    if clone_of is not None and clone_level < b_a:
-        breakpoints.add(clone_level)
-    zs = [0.0] + sorted(breakpoints) + [b_a]
-
-    def curve(z):
-        load = sum(demands[m] for m in others if bids[m] > z)
-        if clone_of is not None and clone_level > z:
-            if not (clone_of != agent and bids[clone_of] > z):
-                load += demands[clone_of]
-        return max(0.0, min(demands[agent], cap - load))
-
-    x_a = curve(b_a)
-    area = sum(curve((lo + hi) / 2.0) * (hi - lo) for lo, hi in zip(zs[:-1], zs[1:]))
-    return b_a * x_a - area
 
 
 def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
@@ -324,27 +323,71 @@ def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
 
     Returns (alloc, pay) keyed by `members`; only members served more than
     POS_TOL are priced, the rest pay zero.
+
+    Payments come from one sweep over the pod's footprints: every live
+    member at its bid with its demand, and the phantom's source at
+    max(bid, clone_level), since the clone and its source fill one
+    footprint. With T(z) the footprint demand
+    strictly above z, a served member's curve is
+    max(0, min(d_a, cap - (T(z) - d_a [b_a > z]))), and the source's curve
+    is zero wherever its clone outbids it. T(z) is constant between
+    footprint levels, so one sorted list with suffix totals prices every
+    member: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
+
+    Exactness invariant: demands and `cap` are integer-valued (unit size
+    times an arrival count; integer pod capacities), so every load is an
+    exact float whatever order it is summed in. Each member keeps the
+    breakpoints [0.0] + sorted(levels below b_a) + [b_a], the midpoint
+    evaluation and the ascending `sum` of segment areas, which makes each
+    payment bitwise equal to integrating the curve segment by segment.
     """
     alloc = pod_allocation(members, bids, demands, cap, clone_of, clone_level)
-    pay = {}
-    for a, x in alloc.items():
-        if x > POS_TOL:
-            pay[a] = pod_threshold_payment(
-                a, members, bids, demands, cap, clone_of, clone_level
-            )
-        else:
-            pay[a] = 0.0
+    pay = dict.fromkeys(members, 0.0)
+    served = [a for a in members if alloc[a] > POS_TOL]
+    if not served:
+        return alloc, pay
+    feet = [(bids[m], demands[m]) for m in members if m != clone_of and bids[m] > 0]
+    levels = {b for b, _ in feet}
+    if clone_of is not None:
+        b_s = bids[clone_of]
+        feet.append((max(b_s, clone_level), demands[clone_of]))
+        levels.add(clone_level)
+        if b_s > 0:
+            levels.add(b_s)
+    feet.sort()
+    foot_levels = [lv for lv, _ in feet]
+    above = [0.0] * (len(feet) + 1)  # above[i]: demand of feet[i:]
+    for i in range(len(feet) - 1, -1, -1):
+        above[i] = above[i + 1] + feet[i][1]
+    zs = [0.0] + sorted(levels)
+    # segment k spans zs[k]..zs[k+1]; a member bidding zs[j] uses 0..j-1
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
+    widths = [hi - lo for lo, hi in zip(zs[:-1], zs[1:])]
+    totals = [above[bisect_right(foot_levels, z)] for z in mids]
+    for a in served:
+        b_a, d_a = bids[a], demands[a]
+        # the source is pressed (zero) wherever its clone outbids it
+        floor = clone_level if a == clone_of else -math.inf
+        segs = zip(mids[: bisect_left(zs, b_a, 1)], totals, widths)
+        area = sum(
+            max(0.0, min(d_a, cap - (t - d_a if b_a > z else t))) * w
+            for z, t, w in segs
+            if z >= floor
+        )
+        pay[a] = b_a * alloc[a] - area
     return alloc, pay
 
 
 def _settle_pods(profile, source=None, level=0.0):
     """Settle every pod; the phantom, when given, enters its source's pod."""
+    bids, demands = profile.bids.tolist(), profile.demands.tolist()
+    caps = profile.pod_caps.tolist()
+    home = None if source is None else int(profile.pod_of[source])
     alloc, pay = {}, {}
-    for p in range(len(profile.pod_caps)):
-        in_pod = source is not None and profile.pod_of[source] == p
+    for p, members in enumerate(profile.pod_members):
         pod_alloc, pod_pay = settle_pod(
-            profile.members(p), profile.bids, profile.demands, profile.pod_caps[p],
-            clone_of=source if in_pod else None, clone_level=level,
+            members, bids, demands, caps[p],
+            clone_of=source if p == home else None, clone_level=level,
         )
         alloc.update(pod_alloc)
         pay.update(pod_pay)
@@ -420,21 +463,20 @@ def ghost_candidates(profile, alloc=None, pay=None):
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
-    bids, demands = profile.bids, profile.demands
+    bids, demands = profile.bids.tolist(), profile.demands.tolist()
+    caps = profile.pod_caps.tolist()
     out = []
-    for p in range(len(profile.pod_caps)):
-        members = profile.members(p)
-        cap = profile.pod_caps[p]
-        live = sorted((a for a in members if bids[a] > 0), key=lambda a: -bids[a])
-        if not live:
+    for p, members in enumerate(profile.pod_members):
+        cap = caps[p]
+        levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
+        if not levels:
             continue
-        levels = [bids[a] for a in live]
+        total = sum(demands[m] for m in members)
         for source in members:
             if demands[source] <= 0:
                 continue
             if bids[source] > 0 and alloc.get(source, 0.0) > POS_TOL:
-                opp_demand = sum(demands[m] for m in members if m != source)
-                if opp_demand < cap - POS_TOL:
+                if total - demands[source] < cap - POS_TOL:
                     continue
             tops = [lv for lv in levels if lv > bids[source]]
             for w in range(len(tops)):
@@ -480,12 +522,12 @@ def certify_ghost(profile, source, level, honest, deviated):
     """
     alloc_h, pay_h = honest
     alloc_d, pay_d = deviated
-    bids, demands = profile.bids, profile.demands
+    bids, demands = profile.bids.tolist(), profile.demands.tolist()
     pod = int(profile.pod_of[source])
-    members = profile.members(pod)
-    cap = profile.pod_caps[pod]
+    members = profile.pod_members[pod]
+    cap = float(profile.pod_caps[pod])
     # the pod replayed with the source bidding at the phantom level
-    lifted = bids.copy()
+    lifted = list(bids)
     lifted[source] = level
     lift_alloc, lift_pay = settle_pod(members, lifted, demands, cap)
     safe, certs = {}, {}
@@ -507,7 +549,7 @@ def certify_ghost(profile, source, level, honest, deviated):
             certs[a] = {"family": "lifted_source", "agent": a, "level": level}
             continue
         # the source itself: zero outcome under a wall of opponents
-        walls = bids.copy()
+        walls = list(bids)
         wall_level = min(VALUE_HI, max(level, bids[a] + 1.0))
         for m in members:
             if m != a:
@@ -978,7 +1020,7 @@ def run_r5(config, jobs=1):
             entry["conc"] = conc(
                 [r.honest for r in crows], [r.deviated for r in crows]
             ).to_json()
-        except Exception as exc:  # zero baseline on a sparse condition
+        except CredmarketError as exc:  # zero baseline on a sparse condition
             entry["conc"] = {"error": str(exc)}
         hu, du = utils[name]
         entry["cliffs_delta_utility"] = (

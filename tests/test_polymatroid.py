@@ -162,6 +162,25 @@ def test_table_oracle_rejects_unknown_agents():
     oracle = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})
     with pytest.raises(DomainError):
         oracle.rank({0, 5})
+    # a generator is read once and still keyed and evaluated
+    assert oracle.rank(a for a in (0, 1)) == 2.0
+    assert oracle.rank(iter([np.int64(1)])) == 1.0
+    for subset in ((), (0,), (1,), (0, 1)):
+        oracle.rank(subset)
+    # every subset is memoised: a bad id must still never hit the memo
+    bad_ids = (-1, 2, 5, 1.0, 0.5, np.float64(0.0), np.int64(64), np.int64(100), "0", None)
+    for bad in bad_ids:
+        for subset in ({bad}, [0, bad], (a for a in (1, bad))):
+            with pytest.raises(DomainError):
+                oracle.rank(subset)
+    assert oracle.rank({0, 1}) == 2.0
+    # memo off (n > 32): the same single pass rejects the same ids, also a
+    # float equal to an id already present, which a frozenset would fold away
+    wide = LaminarOracle(np.ones(40), np.zeros(40, dtype=int), [100.0])
+    assert wide.rank(a for a in (0, 39)) == 2.0
+    for bad in (-1, 40, 1.0, np.float64(0.0), np.int64(100), None):
+        with pytest.raises(DomainError):
+            wide.rank([0, bad])
 
 
 def test_oracle_needs_one_agent():

@@ -3,11 +3,13 @@ routes, ghost scan, and the experiment runners."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credmarket import sim
 from credmarket.errors import ConfigError
 from credmarket.mechanisms import rank_auth_tag, vcg_outcome
-from credmarket.polymatroid import SubstituteCloneOracle
+from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
     POS_TOL,
@@ -28,6 +30,7 @@ from credmarket.sim import (
     run_exp3,
     run_r5,
     settle_first_price,
+    settle_pod,
     settle_posted,
     settle_threshold,
 )
@@ -161,6 +164,42 @@ def test_pod_settlement_matches_generic_route(round_index):
     alloc, pay = settle_threshold(profile)
     outcome = vcg_outcome(profile.oracle(), list(profile.bids))
     for a in range(profile.n):
+        assert alloc[a] == pytest.approx(outcome.allocation[a], abs=1e-9)
+        assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
+
+
+@st.composite
+def _single_pods(draw):
+    """One pod: 1-7 members with integer demands (zero included), bids from
+    a small grid so zeros and exact ties are common, and an optional
+    phantom whose level sits below, at, between or above its source's bid."""
+    m = draw(st.integers(1, 7))
+    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=m, max_size=m))
+    demands = draw(st.lists(st.integers(0, 12).map(float), min_size=m, max_size=m))
+    cap = float(draw(st.integers(1, 40)))
+    source = draw(st.none() | st.integers(0, m - 1))
+    level = 0.0
+    if source is not None:
+        b = bids[source]
+        level = draw(st.sampled_from([
+            b, b + 0.5, b + 3.0, max(0.0, b - 0.5), b / 2.0, 11.0,
+            *(x + 0.25 for x in bids), *bids,
+        ]))
+    return bids, demands, cap, source, level
+
+
+@given(pod=_single_pods())
+@settings(max_examples=300, deadline=None)
+def test_pod_sweep_matches_generic_route(pod):
+    bids, demands, cap, source, level = pod
+    members = list(range(len(bids)))
+    alloc, pay = settle_pod(members, bids, demands, cap, clone_of=source, clone_level=level)
+    oracle = LaminarOracle(demands, [0] * len(bids), [cap])
+    if source is None:
+        outcome = vcg_outcome(oracle, bids)
+    else:
+        outcome = vcg_outcome(SubstituteCloneOracle(oracle, source), bids + [level])
+    for a in members:
         assert alloc[a] == pytest.approx(outcome.allocation[a], abs=1e-9)
         assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
 
@@ -332,6 +371,31 @@ def test_pool_never_outsizes_the_tasks(monkeypatch):
     assert sim._map_jobs(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert sim._map_jobs(abs, [-4], 8) == [4]
     assert sizes == [3, 2]
+
+
+#: summary digests of every experiment at rounds=4, seeds=(17, 42)
+SMALL_DIGESTS = {
+    "exp1": "e71899d82eda0524eb842dc88e9c995e7d084867f923fd0b255c8af575370f0d",
+    "exp2": "a51db42601b96db6a6bd27c2b28c6f8fd752dcb1547eb6e97d31caf7eb91deb3",
+    "exp3": "1d1ca0f33bf74d6b304d39c8b829dc02eaf9b48872cd730cba061143200b09c8",
+    "r5": "994f059c8bef754f7503df8304777cf4f020df226f958c9629e8699bc519d71f",
+}
+
+
+@pytest.mark.parametrize("exp", sorted(SMALL_DIGESTS))
+def test_small_config_digests_are_pinned(exp):
+    report = run_experiment(exp, ScenarioConfig(rounds=4, seeds=(17, 42)))
+    assert report["digest"] == SMALL_DIGESTS[exp]
+
+
+def test_r5_propagates_unexpected_errors(monkeypatch):
+    # only the library's own conc failures become {"error": ...} labels
+    def broken(*args):
+        raise TypeError("not a domain failure")
+
+    monkeypatch.setattr(sim, "conc", broken)
+    with pytest.raises(TypeError):
+        run_r5(ScenarioConfig(rounds=1, seeds=(17,)))
 
 
 def test_r5_ghost_surplus_is_rule_invariant():
