@@ -135,6 +135,10 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     obj = _load_json(args.transcript)
+    if not isinstance(obj, dict):
+        raise CredmarketError(
+            f"transcript file must hold a JSON object, not {json.dumps(obj)[:40]}"
+        )
     if "commitment_root" not in obj:
         raise CredmarketError("transcript file lacks a commitment_root")
     verdict = verify_transcript(obj, obj["commitment_root"])

@@ -38,6 +38,7 @@ from .mechanisms import (
 from .polymatroid import Level1Matroid, RankOracle
 
 CLINCH_TOL = 1e-9
+_is_int = int.__instancecheck__
 PHASES = ("commit", "execute", "verify")
 
 
@@ -127,7 +128,29 @@ def verify_transcript(transcript, commitment_root, oracle=None):
     price = None
     seen_price = False
     seg_ranks = {}
+    seg_truth = {}
     seg_clinches = []
+
+    def true_rank(subset):
+        # the committed f(subset): one drop-one pass per segment over the
+        # replayed active set, built on first use and keyed by subset,
+        # serves every subset a clock round announces. A subset outside it,
+        # or one with a non-int id (1.0 == 1 would match a key), goes to
+        # oracle.rank, which rejects a bad id
+        if not seg_truth:
+            members = sorted(
+                i
+                for i, d in demands.items()
+                if d > CLINCH_TOL and _is_int(i) and 0 <= i < oracle.n
+            )
+            full, drops = oracle.rank_without_each(members)
+            seg_truth[frozenset(members)] = full
+            for k, value in enumerate(drops):
+                seg_truth[frozenset(members[:k] + members[k + 1 :])] = value
+        value = seg_truth.get(subset)
+        if value is None or not all(map(_is_int, subset)):
+            return oracle.rank(subset)
+        return value
 
     def lookup_rank(subset, p):
         key = frozenset(subset)
@@ -137,7 +160,7 @@ def verify_transcript(transcript, commitment_root, oracle=None):
             {"kind": "missing_rank", "price_step": p, "subset": sorted(subset)}
         )
         if oracle is not None:
-            return oracle.rank(subset)
+            return true_rank(key)
         return None
 
     def flush_segment(p):
@@ -194,6 +217,7 @@ def verify_transcript(transcript, commitment_root, oracle=None):
                 )
             clinched[agent] += expected[agent]
         seg_ranks.clear()
+        seg_truth.clear()
         seg_clinches.clear()
 
     # a field of the wrong type (a non-numeric price, an unhashable agent or
@@ -230,15 +254,17 @@ def verify_transcript(transcript, commitment_root, oracle=None):
                     violations.append(
                         {"kind": "inauthentic_rank", "subset": sorted(subset)}
                     )
-                elif oracle is not None and abs(oracle.rank(subset) - value) > CLINCH_TOL:
-                    violations.append(
-                        {
-                            "kind": "wrong_rank",
-                            "subset": sorted(subset),
-                            "announced": value,
-                            "recomputed": oracle.rank(subset),
-                        }
-                    )
+                elif oracle is not None:
+                    recomputed = true_rank(subset)
+                    if abs(recomputed - value) > CLINCH_TOL:
+                        violations.append(
+                            {
+                                "kind": "wrong_rank",
+                                "subset": sorted(subset),
+                                "announced": value,
+                                "recomputed": recomputed,
+                            }
+                        )
                 seg_ranks[subset] = value
             elif kind == "clinch":
                 _require(ev, "agent", "qty", "price")

@@ -11,6 +11,7 @@ cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -263,6 +264,30 @@ class RankOracle:
     def _rank(self, subset):
         raise NotImplementedError
 
+    def rank_without_each(self, members):
+        """(f(S), [f(S - {m}) for m in members]) for S = members, a list of
+        distinct agent ids in ascending order; a bad id raises DomainError
+        as `rank` does."""
+        n = self.n
+        ids = []
+        for a in members:
+            try:
+                i = operator.index(a)
+            except TypeError:
+                i = -1
+            if not 0 <= i < n:
+                raise DomainError(f"agent id {a!r} is not in the ground set")
+            if ids and i <= ids[-1]:
+                raise DomainError(f"members must ascend without repeats: {a!r} after {ids[-1]}")
+            ids.append(i)
+        return self._rank_without_each(ids)
+
+    def _rank_without_each(self, ids):
+        # generic default: one rank per drop; evaluators with a closed form
+        # for the drop-one values override this
+        rank = self.rank
+        return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
+
     def describe(self):
         """Canonical JSON-able description used for commitment digests."""
         raise NotImplementedError
@@ -400,6 +425,10 @@ class LaminarOracle(RankOracle):
         self.group_of = np.asarray(group_of, dtype=int)
         self.group_caps = np.asarray(group_caps, dtype=float)
         self.root_cap = float(root_cap)
+        # plain-list copies for the drop-one pass, which touches few entries
+        self._demand_list = self.demands.tolist()
+        self._group_list = self.group_of.tolist()
+        self._cap_list = self.group_caps.tolist()
 
     def _rank(self, subset):
         if not subset:
@@ -409,6 +438,23 @@ class LaminarOracle(RankOracle):
             self.group_of[idx], weights=self.demands[idx], minlength=len(self.group_caps)
         )
         return float(min(self.root_cap, np.minimum(loads, self.group_caps).sum()))
+
+    def _rank_without_each(self, ids):
+        # group loads once; dropping m changes only its group's term, so
+        # each drop-one value is O(1). Exact for integer-valued demands and
+        # caps; otherwise it can differ from `_rank` in the last bits
+        demand, group, caps = self._demand_list, self._group_list, self._cap_list
+        loads = [0.0] * len(caps)
+        for i in ids:
+            loads[group[i]] += demand[i]
+        served = [min(c, x) for c, x in zip(caps, loads)]
+        inner = sum(served)
+        root = self.root_cap
+        drops = []
+        for i in ids:
+            g = group[i]
+            drops.append(min(root, inner - served[g] + min(caps[g], loads[g] - demand[i])))
+        return min(root, inner), drops
 
     def describe(self):
         return {
@@ -463,6 +509,23 @@ class SubstituteCloneOracle(RankOracle):
         if self.clone_id in subset:
             real.add(self.position_agent)
         return self.base.rank(real)
+
+    def _rank_without_each(self, ids):
+        # the clone id is the largest, so it can only be the last member
+        if not ids or ids[-1] != self.clone_id:
+            return self.base._rank_without_each(ids)
+        real, source = ids[:-1], self.position_agent
+        if source in real:
+            # the clone and its source stand in for each other: dropping
+            # either one leaves f(S) as it is
+            full, drops = self.base._rank_without_each(real)
+            k = real.index(source)
+            drops[k] = full
+            return full, drops + [full]
+        # the clone holds its source's slot: drop the clone = drop the source
+        k = bisect.bisect(real, source)
+        full, drops = self.base._rank_without_each(real[:k] + [source] + real[k:])
+        return full, drops[:k] + drops[k + 1 :] + [drops[k]]
 
     def describe(self):
         return {

@@ -726,8 +726,18 @@ class _SybilTranscript(ClinchTranscript):
         if agent != self.ghost_id:
             super().clinch(agent, qty, price)
 
-    def rank_announce(self, subset, value):
-        super().rank_announce(set(subset) - {self.ghost_id}, value)
+    def round_announcer(self, members):
+        if self.ghost_id not in members:
+            return super().round_announcer(members)
+        g = members.index(self.ghost_id)
+        announce = super().round_announcer(members[:g] + members[g + 1 :])
+
+        def relabeled(k, value):
+            # without the phantom, the full set and the phantom's own drop
+            # both read as the real members; later members move up one place
+            announce(None if k is None or k == g else k - (k > g), value)
+
+        return relabeled
 
 
 def _exp2_seed(config, seed):

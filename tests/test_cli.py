@@ -153,6 +153,22 @@ def test_verify_rejects_malformed_field(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["42", "null", "true"])
+def test_verify_rejects_a_non_object_file(tmp_path, text):
+    # run through `python -m credmarket`, the package's own entry point
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(credmarket.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "credmarket", "verify", "--transcript", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --------------------------------------------------------------------------
 # perturb
 

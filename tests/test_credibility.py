@@ -101,6 +101,18 @@ def test_retagged_forgery_needs_the_oracle():
     assert "wrong_rank" in kinds or "wrong_clinch" in kinds
 
 
+@pytest.mark.parametrize("bad", [1.0, 2, -1])
+def test_oracle_replay_rejects_ids_rank_rejects(bad):
+    # a retagged announcement naming a non-id reaches the oracle check; the
+    # replay's per-round pass must not fold 1.0 into agent 1
+    root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
+    e = next(e for e in t.events if e["event"] == "rank_announce")
+    e["subset"] = [0, bad]
+    e["auth_tag"] = rank_auth_tag(root, e["subset"], e["value"])
+    with pytest.raises(DomainError):
+        verify_transcript(t, root, oracle=WORKED)
+
+
 def test_verify_accepts_json_and_dict_forms():
     root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
     as_dict = {"commitment_root": root, "events": t.events}

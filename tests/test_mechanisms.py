@@ -1,5 +1,6 @@
 """Allocation and payment rules against independent references."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -236,8 +237,25 @@ def test_clinching_revenue_is_payment_sum():
 
 
 def test_clinching_rejects_bad_step():
-    with pytest.raises(ConfigError):
-        clinching_auction(WORKED, [10.0, 5.0], step=0.0)
+    # an infinite step would put the clock at 0 * inf = nan, where no agent
+    # ever leaves and the clock never stops
+    for step in (0.0, -0.01, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            clinching_auction(WORKED, [10.0, 5.0], step=step)
+
+
+@pytest.mark.parametrize("members", [[], [7], [0, 3, 12], [9, 10, 11, 100, 1000]])
+def test_round_announcer_slices_every_drop(members):
+    t = ClinchTranscript(commitment_root="r00t")
+    announce = t.round_announcer(members)
+    announce(None, 1.5)
+    for k in range(len(members)):
+        announce(k, float(k))
+    assert [e["subset"] for e in t.events] == [members] + [
+        members[:k] + members[k + 1 :] for k in range(len(members))
+    ]
+    for e in t.events:
+        assert e["auth_tag"] == rank_auth_tag("r00t", e["subset"], e["value"])
 
 
 def test_transcript_roundtrip_and_malformed():
@@ -259,6 +277,33 @@ def test_rank_auth_tag_binds_root_subset_value():
     assert rank_auth_tag("other", {0, 1}, 3.0) != base
     assert rank_auth_tag("root", {0, 1}, 3.5) != base
     assert rank_auth_tag("root", {0, 2}, 3.0) != base
+
+
+@pytest.mark.parametrize(
+    "root, subset, value",
+    [
+        ("root", {0, 1}, 3.0),
+        ("a" * 64, set(range(40)), 123.456),
+        ("r\u00f6\"t\n", [], 0.0),
+        ("root", {5}, -0.0),
+        ("root", {2, 1}, math.inf),
+        ("root", {2, 1}, math.nan),
+        ("root", {3}, np.float64(0.1)),
+        ("root", {3}, 7),
+        ("root", {3}, "7.5"),
+        ("root", {3}, True),
+        ("root", {"b", "a"}, 1e300),
+    ],
+)
+def test_rank_auth_tag_is_the_sorted_compact_json_digest(root, subset, value):
+    # the tag format: SHA-256 of the sorted-key, compact JSON of
+    # {"root", "subset", "value"}
+    text = json.dumps(
+        {"root": root, "subset": sorted(subset), "value": value},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert rank_auth_tag(root, subset, value) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_outcome_accessors():

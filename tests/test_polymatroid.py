@@ -183,6 +183,109 @@ def test_table_oracle_rejects_unknown_agents():
             wide.rank([0, bad])
 
 
+# --------------------------------------------------------------------------
+# Drop-one pass: rank_without_each(S) = (f(S), [f(S - {m}) for m in S])
+
+
+def _drop_one_by_rank(oracle, members):
+    return oracle.rank(members), [
+        oracle.rank(members[:k] + members[k + 1 :]) for k in range(len(members))
+    ]
+
+
+@st.composite
+def laminar_instances(draw, integer):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 4))
+    if integer:
+        demands = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        caps = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    else:
+        amount = st.floats(0.0, 10.0, allow_nan=False)
+        demands = draw(st.lists(amount, min_size=n, max_size=n))
+        caps = draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k))
+    group_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    members = sorted(draw(st.sets(st.integers(0, n - 1))))
+    slack = LaminarOracle(demands, group_of, caps)
+    # a binding root cuts the ground set's rank in half
+    ground = slack.rank(range(n))
+    root = draw(st.sampled_from((math.inf, math.floor(ground / 2) if integer else ground / 2)))
+    return LaminarOracle(demands, group_of, caps, root_cap=root), members
+
+
+@given(laminar_instances(integer=True))
+@settings(max_examples=200, deadline=None)
+def test_laminar_drop_one_pass_is_bitwise_rank(instance):
+    oracle, members = instance
+    full, drops = oracle.rank_without_each(members)
+    want_full, want_drops = _drop_one_by_rank(oracle, members)
+    assert repr(full) == repr(want_full)
+    assert [repr(v) for v in drops] == [repr(v) for v in want_drops]
+
+
+@given(laminar_instances(integer=False))
+@settings(max_examples=200, deadline=None)
+def test_laminar_drop_one_pass_matches_float_rank(instance):
+    oracle, members = instance
+    full, drops = oracle.rank_without_each(members)
+    want_full, want_drops = _drop_one_by_rank(oracle, members)
+    assert full == pytest.approx(want_full, rel=1e-9, abs=1e-9)
+    assert drops == pytest.approx(want_drops, rel=1e-9, abs=1e-9)
+
+
+@given(
+    laminar_instances(integer=True),
+    st.data(),
+    st.sampled_from(("with_source", "without_source", "alone", "no_clone")),
+)
+@settings(max_examples=200, deadline=None)
+def test_clone_drop_one_pass_is_bitwise_rank(instance, data, case):
+    base, real = instance
+    source = data.draw(st.integers(0, base.n - 1))
+    plus = SubstituteCloneOracle(base, source)
+    if case == "with_source":
+        real = sorted(set(real) | {source})
+    elif case == "without_source":
+        real = [a for a in real if a != source]
+    elif case == "alone":
+        real = []
+    members = real if case == "no_clone" else real + [plus.clone_id]
+    full, drops = plus.rank_without_each(members)
+    want_full, want_drops = _drop_one_by_rank(plus, members)
+    assert repr(full) == repr(want_full)
+    assert [repr(v) for v in drops] == [repr(v) for v in want_drops]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_drop_one_pass_is_rank(seed, n, data):
+    oracle = random_table_oracle(np.random.default_rng(seed), n)
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    assert oracle.rank_without_each(members) == _drop_one_by_rank(oracle, members)
+
+
+def test_drop_one_pass_edges_and_bad_ids():
+    table = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})
+    laminar = LaminarOracle([1, 2, 3], [0, 0, 1], [2, 5])
+    clone = SubstituteCloneOracle(laminar, 1)
+    for oracle in (table, laminar, clone):
+        assert oracle.rank_without_each([]) == (0.0, [])
+        assert oracle.rank_without_each([1]) == (oracle.rank({1}), [0.0])
+        n = oracle.n
+        for bad in (-1, n, 1.0, 0.5, np.float64(0.0), np.int64(64), np.int64(100), "0", None):
+            with pytest.raises(DomainError) as by_rank:
+                oracle.rank([bad])
+            with pytest.raises(DomainError) as by_pass:
+                oracle.rank_without_each([bad])
+            assert str(by_pass.value) == str(by_rank.value)
+            with pytest.raises(DomainError):
+                oracle.rank_without_each([0, bad])
+        # the pass names each drop by position, so the ids must ascend
+        for unsorted in ([1, 0], [0, 0], [0, 1, 1]):
+            with pytest.raises(DomainError):
+                oracle.rank_without_each(unsorted)
+
+
 def test_oracle_needs_one_agent():
     with pytest.raises(ConfigError):
         TableOracle(0, {(): 0.0})

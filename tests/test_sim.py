@@ -1,14 +1,18 @@
 """Service-market simulator: scenario config, round generation, settlement
 routes, ghost scan, and the experiment runners."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credmarket import sim
+from credmarket.credibility import make_commitment, tamper_forge_rank, verify_transcript
 from credmarket.errors import ConfigError
-from credmarket.mechanisms import rank_auth_tag, vcg_outcome
+from credmarket.mechanisms import ClinchTranscript, clinching_auction, rank_auth_tag, vcg_outcome
 from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
@@ -386,6 +390,55 @@ SMALL_DIGESTS = {
 def test_small_config_digests_are_pinned(exp):
     report = run_experiment(exp, ScenarioConfig(rounds=4, seeds=(17, 42)))
     assert report["digest"] == SMALL_DIGESTS[exp]
+
+
+#: SHA-256 of the rounds=4, seeds=(17, 42) clinching transcripts and
+#: verdicts below, each list joined by newlines
+CLINCH_PINS = {
+    "honest": "ecf6bed8d7f30748851027622aad2e9c7d3edafb57c40c69c12093fe3a3cbe90",
+    "sybil": "45755f3eb06abc4b46619547c80df51f48060c0b01515732bb398a8716969226",
+    "verdicts": "10af92eb8443f8a944a35ccfee3f4a5cae2be35da2b756fc3db295e9a59f5cbf",
+}
+
+
+def test_clinch_transcripts_are_pinned():
+    # byte-identical transcripts and equal verdicts, violations in order,
+    # not only the same exp2 summary digest
+    config = ScenarioConfig(rounds=4, seeds=(17, 42))
+    texts = {name: [] for name in CLINCH_PINS}
+    for seed in config.seeds:
+        for r in range(config.rounds):
+            profile = generate_round(config, seed, r)
+            oracle = profile.oracle()
+            root = make_commitment(oracle, "clinching", "clinch_pay")
+            honest = ClinchTranscript(commitment_root=root)
+            clinching_auction(oracle, list(profile.bids), transcript=honest)
+            texts["honest"].append(honest.to_json())
+            verdicts = [verify_transcript(honest, root, oracle=oracle)]
+            pick = best_ghost(profile)
+            if pick is not None:
+                plus = SubstituteCloneOracle(oracle, pick.source)
+                sybil = _SybilTranscript(root, plus.clone_id)
+                clinching_auction(plus, list(profile.bids) + [pick.level], transcript=sybil)
+                texts["sybil"].append(sybil.to_json())
+                # a forged value and a withheld announcement reach the
+                # inauthentic_rank and missing_rank paths of the replay
+                gap = ClinchTranscript(commitment_root=root)
+                kinds = [e["event"] for e in honest.events]
+                withheld = [k for k, kind in enumerate(kinds) if kind == "rank_announce"][2]
+                gap.events = [e for k, e in enumerate(honest.events) if k != withheld]
+                verdicts += [
+                    verify_transcript(sybil, root, oracle=oracle),
+                    verify_transcript(sybil, root),
+                    verify_transcript(tamper_forge_rank(honest, which=3), root, oracle=oracle),
+                    verify_transcript(gap, root, oracle=oracle),
+                ]
+            texts["verdicts"] += [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
+    digests = {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in texts.items()
+    }
+    assert digests == CLINCH_PINS
 
 
 def test_r5_propagates_unexpected_errors(monkeypatch):
