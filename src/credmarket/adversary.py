@@ -229,7 +229,7 @@ def construct_perturbation(bids, oracle, epsilon_target=None):
         )
     delta = gap / 2.0
     if epsilon_target is not None:
-        if epsilon_target <= 0:
+        if not epsilon_target > 0:  # NaN included
             raise ConfigError("epsilon_target must be positive")
         delta = min(delta, epsilon_target / gamma)
     return DeviationStrategy(kind="payment_perturb", pair=(i, j), delta=delta)

@@ -23,6 +23,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATIONS = 2
 
+#: the entries each `perturb` oracle kind needs
+_ORACLE_FIELDS = {
+    "table": ("n_agents", "table"),
+    "laminar": ("demands", "group_of", "group_caps"),
+}
+
 GAMMA_CLASSES = ("tree", "sp", "entangled", "modular")
 SWEEP_CLASSES = ("series", "parallel", "tree", "entangled")
 DEFAULT_SWEEP_SEEDS = (0, 1, 2)
@@ -76,6 +82,11 @@ def build_parser():
     return parser
 
 
+def _is_number(v):
+    # JSON numbers only: a bool is an int to Python but not a bid
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -85,13 +96,14 @@ def _load_json(path):
 
 
 def _oracle_from_spec(obj):
+    if not isinstance(obj, dict):
+        raise CredmarketError("the oracle entry must be a JSON object")
     kind = obj.get("kind", "table")
-    if kind == "table":
-        table = {}
-        for key, value in obj["table"].items():
-            subset = frozenset(int(t) for t in key.split(",") if t != "")
-            table[subset] = float(value)
-        return TableOracle(int(obj["n_agents"]), table)
+    if not isinstance(kind, str) or kind not in _ORACLE_FIELDS:
+        raise CredmarketError(f"unknown oracle kind {kind!r}")
+    missing = [key for key in _ORACLE_FIELDS[kind] if key not in obj]
+    if missing:
+        raise CredmarketError(f"{kind} oracle spec lacks {missing}")
     if kind == "laminar":
         return LaminarOracle(
             obj["demands"],
@@ -99,7 +111,17 @@ def _oracle_from_spec(obj):
             obj["group_caps"],
             root_cap=obj.get("root_cap", float("inf")),
         )
-    raise CredmarketError(f"unknown oracle kind {kind!r}")
+    if not isinstance(obj["table"], dict):
+        raise CredmarketError("the oracle table must map subset keys to ranks")
+    table = {}
+    try:
+        n_agents = int(obj["n_agents"])
+        for key, value in obj["table"].items():
+            subset = frozenset(int(t) for t in key.split(",") if t != "")
+            table[subset] = float(value)
+    except (TypeError, ValueError) as exc:
+        raise CredmarketError(f"bad table oracle spec: {exc}") from exc
+    return TableOracle(n_agents, table)
 
 
 def _cmd_run(args):
@@ -183,11 +205,17 @@ def _cmd_gamma(args):
 
 def _cmd_perturb(args):
     obj = _load_json(args.bids)
-    if "bids" not in obj or "oracle" not in obj:
-        raise CredmarketError("bid file needs 'bids' and 'oracle' entries")
-    bids = [float(b) for b in obj["bids"]]
+    if not isinstance(obj, dict) or "bids" not in obj or "oracle" not in obj:
+        raise CredmarketError("bid file must be a JSON object with 'bids' and 'oracle' entries")
+    bids = obj["bids"]
+    if not isinstance(bids, list) or not all(map(_is_number, bids)):
+        raise CredmarketError(f"bids must be a list of numbers, got {json.dumps(bids)[:40]}")
+    bids = [float(b) for b in bids]
+    epsilon_target = obj.get("epsilon_target")
+    if epsilon_target is not None and not _is_number(epsilon_target):
+        raise CredmarketError(f"epsilon_target must be a number, got {epsilon_target!r}")
     oracle = _oracle_from_spec(obj["oracle"])
-    strategy = construct_perturbation(bids, oracle, obj.get("epsilon_target"))
+    strategy = construct_perturbation(bids, oracle, epsilon_target)
     i, j = strategy.pair
     gamma = pair_gap(oracle, i, j)
     result = apply_deviation(strategy, bids, Mechanism(payment_rule="vcg"), oracle)

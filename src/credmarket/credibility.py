@@ -46,29 +46,6 @@ PHASES = ("commit", "execute", "verify")
 # Broadcast commitment
 
 
-class BroadcastChannel:
-    """Perfect reliable broadcast: one shared ordered log.
-
-    Integrity, agreement, and delivery hold by construction — the log is a
-    single list that only `send` appends to. Lossy or equivocating channels
-    are out of scope.
-    """
-
-    def __init__(self, participants):
-        self.participants = tuple(participants)
-        self.delivered = []
-
-    def send(self, sender, message):
-        if sender not in self.participants:
-            raise DomainError(f"{sender!r} is not a channel participant")
-        entry = {"seq": len(self.delivered), "sender": sender, "message": message}
-        self.delivered.append(entry)
-        return entry["seq"]
-
-    def log(self):
-        return list(self.delivered)
-
-
 @dataclass
 class Verdict:
     consistent: bool

@@ -179,17 +179,6 @@ def vcg_outcome(oracle, bids):
     return MarketOutcome(allocation=alloc, payments=pay, order=order, rule="vcg")
 
 
-def vcg_externality_payment(oracle, bids, i):
-    """Classic externality form, used as an independent cross-check."""
-    bids = _validate_bids(oracle, bids)
-    others = set(range(oracle.n)) - {i}
-    alloc_wo, _ = edmonds_greedy(oracle, bids, active=others)
-    alloc, _ = edmonds_greedy(oracle, bids)
-    welfare_wo = sum(alloc_wo[j] * bids[j] for j in others)
-    welfare_others = sum(alloc[j] * bids[j] for j in others)
-    return welfare_wo - welfare_others
-
-
 def myerson_outcome(oracle, bids, prior):
     """Virtual-welfare greedy with reserve; payments in bid space.
 

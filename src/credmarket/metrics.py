@@ -70,19 +70,9 @@ class ConcReport:
 
 def _round_triple(record):
     """(revenue, welfare, total agent payments) from a round record."""
-    if isinstance(record, (tuple, list)) and len(record) == 3:
-        return float(record[0]), float(record[1]), float(record[2])
-    try:
-        return (
-            float(record.revenue),
-            float(record.welfare),
-            float(record.payments_total),
-        )
-    except AttributeError:
-        raise DomainError(
-            "round records must be (revenue, welfare, payments) triples or "
-            "objects with revenue/welfare/payments_total attributes"
-        )
+    if not isinstance(record, (tuple, list)) or len(record) != 3:
+        raise DomainError("round records must be (revenue, welfare, payments) triples")
+    return float(record[0]), float(record[1]), float(record[2])
 
 
 def conc(honest_rounds, deviated_rounds):
@@ -154,6 +144,8 @@ def gamma_distribution(topology_class, prior, n_samples=500, seed=0):
     """
     if n_samples < 2:
         raise DomainError("need n_samples >= 2")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if topology_class == "modular":
         # every agent on its own path: all gaps identically zero
         n = 8
@@ -389,10 +381,14 @@ def scaling_sweep(topology_class, parameter_grid, seeds, delta=0.25):
         raise ConfigError("need at least 4 grid values for a slope fit")
     if any(b >= a for a, b in zip(grid[1:], grid[:-1])):
         raise ConfigError("grid values must be strictly increasing")
+    if grid[0] <= 0:
+        raise ConfigError(f"grid values must be positive, got {grid[0]}")
     if topology_class not in _WITNESSES:
         raise ConfigError(f"no scaling witness for class {topology_class!r}")
     build = _WITNESSES[topology_class]
     seeds = list(seeds)
+    if not seeds or any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be a non-empty list of nonnegative integers, got {seeds}")
     per_seed = {s: [] for s in seeds}
     for param in grid:
         for s in seeds:

@@ -419,12 +419,35 @@ class LaminarOracle(RankOracle):
     evaluator = "tree_cut"
 
     def __init__(self, demands, group_of, group_caps, root_cap=math.inf):
-        demands = np.asarray(demands, dtype=float)
+        # checked once here so that `_rank` can trust its arrays: numpy
+        # would broadcast a short cap list and index past a short group list
+        try:
+            demands = np.asarray(demands, dtype=float)
+            group_caps = np.asarray(group_caps, dtype=float)
+            group_of = np.asarray(group_of)
+            root_cap = float(root_cap)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"laminar oracle inputs must be numbers: {exc}") from exc
+        if demands.ndim != 1 or group_caps.ndim != 1 or group_of.shape != demands.shape:
+            raise ConfigError(
+                "demands and group_of must be flat lists of one length, "
+                "group_caps a flat list"
+            )
         super().__init__(len(demands))
+        if group_of.dtype.kind not in "iu":
+            raise ConfigError(f"group ids must be integers, got {group_of.tolist()}")
+        if group_of.min() < 0 or group_of.max() >= len(group_caps):
+            raise ConfigError(f"group ids must lie in [0, {len(group_caps)})")
+        amounts = np.concatenate((demands, group_caps))
+        if not (np.isfinite(amounts).all() and (amounts >= 0).all()) or not root_cap >= 0:
+            raise ConfigError(
+                "demands and group caps must be finite and nonnegative, "
+                "root_cap nonnegative"
+            )
         self.demands = demands
-        self.group_of = np.asarray(group_of, dtype=int)
-        self.group_caps = np.asarray(group_caps, dtype=float)
-        self.root_cap = float(root_cap)
+        self.group_of = group_of.astype(int, copy=False)
+        self.group_caps = group_caps
+        self.root_cap = root_cap
         # plain-list copies for the drop-one pass, which touches few entries
         self._demand_list = self.demands.tolist()
         self._group_list = self.group_of.tolist()
@@ -533,11 +556,6 @@ class SubstituteCloneOracle(RankOracle):
             "position_agent": self.position_agent,
             "base": self.base.describe(),
         }
-
-
-def rank(oracle, subset):
-    """f(subset). Unknown agent ids raise DomainError."""
-    return oracle.rank(subset)
 
 
 def make_oracle(dag, evaluator=None):

@@ -114,8 +114,8 @@ class ScenarioConfig:
             )
         if self.n_agents <= 0 or self.rounds <= 0 or self.arrival_rate <= 0:
             raise ConfigError("agent count, rounds, and arrival rate must be positive")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be a non-empty list of nonnegative integers")
         if len(self.tier_capacities) != 3 or len(self.tier_latencies_ms) != 3:
             raise ConfigError("exactly three tiers are modeled")
         if any(c <= 0 for c in self.tier_capacities) or any(
@@ -399,13 +399,6 @@ def settle_threshold(profile):
     return _settle_pods(profile)
 
 
-def settle_first_price(profile):
-    """Same allocator, pay-as-bid."""
-    alloc, _ = settle_threshold(profile)
-    pay = {a: profile.bids[a] * x for a, x in alloc.items()}
-    return alloc, pay
-
-
 def settle_posted(profile, level, arrival, phantom=None):
     """First-come service at a posted unit price.
 
@@ -497,12 +490,10 @@ def ghost_candidates(profile, alloc=None, pay=None):
     return out
 
 
-def best_ghost(profile, alloc=None, pay=None, objective="damage"):
+def best_ghost(profile, alloc=None, pay=None):
+    """The candidate that destroys the most welfare, or None."""
     cands = ghost_candidates(profile, alloc, pay)
-    if not cands:
-        return None
-    key = (lambda c: c.damage) if objective == "damage" else (lambda c: c.surplus)
-    return max(cands, key=key)
+    return max(cands, key=lambda c: c.damage, default=None)
 
 
 def ghost_settle(profile, source, level):
@@ -566,54 +557,7 @@ def certify_ghost(profile, source, level, honest, deviated):
 
 
 # --------------------------------------------------------------------------
-# Experiment specs
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    id: str
-    mechanisms: tuple
-    adversaries: tuple
-    credibility_device: str
-    grid_axes: dict
-
-    def validate(self):
-        if self.id == "exp2" and self.credibility_device != "broadcast":
-            raise ConfigError("exp2 runs under the broadcast device")
-        if self.id == "exp3" and "myerson" not in self.mechanisms:
-            raise ConfigError("exp3 is the optimal-auction persistence run")
-        if self.id == "r5":
-            need = {"vcg", "first_price", "posted_price"}
-            if not need <= set(self.mechanisms):
-                raise ConfigError("r5 spans vcg, first_price, and posted_price")
-        return self
-
-
-def experiment_spec(exp_id):
-    table = {
-        "exp1": ExperimentSpec(
-            "exp1", ("vcg",), ("ghost_bid",), "none", {}
-        ),
-        "exp2": ExperimentSpec(
-            "exp2", ("clinching",), ("ghost_bid",), "broadcast", {}
-        ),
-        "exp3": ExperimentSpec(
-            "exp3", ("myerson",), ("payment_perturb",), "none", {}
-        ),
-        "r5": ExperimentSpec(
-            "r5",
-            ("vcg", "first_price", "posted_price"),
-            ("truthful", "ghost_bid", "receipt_inflate"),
-            "none",
-            {
-                "topologies": ("tree", "sp", "entangled"),
-                "posted_levels": POSTED_LEVELS,
-            },
-        ),
-    }
-    if exp_id not in table:
-        raise ConfigError(f"unknown experiment {exp_id!r}; pick from {sorted(table)}")
-    return table[exp_id].validate()
+# Round records
 
 
 @dataclass
@@ -1069,16 +1013,16 @@ def _map_jobs(fn, tasks, jobs):
 _RUNNERS = {"exp1": run_exp1, "exp2": run_exp2, "exp3": run_exp3, "r5": run_r5}
 
 
-def run_experiment(spec, config=None, jobs=1):
-    """Execute one experiment spec; attach a determinism digest."""
-    if isinstance(spec, str):
-        spec = experiment_spec(spec)
-    spec.validate()
+def run_experiment(exp, config=None, jobs=1):
+    """Run experiment `exp` ("exp1", "exp2", "exp3" or "r5"); attach a
+    determinism digest."""
+    if not isinstance(exp, str) or exp not in _RUNNERS:
+        raise ConfigError(f"unknown experiment {exp!r}; pick from {sorted(_RUNNERS)}")
     if not _is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     if config is None:
         config = ScenarioConfig()
-    report = _RUNNERS[spec.id](config, jobs=jobs)
+    report = _RUNNERS[exp](config, jobs=jobs)
     report["config"] = config.to_dict()
     report["digest"] = report_digest(report)
     return report

@@ -11,9 +11,10 @@ import pytest
 import credmarket
 from credmarket.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, dispatch
 from credmarket.credibility import make_commitment, tamper_inflate_clinch
+from credmarket.errors import ConfigError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction
 from credmarket.polymatroid import TableOracle
-from credmarket.sim import ScenarioConfig
+from credmarket.sim import ScenarioConfig, run_experiment
 
 WORKED_ORACLE = {
     "kind": "table",
@@ -98,6 +99,9 @@ def test_run_seed_override(tmp_path, tiny_config_file):
 def test_run_rejects_unknown_experiment(tmp_path, capsys):
     assert dispatch(["run", "--exp", "exp9", "--out", str(tmp_path)]) == EXIT_CONFIG
     capsys.readouterr()
+    for exp in ("exp9", None, ["exp1"]):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            run_experiment(exp)
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
@@ -193,6 +197,35 @@ def test_perturb_rejects_incomplete_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _laminar(**fields):
+    # as given, agents 0 and 1 share a unit group and perturb exits 0
+    spec = {"kind": "laminar", "demands": [1, 1, 1], "group_of": [0, 0, 1], "group_caps": [1, 1]}
+    return {"bids": [10.0, 5.0, 1.0], "oracle": {**spec, **fields}}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(42, id="scalar-file"),
+    pytest.param({"bids": ["x"], "oracle": WORKED_ORACLE}, id="string-bid"),
+    pytest.param({"bids": 5, "oracle": WORKED_ORACLE}, id="scalar-bids"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {"n_agents": 2}}, id="no-table"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": [1]}, id="list-oracle"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {"n_agents": 2, "table": {"0,a": 1}}},
+                 id="bad-table-key"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": WORKED_ORACLE, "epsilon_target": "x"},
+                 id="string-epsilon"),
+    pytest.param(_laminar(group_of=[0, 0, 5], group_caps=[1]), id="laminar-group-out-of-range"),
+    pytest.param(_laminar(group_of=[0, 0]), id="laminar-short-group-of"),
+    pytest.param(_laminar(demands=[1, 1, float("nan")]), id="laminar-nan-demand"),
+    pytest.param(_laminar(demands=[1, 1, -4]), id="laminar-negative-demand"),
+    pytest.param(_laminar(group_caps=None), id="laminar-null-caps"),
+])
+def test_perturb_rejects_malformed_bid_file(tmp_path, capsys, content):
+    path = tmp_path / "bids.json"
+    path.write_text(json.dumps(content))
+    assert dispatch(["perturb", "--bids", str(path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # sweep / gamma
 
@@ -207,6 +240,31 @@ def test_sweep_series_unit_slope(tmp_path, capsys):
     assert "slope 1 " in capsys.readouterr().out
     fit = json.loads(out.read_text())
     assert fit["class"] == "series"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--exp", "exp3", "--seed", "-1"], id="run-seed"),
+    pytest.param(["sweep", "--class", "series", "--grid", "2,4,8,16", "--seed", "-2"],
+                 id="sweep-seed"),
+    pytest.param(["sweep", "--class", "series", "--grid=-1,2,3,4"], id="sweep-grid"),
+    pytest.param(["gamma", "--class", "tree", "--seed", "-1"], id="gamma-seed"),
+])
+def test_negative_seed_or_grid_is_config_error(tmp_path, capsys, argv):
+    assert dispatch(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(credmarket.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "credmarket", "run", "--exp", "exp3", "--seed", "-1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_rejects_bad_grid(capsys):

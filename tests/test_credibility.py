@@ -8,7 +8,6 @@ import pytest
 
 from credmarket.adversary import DeviationStrategy, apply_deviation
 from credmarket.credibility import (
-    BroadcastChannel,
     DraState,
     FeeOperator,
     fee_operator_surplus,
@@ -136,16 +135,6 @@ def test_malformed_transcript_raises():
                          "auth_tag": "x"}]},
             "root",
         )
-
-
-def test_broadcast_channel_logs_in_order():
-    chan = BroadcastChannel(participants=("alice", "bob"))
-    s1 = chan.send("alice", {"hello": 1})
-    s2 = chan.send("bob", {"hello": 2})
-    assert s1 < s2
-    assert [m["sender"] for m in chan.log()] == ["alice", "bob"]
-    with pytest.raises(DomainError):
-        chan.send("mallory", {"hello": 3})
 
 
 def test_commitment_tracks_oracle_content():

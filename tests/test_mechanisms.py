@@ -21,7 +21,6 @@ from credmarket.mechanisms import (
     edmonds_greedy,
     rank_auth_tag,
     run_mechanism,
-    vcg_externality_payment,
     vcg_outcome,
 )
 from credmarket.polymatroid import LaminarOracle, Level1Matroid, TableOracle
@@ -111,9 +110,6 @@ def test_threshold_matches_quadrature_and_externality(rng):
             )
             assert out.payments[i] == pytest.approx(
                 vcg_externality(oracle, bids, i), abs=1e-9
-            )
-            assert out.payments[i] == pytest.approx(
-                vcg_externality_payment(oracle, bids, i), abs=1e-9
             )
 
 

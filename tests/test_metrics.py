@@ -1,5 +1,7 @@
 """Measurement layer: CoNC ratios, effect sizes, distributions, scaling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,10 @@ def test_conc_zero_baseline_raises_with_absolute():
 def test_conc_requires_matched_rounds():
     with pytest.raises(DomainError):
         conc([(1.0, 1.0, 1.0)], [])
+    # a round is a (revenue, welfare, payments) triple and nothing else
+    for bad in ((1.0, 1.0), SimpleNamespace(revenue=1.0, welfare=1.0, payments_total=1.0)):
+        with pytest.raises(DomainError):
+            conc([bad], [bad])
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +132,8 @@ def test_gamma_class_ordering_small_sample():
 def test_gamma_rejects_tiny_sample():
     with pytest.raises(DomainError):
         gamma_distribution("tree", PRIOR, n_samples=1)
+    with pytest.raises(ConfigError):
+        gamma_distribution("tree", PRIOR, seed=-1)
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +172,10 @@ def test_sweep_validates_grid():
         scaling_sweep("series", [2, 3, 3, 4], seeds=(0,))
     with pytest.raises(ConfigError):
         scaling_sweep("moebius", [2, 3, 4, 5], seeds=(0,))
+    # a negative grid value or seed reached numpy's rng as a raw ValueError
+    for grid, seeds in (([-1, 2, 3, 4], (0,)), ([0, 1, 2, 3], (0,)), ([2, 4, 8, 16], (-2,))):
+        with pytest.raises(ConfigError):
+            scaling_sweep("series", grid, seeds=seeds)
 
 
 def test_sweep_increments_are_exact_multiples():

@@ -394,3 +394,20 @@ def test_generate_topology_rejects_unknown_class():
 def test_infinite_root_is_supported():
     oracle = LaminarOracle([2.0, 2.0], [0, 1], [1.0, 1.0], root_cap=math.inf)
     assert oracle.rank({0, 1}) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("demands, group_of, group_caps, root_cap", [
+    pytest.param([1.0, 1.0], [0, 5], [1.0], math.inf, id="group-out-of-range"),
+    pytest.param([1.0, 1.0], [-1, 0], [1.0], math.inf, id="negative-group"),
+    pytest.param([1.0, 1.0], [0], [1.0], math.inf, id="short-group-of"),
+    pytest.param([1.0, 1.0], [0.0, 0.5], [1.0], math.inf, id="fractional-group"),
+    pytest.param([math.nan, 1.0], [0, 0], [2.0], math.inf, id="nan-demand"),
+    pytest.param([-4.0, 1.0], [0, 0], [2.0], math.inf, id="negative-demand"),
+    pytest.param([1.0, 1.0], [0, 0], [math.inf], math.inf, id="infinite-group-cap"),
+    pytest.param([1.0, 1.0], [0, 0], [-1.0], math.inf, id="negative-group-cap"),
+    pytest.param([1.0, 1.0], [0, 0], [2.0], math.nan, id="nan-root"),
+    pytest.param(["x", 1.0], [0, 0], [2.0], math.inf, id="string-demand"),
+])
+def test_laminar_oracle_rejects_malformed_inputs(demands, group_of, group_caps, root_cap):
+    with pytest.raises(ConfigError):
+        LaminarOracle(demands, group_of, group_caps, root_cap=root_cap)

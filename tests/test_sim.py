@@ -23,7 +23,6 @@ from credmarket.sim import (
     arrival_order,
     best_ghost,
     certify_ghost,
-    experiment_spec,
     generate_round,
     ghost_candidates,
     ghost_settle,
@@ -33,7 +32,6 @@ from credmarket.sim import (
     run_experiment,
     run_exp3,
     run_r5,
-    settle_first_price,
     settle_pod,
     settle_posted,
     settle_threshold,
@@ -69,6 +67,8 @@ def test_config_validation():
         {"rounds": True},
         {"seeds": [1.5]},
         {"seeds": [True]},
+        {"seeds": [-1]},
+        {"seeds": [17, -2]},
         {"seeds": 17},
         {"arrival_rate": float("nan")},
         {"arrival_rate": "2"},
@@ -208,15 +208,6 @@ def test_pod_sweep_matches_generic_route(pod):
         assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
 
 
-def test_first_price_pays_bid_on_same_allocation():
-    profile = generate_round(TINY, 42, 0)
-    alloc_t, _ = settle_threshold(profile)
-    alloc, pay = settle_first_price(profile)
-    assert alloc == alloc_t
-    for a, x in alloc.items():
-        assert pay[a] == pytest.approx(profile.bids[a] * x)
-
-
 def _first_ghost_round(config, seed):
     for r in range(60):
         profile = generate_round(config, seed, r)
@@ -309,16 +300,6 @@ def test_posted_phantom_below_level_is_inert():
 
 # --------------------------------------------------------------------------
 # Experiment plumbing
-
-
-def test_experiment_spec_table():
-    for exp in ("exp1", "exp2", "exp3", "r5"):
-        spec = experiment_spec(exp)
-        assert spec.id == exp
-        assert spec.validate() is spec
-    assert experiment_spec("r5").grid_axes["topologies"] == ("tree", "sp", "entangled")
-    with pytest.raises(ConfigError):
-        experiment_spec("exp9")
 
 
 def test_run_experiment_reports_are_reproducible():
