@@ -95,7 +95,7 @@ def _load_json(path):
         raise CredmarketError(f"cannot read {path}: {exc}") from exc
 
 
-def _oracle_from_spec(obj):
+def _oracle_from_spec(obj, n_bids):
     if not isinstance(obj, dict):
         raise CredmarketError("the oracle entry must be a JSON object")
     kind = obj.get("kind", "table")
@@ -111,11 +111,15 @@ def _oracle_from_spec(obj):
             obj["group_caps"],
             root_cap=obj.get("root_cap", float("inf")),
         )
+    n_agents = obj["n_agents"]
+    if not isinstance(n_agents, int) or isinstance(n_agents, bool):
+        raise CredmarketError(f"n_agents must be an integer, got {n_agents!r}")
+    if n_agents != n_bids:
+        raise CredmarketError(f"the table oracle has {n_agents} agents for {n_bids} bids")
     if not isinstance(obj["table"], dict):
         raise CredmarketError("the oracle table must map subset keys to ranks")
     table = {}
     try:
-        n_agents = int(obj["n_agents"])
         for key, value in obj["table"].items():
             subset = frozenset(int(t) for t in key.split(",") if t != "")
             table[subset] = float(value)
@@ -214,7 +218,7 @@ def _cmd_perturb(args):
     epsilon_target = obj.get("epsilon_target")
     if epsilon_target is not None and not _is_number(epsilon_target):
         raise CredmarketError(f"epsilon_target must be a number, got {epsilon_target!r}")
-    oracle = _oracle_from_spec(obj["oracle"])
+    oracle = _oracle_from_spec(obj["oracle"], len(bids))
     strategy = construct_perturbation(bids, oracle, epsilon_target)
     i, j = strategy.pair
     gamma = pair_gap(oracle, i, j)

@@ -92,7 +92,12 @@ def edmonds_greedy(oracle, bids, priority=None, active=None):
     agents bidding 0: service requires a positive bid, so an agent whose
     tasks all expired consumes nothing.
     """
-    bids = _validate_bids(oracle, bids)
+    return _greedy(oracle, _validate_bids(oracle, bids), priority, active)
+
+
+def _greedy(oracle, bids, priority, active):
+    # `edmonds_greedy` on bids already checked by `_validate_bids`: the
+    # counterfactual reruns of a threshold payment skip the re-check
     order = priority_order(bids, priority)
     alloc = dict.fromkeys(range(oracle.n), 0.0)
     taken = set()
@@ -131,7 +136,7 @@ def _allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lo
         trial = list(bids)
         trial[i] = z
         prio = [priority_of(j, trial[j]) for j in range(len(bids))]
-        alloc, _ = edmonds_greedy(oracle, trial, priority=prio, active=active)
+        alloc, _ = _greedy(oracle, trial, prio, active)
         x = alloc[i]
         if last_x is not None and x < last_x - 1e-9:
             raise NonMonotoneAllocationError(
@@ -163,7 +168,7 @@ def archer_tardos_payment(
         oracle, bids, i, priority_of, breakpoints, active, lower=eligible_from
     )
     prio = [priority_of(j, bids[j]) for j in range(len(bids))]
-    alloc, _ = edmonds_greedy(oracle, bids, priority=prio, active=active)
+    alloc, _ = _greedy(oracle, bids, prio, active)
     integral = sum((hi - lo) * x for lo, hi, x in segments)
     return bids[i] * alloc[i] - integral
 

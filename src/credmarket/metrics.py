@@ -272,9 +272,10 @@ def _witness_series(d, rng):
     return oracle, list(bids), losers
 
 
-def _witness_parallel(m, rng, k=8):
-    """k unit paths; m of them carry a two-agent contest, the rest one lone
-    agent. Only the m contested paths contribute increments."""
+def _witness_parallel(m, rng):
+    """Eight unit paths; m of them carry a two-agent contest, the rest one
+    lone agent. Only the m contested paths contribute increments."""
+    k = 8
     if m > k:
         raise ConfigError(f"cannot saturate {m} of {k} paths")
     demands, group_of, bids, losers = [], [], [], []
@@ -294,13 +295,11 @@ def _witness_parallel(m, rng, k=8):
     return oracle, bids, losers
 
 
-def _witness_tree(h, rng, beta=2):
+def _witness_tree(h, rng):
     """Binary tree, one saturated leaf-to-root path of depth h. The chosen
     agent wants h units; the sibling subtree joining at each level carries
     one unit rival, so every level contributes one threshold to the chosen
     agent's payment."""
-    if beta != 2:
-        raise ConfigError("the per-agent tree witness is built at beta = 2")
     demands = [float(h)] + [1.0] * h
     level_of = [1] + list(range(1, h + 1))
     caps = [float(h)] * h

@@ -304,17 +304,21 @@ class TableOracle(RankOracle):
 
     def __init__(self, n_agents, table):
         super().__init__(n_agents)
+        n = self.n
+        agents = frozenset(range(n))
         self._table = {}
         for key, val in table.items():
-            self._table[frozenset(key)] = float(val)
-        missing = [
-            s
-            for r in range(n_agents + 1)
-            for s in itertools.combinations(range(n_agents), r)
-            if frozenset(s) not in self._table
-        ]
+            subset = frozenset(key)
+            if not subset <= agents:
+                raise ConfigError(f"table key {key!r} names an agent outside 0..{n - 1}")
+            self._table[subset] = float(val)
+        # every key is now one of the 2^n subsets; the first absent one in
+        # size-then-lexicographic order lies within len(table) + 1 steps
+        missing = 2**n - len(self._table)
         if missing:
-            raise ConfigError(f"table is missing {len(missing)} subsets, e.g. {missing[0]}")
+            subsets = (s for r in range(n + 1) for s in itertools.combinations(range(n), r))
+            first = next(s for s in subsets if frozenset(s) not in self._table)
+            raise ConfigError(f"table is missing {missing} subsets, e.g. {first}")
 
     def _rank(self, subset):
         return self._table[subset]
@@ -611,7 +615,7 @@ def nonmodularity_profile(oracle):
 # --------------------------------------------------------------------------
 
 
-def generate_topology(topology_class, n=None, d=None, k=None, m=None, h=None, beta=None, seed=None):
+def generate_topology(topology_class, n=None, d=None, k=None, h=None, beta=None, seed=None):
     """Build the named witness instance as a CapacityDag."""
     cls = "general" if topology_class == "entangled" else topology_class
     if cls == "single_edge":

@@ -7,15 +7,19 @@ with service latency and expires past a deadline; the round bid is the
 best unexpired value and the round demand is the arrived unit count.
 
 Because the root capacity never binds, allocation and threshold payments
-decompose pod by pod. The engine here settles one pod with one sorted pass
-over its footprints (each live member at its bid, a phantom's source at
-the phantom's level): suffix demand totals give every served member's
-allocation curve, so a pod of m members is priced in O(m^2) time, and the
-ghost scan repeats that once per phantom placement. Demands (unit size
-times an arrival count) and pod capacities are integers, so every load in
-the sweep is an exact float and each payment is bitwise the segment-by-
-segment threshold integral. The tests cross-check the engine against the
-generic greedy/threshold route.
+decompose pod by pod. The engine here settles one pod with one sort of its
+footprints (each live member at its bid, one footprint shared by a phantom
+and its source): the greedy fill walks that list, and its running demand
+totals give every served member's allocation curve, so a pod of m members
+is priced in O(m^2) time, and the ghost scan repeats that once per phantom
+placement. Demands (unit size times an arrival count) and pod capacities
+are integers, so every load in the sweep is an exact float and each
+payment is bitwise the segment-by-segment threshold integral. The tests
+cross-check the engine against the generic greedy/threshold route.
+
+The r5 grid settles each of a round's worlds once (threshold, first
+price, ghost, and per posted level the posted, posted-ghost and inflated
+worlds); its 13 conditions are pairs of those worlds.
 """
 
 import csv
@@ -24,19 +28,20 @@ import io
 import json
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import chain, product
 
 import numpy as np
 
-from .adversary import DeviationStrategy, apply_deviation
+from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
-from .errors import ConfigError, CredmarketError, DomainError
+from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
 from .mechanisms import ClinchTranscript, Mechanism, UniformPrior, clinching_auction
 from .metrics import cliffs_delta, conc
-from .polymatroid import LaminarOracle, SubstituteCloneOracle
+from .polymatroid import LaminarOracle, SubstituteCloneOracle, pair_gap
 
 #: base value support for task draws (bounded away from zero: every served
 #: task is worth serving)
@@ -283,39 +288,10 @@ def arrival_order(config, seed, round_index):
 # With the root slack, rank decomposes as f(S) = sum_p min(cap_p, load_p):
 # greedy allocation and threshold payments within a pod depend only on that
 # pod, so both come out in closed form. A phantom enters as a substitute
-# clone of its source: one footprint, never two. Payments are a sweep:
-# sort the pod's footprints once, keep suffix demand totals T(z), and read
-# each served member's curve off T at the shared segment midpoints. The
-# sweep is exact because demands and capacities are integer-valued.
-
-
-def pod_allocation(members, bids, demands, cap, clone_of=None, clone_level=0.0):
-    """Greedy fill in bid order inside one pod; returns the members' alloc.
-
-    Ties go to the lower agent id, and the clone ranks as the highest id
-    (after every real bidder at its level), as in the generic route over
-    `SubstituteCloneOracle`. The clone presses its source: once either of
-    the two has consumed, the other's arrival grants nothing (perfect
-    substitutes).
-    """
-    clone = math.inf
-    items = [(-bids[a], a) for a in members if bids[a] > 0]
-    if clone_of is not None:
-        items.append((-clone_level, clone))
-    items.sort()
-    residual = float(cap)
-    alloc = dict.fromkeys(members, 0.0)
-    pressed = False
-    for _, a in items:
-        if a == clone_of or a == clone:
-            if pressed:
-                continue
-            pressed = True
-        take = min(demands[clone_of if a == clone else a], residual)
-        if a != clone:
-            alloc[a] = take
-        residual -= take
-    return alloc
+# clone of its source: one footprint, never two. The pod's footprints are
+# sorted once; the greedy fill walks them and keeps demand totals T(z), and
+# each served member's curve is read off T at the shared segment midpoints.
+# The sweep is exact because demands and capacities are integer-valued.
 
 
 def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
@@ -324,15 +300,20 @@ def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
     Returns (alloc, pay) keyed by `members`; only members served more than
     POS_TOL are priced, the rest pay zero.
 
-    Payments come from one sweep over the pod's footprints: every live
-    member at its bid with its demand, and the phantom's source at
-    max(bid, clone_level), since the clone and its source fill one
-    footprint. With T(z) the footprint demand
-    strictly above z, a served member's curve is
-    max(0, min(d_a, cap - (T(z) - d_a [b_a > z]))), and the source's curve
-    is zero wherever its clone outbids it. T(z) is constant between
-    footprint levels, so one sorted list with suffix totals prices every
-    member: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
+    One footprint list, sorted once by (-level, id), drives both halves:
+    every live member at its bid, and one footprint shared by the phantom
+    and its source, since the clone presses its source (perfect
+    substitutes: whichever arrives first consumes, the other gets nothing).
+    That footprint is the source at its bid when it bids and the clone does
+    not outbid it, otherwise the clone at `clone_level` with id inf (after
+    every real bidder at its level, as in the generic route over
+    `SubstituteCloneOracle`). The greedy fill walks the list in order,
+    ties to the lower id, and keeps running totals: T(z), the footprint
+    demand strictly above z, is the total of the list's prefix above z. A
+    served member's curve is max(0, min(d_a, cap - (T(z) - d_a [b_a > z]))),
+    and the source's curve is zero wherever its clone outbids it. T(z) is
+    constant between footprint levels, so the same prefix totals price
+    every member: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
 
     Exactness invariant: demands and `cap` are integer-valued (unit size
     times an arrival count; integer pod capacities), so every load is an
@@ -341,29 +322,37 @@ def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
     evaluation and the ascending `sum` of segment areas, which makes each
     payment bitwise equal to integrating the curve segment by segment.
     """
-    alloc = pod_allocation(members, bids, demands, cap, clone_of, clone_level)
+    clone = math.inf
+    feet = [(-bids[a], a) for a in members if a != clone_of and bids[a] > 0]
+    levels = {bids[a] for a in members if bids[a] > 0}
+    if clone_of is not None:
+        b_s = bids[clone_of]
+        if b_s > 0 and b_s >= clone_level:
+            feet.append((-b_s, clone_of))
+        else:
+            feet.append((-clone_level, clone))
+        levels.add(clone_level)
+    feet.sort()
+    alloc = dict.fromkeys(members, 0.0)
     pay = dict.fromkeys(members, 0.0)
+    residual = float(cap)
+    above = [0.0]  # above[k]: demand of the k highest footprints
+    for _, a in feet:
+        d = demands[clone_of if a == clone else a]
+        take = min(d, residual)
+        if a != clone:
+            alloc[a] = take
+        residual -= take
+        above.append(above[-1] + d)
     served = [a for a in members if alloc[a] > POS_TOL]
     if not served:
         return alloc, pay
-    feet = [(bids[m], demands[m]) for m in members if m != clone_of and bids[m] > 0]
-    levels = {b for b, _ in feet}
-    if clone_of is not None:
-        b_s = bids[clone_of]
-        feet.append((max(b_s, clone_level), demands[clone_of]))
-        levels.add(clone_level)
-        if b_s > 0:
-            levels.add(b_s)
-    feet.sort()
-    foot_levels = [lv for lv, _ in feet]
-    above = [0.0] * (len(feet) + 1)  # above[i]: demand of feet[i:]
-    for i in range(len(feet) - 1, -1, -1):
-        above[i] = above[i + 1] + feet[i][1]
+    neg_levels = [neg for neg, _ in feet]
     zs = [0.0] + sorted(levels)
     # segment k spans zs[k]..zs[k+1]; a member bidding zs[j] uses 0..j-1
     mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
     widths = [hi - lo for lo, hi in zip(zs[:-1], zs[1:])]
-    totals = [above[bisect_right(foot_levels, z)] for z in mids]
+    totals = [above[bisect_left(neg_levels, -z)] for z in mids]
     for a in served:
         b_a, d_a = bids[a], demands[a]
         # the source is pressed (zero) wherever its clone outbids it
@@ -545,7 +534,7 @@ def certify_ghost(profile, source, level, honest, deviated):
         for m in members:
             if m != a:
                 walls[m] = wall_level
-        check_alloc = pod_allocation(members, walls, demands, cap)
+        check_alloc, _ = settle_pod(members, walls, demands, cap)
         ok = (
             alloc_d[a] <= POS_TOL
             and pay_d[a] <= POS_TOL
@@ -623,13 +612,7 @@ def _exp1_seed(config, seed):
 
 
 def run_exp1(config, jobs=1):
-    parts = _map_jobs(partial(_exp1_seed, config), list(config.seeds), jobs)
-    rows, surplus, certified, picks = [], [], [], []
-    for part in parts:
-        rows += part[0]
-        surplus += part[1]
-        certified += part[2]
-        picks += part[3]
+    rows, surplus, certified, picks = _gather(_exp1_seed, config, jobs)
     report = conc([r.honest for r in rows], [r.deviated for r in rows])
     positive = [s > POS_TOL for s in surplus]
     return {
@@ -737,12 +720,7 @@ def _exp2_seed(config, seed):
 
 
 def run_exp2(config, jobs=1):
-    parts = _map_jobs(partial(_exp2_seed, config), list(config.seeds), jobs)
-    rows, detections, nets = [], [], []
-    for part in parts:
-        rows += part[0]
-        detections += part[1]
-        nets += part[2]
+    rows, detections, nets = _gather(_exp2_seed, config, jobs)
     if not detections:
         raise DomainError("no deviated rounds; the scenario never tempted the operator")
     return {
@@ -769,47 +747,25 @@ def _exp3_seed(config, seed):
     rows, exact, surpluses = [], [], []
     for r in range(config.rounds):
         profile = generate_round(config, seed, r)
-        target = None
-        for p in range(len(profile.pod_caps)):
-            members = profile.members(p)
-            ranked = sorted(
-                (a for a in members if profile.bids[a] > 0),
-                key=lambda a: -profile.bids[a],
-            )
-            if len(ranked) < 2:
+        # the first pod whose top pair shares capacity inside an open
+        # window, with the nudged runner-up clearing the reserve
+        for p, members in enumerate(profile.pod_members):
+            sub_bids = [profile.bids[a] for a in members]
+            sub_demands = [profile.demands[a] for a in members]
+            oracle = LaminarOracle(sub_demands, [0] * len(members), [profile.pod_caps[p]])
+            try:
+                strategy = construct_perturbation(sub_bids, oracle)
+            except (NoWindowError, NoDeviationError):
                 continue
-            i, j = ranked[0], ranked[1]
-            third = profile.bids[ranked[2]] if len(ranked) > 2 else 0.0
-            gamma = (
-                min(profile.demands[i], profile.pod_caps[p])
-                + min(profile.demands[j], profile.pod_caps[p])
-                - min(profile.demands[i] + profile.demands[j], profile.pod_caps[p])
-            )
-            if (
-                gamma > POS_TOL
-                and profile.bids[j] > reserve + 1e-6
-                and profile.bids[i] - profile.bids[j] > 1e-6
-                and profile.bids[j] - third > 1e-6
-            ):
-                target = (p, members, i, j, gamma)
+            if 2 * strategy.delta > 1e-6 and sub_bids[strategy.pair[1]] > reserve + 1e-6:
                 break
-        if target is None:
+        else:
             continue
-        p, members, i, j, gamma = target
-        sub_bids = [profile.bids[a] for a in members]
-        sub_demands = [profile.demands[a] for a in members]
-        oracle = LaminarOracle(sub_demands, [0] * len(members), [profile.pod_caps[p]])
-        li, lj = members.index(i), members.index(j)
-        gap = min(sub_bids[li] - sub_bids[lj], sub_bids[lj] - max(
-            [b for k, b in enumerate(sub_bids) if k not in (li, lj) and b > 0],
-            default=0.0,
-        ))
-        delta = gap / 2.0
-        strategy = DeviationStrategy(kind="payment_perturb", pair=(li, lj), delta=delta)
+        gamma = pair_gap(oracle, *strategy.pair)
         result = apply_deviation(strategy, sub_bids, mech, oracle)
         surplus = result.operator_surplus
         surpluses.append(surplus)
-        exact.append(abs(surplus - delta * gamma) <= 1e-9)
+        exact.append(abs(surplus - strategy.delta * gamma) <= 1e-9)
         rev_h = result.honest.revenue
         w_h = result.honest.welfare(sub_bids)
         rows.append(
@@ -822,12 +778,7 @@ def _exp3_seed(config, seed):
 
 
 def run_exp3(config, jobs=1):
-    parts = _map_jobs(partial(_exp3_seed, config), list(config.seeds), jobs)
-    rows, exact, surpluses = [], [], []
-    for part in parts:
-        rows += part[0]
-        exact += part[1]
-        surpluses += part[2]
+    rows, exact, surpluses = _gather(_exp3_seed, config, jobs)
     if not surpluses:
         raise DomainError("no round offered a reserve-clearing contested pair")
     return {
@@ -847,112 +798,99 @@ def run_exp3(config, jobs=1):
 # The R-5 grid: 3 topologies x 13 conditions
 
 
-def _r5_conditions():
-    conds = [("vcg", "truthful", None), ("vcg", "ghost", None),
-             ("first_price", "truthful", None), ("first_price", "ghost", None)]
+def _r5_conditions(topo):
+    """(condition name, honest world, deviated world) for the 13 conditions.
+
+    Both ghost arms are measured against the shared allocator's threshold
+    baseline, and the phantom extracts the same threshold increment in
+    each: the increment is a property of the allocation order, not of the
+    payment label."""
+    conds = [
+        (f"{topo}:vcg-truthful", "vcg", "vcg"),
+        (f"{topo}:vcg-ghost", "vcg", "ghost"),
+        (f"{topo}:first_price-truthful", "first_price", "first_price"),
+        (f"{topo}:first_price-ghost", "vcg", "ghost"),
+    ]
+    arms = (("truthful", "posted"), ("ghost", "posted_ghost"), ("inflator", "inflator"))
     for level in POSTED_LEVELS:
-        for adv in ("truthful", "ghost", "inflator"):
-            conds.append(("posted_price", adv, level))
+        for adv, dev in arms:
+            conds.append((f"{topo}:posted_price-{adv}@{level:g}", ("posted", level), (dev, level)))
     return conds
-
-
-def _condition_name(mech, adv, level, topo):
-    tag = f"{mech}-{adv}"
-    if level is not None:
-        tag += f"@{level:g}"
-    return f"{topo}:{tag}"
 
 
 def _agent_utilities(profile, alloc, pay):
     return [profile.bids[a] * alloc[a] - pay[a] for a in range(profile.n)]
 
 
-def _r5_topo_seed(base_config, topo, seed):
+def _world(profile, alloc, pay):
+    """A settled world no agent can tell from an honest one: (revenue,
+    welfare), per-agent utilities, and detected = False."""
+    welfare, revenue = _totals(profile, alloc, pay)
+    return (revenue, welfare), _agent_utilities(profile, alloc, pay), False
+
+
+def _r5_topo_seed(base_config, task):
+    topo, seed = task
     config = replace(
         base_config,
         topology_class=topo,
         tier_latencies_ms=CLASS_TIER_LATENCIES[topo],
     )
+    conditions = _r5_conditions(topo)
     rows = []
     util_samples = {}  # condition -> (honest list, deviated list)
     for r in range(config.rounds):
         profile = generate_round(config, seed, r)
-        arrival = arrival_order(config, seed, r)
         alloc_t, pay_t = settle_threshold(profile)
         w_t, rev_t = _totals(profile, alloc_t, pay_t)
         if w_t <= 0:
             continue
-        alloc_f, pay_f = alloc_t, {a: profile.bids[a] * alloc_t[a] for a in alloc_t}
-        w_f, rev_f = _totals(profile, alloc_f, pay_f)
+        # every world of the round is settled once; conditions look them up
+        vcg = ((rev_t, w_t), _agent_utilities(profile, alloc_t, pay_t), False)
+        pay_f = {a: profile.bids[a] * alloc_t[a] for a in alloc_t}
         pick = best_ghost(profile, alloc_t, pay_t)
-        if pick is not None:
-            alloc_g, pay_g = ghost_settle(profile, pick.source, pick.level)
-            w_g, rev_g = _totals(profile, alloc_g, pay_g)
-        else:
-            alloc_g, pay_g, w_g, rev_g = alloc_t, pay_t, w_t, rev_t
-
-        for mech, adv, level in _r5_conditions():
-            name = _condition_name(mech, adv, level, topo)
-            if mech in ("vcg", "first_price"):
-                if adv == "truthful":
-                    honest = (rev_t, w_t) if mech == "vcg" else (rev_f, w_f)
-                    dev = honest
-                    h_alloc, h_pay, d_alloc, d_pay = (
-                        (alloc_t, pay_t, alloc_t, pay_t)
-                        if mech == "vcg"
-                        else (alloc_f, pay_f, alloc_f, pay_f)
-                    )
-                else:
-                    # ghost arms: both are measured against the shared
-                    # allocator's threshold baseline, and the phantom
-                    # extracts the same threshold increment in each — the
-                    # increment is a property of the allocation order, not
-                    # of the payment label
-                    honest = (rev_t, w_t)
-                    dev = (rev_g, w_g)
-                    h_alloc, h_pay, d_alloc, d_pay = alloc_t, pay_t, alloc_g, pay_g
-                detected = False
+        worlds = {
+            "vcg": vcg,
+            "first_price": _world(profile, alloc_t, pay_f),
+            "ghost": vcg if pick is None else _world(
+                profile, *ghost_settle(profile, pick.source, pick.level)
+            ),
+        }
+        arrival = arrival_order(config, seed, r)
+        for level in POSTED_LEVELS:
+            alloc_p, pay_p, _ = settle_posted(profile, level, arrival)
+            posted = _world(profile, alloc_p, pay_p)
+            worlds["posted", level] = posted
+            if pick is None:
+                worlds["posted_ghost", level] = posted
             else:
-                alloc_p, pay_p, _ = settle_posted(profile, level, arrival)
-                w_p, rev_p = _totals(profile, alloc_p, pay_p)
-                honest = (rev_p, w_p)
-                h_alloc, h_pay = alloc_p, pay_p
-                if adv == "truthful":
-                    dev = honest
-                    d_alloc, d_pay = alloc_p, pay_p
-                    detected = False
-                elif adv == "ghost":
-                    if pick is not None:
-                        ph = (pick.source, max(pick.level, level))
-                        alloc_q, pay_q, _ = settle_posted(profile, level, arrival, phantom=ph)
-                        w_q, rev_q = _totals(profile, alloc_q, pay_q)
-                        dev = (rev_q, w_q)
-                        d_alloc, d_pay = alloc_q, pay_q
-                    else:
-                        dev = honest
-                        d_alloc, d_pay = alloc_p, pay_p
-                    detected = False
-                else:  # receipt inflator: prices marked up, detectable
-                    d_alloc = alloc_p
-                    d_pay = {a: q * (1.0 + INFLATOR_MARKUP) for a, q in pay_p.items()}
-                    dev = (rev_p * (1.0 + INFLATOR_MARKUP), w_p)
-                    detected = any(x > POS_TOL for x in alloc_p.values())
+                ph = (pick.source, max(pick.level, level))
+                alloc_q, pay_q, _ = settle_posted(profile, level, arrival, phantom=ph)
+                worlds["posted_ghost", level] = _world(profile, alloc_q, pay_q)
+            # receipt inflator: prices marked up, detectable by any buyer
+            (rev_p, w_p), _, _ = posted
+            inflated = {a: q * (1.0 + INFLATOR_MARKUP) for a, q in pay_p.items()}
+            worlds["inflator", level] = (
+                (rev_p * (1.0 + INFLATOR_MARKUP), w_p),
+                _agent_utilities(profile, alloc_p, inflated),
+                any(x > POS_TOL for x in alloc_p.values()),
+            )
+
+        for name, honest_key, dev_key in conditions:
+            honest, h_utils, _ = worlds[honest_key]
+            dev, d_utils, detected = worlds[dev_key]
             rows.append(
                 RoundResult(r, seed, name, _triple(*honest), _triple(*dev), detected)
             )
             hu, du = util_samples.setdefault(name, ([], []))
-            hu += _agent_utilities(profile, h_alloc, h_pay)
-            du += _agent_utilities(profile, d_alloc, d_pay)
+            hu += h_utils
+            du += d_utils
     return rows, util_samples
 
 
 def run_r5(config, jobs=1):
-    tasks = [
-        (topo, seed)
-        for topo in ("tree", "sp", "entangled")
-        for seed in config.seeds
-    ]
-    parts = _map_jobs(partial(_r5_task, config), tasks, jobs)
+    tasks = list(product(("tree", "sp", "entangled"), config.seeds))
+    parts = _map_jobs(partial(_r5_topo_seed, config), tasks, jobs)
     rows = []
     utils = {}
     for part_rows, part_utils in parts:
@@ -992,13 +930,15 @@ def run_r5(config, jobs=1):
     }
 
 
-def _r5_task(config, task):
-    topo, seed = task
-    return _r5_topo_seed(config, topo, seed)
-
-
 # --------------------------------------------------------------------------
 # Dispatch, serialization, determinism digest
+
+
+def _gather(seed_fn, config, jobs):
+    """Run `seed_fn(config, seed)` for every seed and join the lists each
+    call returns, field by field, in seed order."""
+    parts = _map_jobs(partial(seed_fn, config), list(config.seeds), jobs)
+    return [list(chain.from_iterable(field)) for field in zip(*parts)]
 
 
 def _map_jobs(fn, tasks, jobs):

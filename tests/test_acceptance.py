@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from conftest import (
     bruteforce_welfare,

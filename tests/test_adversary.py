@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from credmarket.adversary import (
     AgentObservation,
-    Certificate,
     DeviationStrategy,
     apply_deviation,
     check_safe_deviation,

@@ -211,6 +211,17 @@ def _laminar(**fields):
     pytest.param({"bids": [10.0, 5.0], "oracle": [1]}, id="list-oracle"),
     pytest.param({"bids": [10.0, 5.0], "oracle": {"n_agents": 2, "table": {"0,a": 1}}},
                  id="bad-table-key"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {**WORKED_ORACLE, "n_agents": 2.9}},
+                 id="fractional-n-agents"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {**WORKED_ORACLE, "n_agents": True}},
+                 id="bool-n-agents"),
+    # a table over 100,000 agents for two bids is refused before 2^100000
+    # is counted or printed
+    pytest.param({"bids": [10.0, 5.0], "oracle": {**WORKED_ORACLE, "n_agents": 100_000}},
+                 id="n-agents-not-bid-count"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {
+        **WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0,2": 3}}},
+                 id="table-key-out-of-range"),
     pytest.param({"bids": [10.0, 5.0], "oracle": WORKED_ORACLE, "epsilon_target": "x"},
                  id="string-epsilon"),
     pytest.param(_laminar(group_of=[0, 0, 5], group_caps=[1]), id="laminar-group-out-of-range"),

@@ -1,9 +1,7 @@
 """Credibility devices: broadcast audit, deposit-backed recomputation, fees."""
 
 import json
-import warnings
 
-import numpy as np
 import pytest
 
 from credmarket.adversary import DeviationStrategy, apply_deviation

@@ -19,6 +19,9 @@ from credmarket.mechanisms import (
     archer_tardos_payment,
     clinching_auction,
     edmonds_greedy,
+    first_price_outcome,
+    myerson_outcome,
+    posted_price_outcome,
     rank_auth_tag,
     run_mechanism,
     vcg_outcome,
@@ -79,10 +82,24 @@ def test_negative_bid_rejected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_bids_rejected(bad):
-    with pytest.raises(DomainError):
-        vcg_outcome(LaminarOracle([1, 1], [0, 0], [1]), [bad, 5.0])
-    with pytest.raises(DomainError):
-        clinching_auction(WORKED, [bad, 5.0])
+    # every public entry checks its bids once; only the private greedy
+    # reruns behind a threshold payment trust them unchecked
+    bids = [bad, 5.0]
+    entries = {
+        "edmonds_greedy": lambda: edmonds_greedy(WORKED, bids),
+        "archer_tardos_payment": lambda: archer_tardos_payment(WORKED, bids, 1),
+        "vcg": lambda: vcg_outcome(LaminarOracle([1, 1], [0, 0], [1]), bids),
+        "myerson": lambda: myerson_outcome(WORKED, bids, UniformPrior(1.0, 11.0)),
+        "first_price": lambda: first_price_outcome(WORKED, bids),
+        "posted_price": lambda: posted_price_outcome(WORKED, bids, 2.5, seed=0),
+        "clinching": lambda: clinching_auction(WORKED, bids),
+    }
+    for name, entry in entries.items():
+        try:
+            entry()
+        except DomainError:
+            continue
+        pytest.fail(f"{name} accepted the bid {bad}")
 
 
 # --------------------------------------------------------------------------

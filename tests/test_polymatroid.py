@@ -13,7 +13,6 @@ from credmarket.errors import (
     DomainError,
     Level2RegimeError,
     MatroidBoundaryError,
-    StructureError,
 )
 from credmarket.polymatroid import (
     EXHAUSTIVE_AXIOM_LIMIT,
@@ -289,6 +288,19 @@ def test_drop_one_pass_edges_and_bad_ids():
 def test_oracle_needs_one_agent():
     with pytest.raises(ConfigError):
         TableOracle(0, {(): 0.0})
+
+
+def test_table_oracle_rejects_bad_tables():
+    # a short table over many agents is counted, not enumerated: 2^40 - 1
+    # subsets are missing and the first one is found at once
+    with pytest.raises(ConfigError, match=r"missing 1099511627775 subsets, e\.g\. \(0,\)"):
+        TableOracle(40, {(): 0.0})
+    with pytest.raises(ConfigError, match="missing 1 subsets"):
+        TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0})
+    full = {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0}
+    for stray in ((2,), (0, -1), (0, 5)):
+        with pytest.raises(ConfigError, match="outside 0..1"):
+            TableOracle(2, {**full, stray: 1.0})
 
 
 def test_digest_tracks_content():

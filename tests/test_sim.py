@@ -432,6 +432,24 @@ def test_r5_propagates_unexpected_errors(monkeypatch):
         run_r5(ScenarioConfig(rounds=1, seeds=(17,)))
 
 
+def test_r5_settles_each_posted_world_once(monkeypatch):
+    # per round and posted level: the honest pass, plus the phantom's pass
+    # when the ghost scan picked one
+    calls = []
+    settle = sim.settle_posted
+
+    def counted(profile, level, arrival, phantom=None):
+        calls.append(phantom is not None)
+        return settle(profile, level, arrival, phantom)
+
+    monkeypatch.setattr(sim, "settle_posted", counted)
+    config = ScenarioConfig(rounds=2, seeds=(17,))
+    run_r5(config)
+    runs = 3 * config.rounds * len(sim.POSTED_LEVELS)
+    assert calls.count(False) == runs
+    assert calls.count(True) <= runs
+
+
 def test_r5_ghost_surplus_is_rule_invariant():
     report = run_r5(ScenarioConfig(rounds=2, seeds=(17,)))
     conds = report["conditions"]
