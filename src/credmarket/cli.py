@@ -105,12 +105,15 @@ def _oracle_from_spec(obj, n_bids):
     if missing:
         raise CredmarketError(f"{kind} oracle spec lacks {missing}")
     if kind == "laminar":
-        return LaminarOracle(
+        oracle = LaminarOracle(
             obj["demands"],
             obj["group_of"],
             obj["group_caps"],
             root_cap=obj.get("root_cap", float("inf")),
         )
+        if oracle.n != n_bids:
+            raise CredmarketError(f"the laminar oracle has {oracle.n} agents for {n_bids} bids")
+        return oracle
     n_agents = obj["n_agents"]
     if not isinstance(n_agents, int) or isinstance(n_agents, bool):
         raise CredmarketError(f"n_agents must be an integer, got {n_agents!r}")

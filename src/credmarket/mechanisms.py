@@ -174,9 +174,17 @@ def archer_tardos_payment(
 
 
 def vcg_outcome(oracle, bids):
-    """Greedy allocation with exact threshold payments (bid = priority)."""
+    """Greedy allocation with exact threshold payments (bid = priority).
+
+    Takes the oracle's closed form when it has one (`threshold_outcome`),
+    else the generic route: the greedy, then each served agent's
+    `archer_tardos_payment`, which every closed form must reproduce.
+    """
     bids = _validate_bids(oracle, bids)
-    alloc, order = edmonds_greedy(oracle, bids)
+    closed = oracle.threshold_outcome(bids)
+    if closed is not None:
+        return MarketOutcome(*closed, order=priority_order(bids), rule="vcg")
+    alloc, order = _greedy(oracle, bids, None, None)
     pay = {
         i: archer_tardos_payment(oracle, bids, i) if alloc[i] > 0 else 0.0
         for i in range(oracle.n)

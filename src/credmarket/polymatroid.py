@@ -288,6 +288,12 @@ class RankOracle:
         rank = self.rank
         return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
 
+    def threshold_outcome(self, bids):
+        """(allocation, payments) over every id in closed form, equal to
+        `mechanisms.vcg_outcome`'s generic route on the checked `bids`, or
+        None: the default has no closed form."""
+        return None
+
     def describe(self):
         """Canonical JSON-able description used for commitment digests."""
         raise NotImplementedError
@@ -305,19 +311,22 @@ class TableOracle(RankOracle):
     def __init__(self, n_agents, table):
         super().__init__(n_agents)
         n = self.n
-        agents = frozenset(range(n))
+        agents = range(n)  # a membership test that builds nothing
         self._table = {}
         for key, val in table.items():
             subset = frozenset(key)
-            if not subset <= agents:
+            if not all(a in agents for a in subset):
                 raise ConfigError(f"table key {key!r} names an agent outside 0..{n - 1}")
             self._table[subset] = float(val)
-        # every key is now one of the 2^n subsets; the first absent one in
-        # size-then-lexicographic order lies within len(table) + 1 steps
-        missing = 2**n - len(self._table)
-        if missing:
-            subsets = (s for r in range(n + 1) for s in itertools.combinations(range(n), r))
+        # every key is now one of the 2^n subsets, so the table is short when
+        # its size fits in n bits; the first absent one in size-then-lex
+        # order lies within len(table) + 1 steps, among ids 0..len(table)
+        size = len(self._table)
+        if size.bit_length() <= n:
+            pool = range(min(n, size + 1))
+            subsets = (s for r in range(n + 1) for s in itertools.combinations(pool, r))
             first = next(s for s in subsets if frozenset(s) not in self._table)
+            missing = 2**n - size if n <= 64 else f"2**{n} - {size}"
             raise ConfigError(f"table is missing {missing} subsets, e.g. {first}")
 
     def _rank(self, subset):
@@ -452,10 +461,21 @@ class LaminarOracle(RankOracle):
         self.group_of = group_of.astype(int, copy=False)
         self.group_caps = group_caps
         self.root_cap = root_cap
-        # plain-list copies for the drop-one pass, which touches few entries
+        # plain-list copies for the drop-one pass and the group sweep, which
+        # touch few entries
         self._demand_list = self.demands.tolist()
         self._group_list = self.group_of.tolist()
         self._cap_list = self.group_caps.tolist()
+        members = [[] for _ in self._cap_list]
+        loads = [0.0] * len(self._cap_list)
+        for i, g in enumerate(self._group_list):
+            members[g].append(i)
+            loads[g] += self._demand_list[i]
+        #: each group's agents in ascending id order
+        self.group_members = tuple(map(tuple, members))
+        # when the whole ground set fits under the root, the root never
+        # binds and f is the direct sum of its group terms
+        self._slack_root = sum(map(min, self._cap_list, loads)) <= root_cap
 
     def _rank(self, subset):
         if not subset:
@@ -482,6 +502,104 @@ class LaminarOracle(RankOracle):
             g = group[i]
             drops.append(min(root, inner - served[g] + min(caps[g], loads[g] - demand[i])))
         return min(root, inner), drops
+
+    def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
+        """Settle each group alone (`settle_group`) when the root is slack;
+        None when it can bind. `clone_of` and `clone_level` add a
+        substitute clone of that agent under id n, as `SubstituteCloneOracle`
+        numbers it."""
+        if not self._slack_root:
+            return None
+        alloc = dict.fromkeys(range(self.n), 0.0)
+        pay = dict.fromkeys(range(self.n), 0.0)
+        home = None if clone_of is None else self._group_list[clone_of]
+        for g in range(len(self._cap_list)):
+            group_alloc, group_pay = self.settle_group(
+                g, bids, clone_of if g == home else None, clone_level
+            )
+            alloc.update(group_alloc)
+            pay.update(group_pay)
+        return alloc, pay
+
+    def settle_group(self, g, bids, clone_of=None, clone_level=0.0):
+        """Greedy allocation and threshold payments of group `g` alone.
+
+        With a slack root this is the group's share of the market's outcome
+        (the closed form behind `threshold_outcome`); with a binding root it
+        is the group standing on its own cap. `bids` is indexed by agent id,
+        finite and nonnegative. `clone_of` (a member) adds a substitute
+        clone bidding `clone_level`, reported under id n as in
+        `SubstituteCloneOracle`. Returns (alloc, pay); only agents served
+        more than RANK_TOL are priced, the rest pay zero.
+
+        One footprint list, sorted once by (-level, id), drives both halves:
+        every live member at its bid, but the clone and its source share one
+        footprint (perfect substitutes: the first in that order consumes,
+        the other gets nothing, and each is zero wherever the other outbids
+        it). The greedy fill walks the list and keeps running totals: T(z),
+        the footprint demand strictly above z, is the total of the list's
+        prefix above z. Below its bid a served agent's curve is
+        max(0, min(d_a, cap - (T(z) - d_a))). T(z) is constant between
+        footprint levels, so the same prefix totals price every served
+        agent: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos),
+        O(m^2) for a group of m members.
+
+        Exactness invariant: with integer-valued demands and caps (the
+        simulator's unit sizes times arrival counts, integer pod capacities)
+        every load is an exact float whatever order it is summed in. Each
+        agent keeps the breakpoints [0.0] + sorted(levels below b_a) +
+        [b_a], the midpoint evaluation and the ascending `sum` of segment
+        areas, which makes each payment bitwise equal to integrating the
+        curve segment by segment, as the generic route does.
+        """
+        members = self.group_members[g]
+        demands, cap = self._demand_list, self._cap_list[g]
+        clone = self.n
+        feet = [(-bids[a], a) for a in members if a != clone_of and bids[a] > 0]
+        levels = {bids[a] for a in members if bids[a] > 0}
+        alloc = dict.fromkeys(members, 0.0)
+        if clone_of is not None:
+            b_s = bids[clone_of]
+            if b_s > 0 and b_s >= clone_level:
+                feet.append((-b_s, clone_of))
+            elif clone_level > 0:
+                feet.append((-clone_level, clone))
+            levels.add(clone_level)
+            alloc[clone] = 0.0
+        feet.sort()
+        pay = dict.fromkeys(alloc, 0.0)
+        residual = cap
+        above = [0.0]  # above[k]: demand of the k highest footprints
+        for _, a in feet:
+            d = demands[clone_of if a == clone else a]
+            take = min(d, residual)
+            alloc[a] = take
+            residual -= take
+            above.append(above[-1] + d)
+        served = [a for a in alloc if alloc[a] > RANK_TOL]
+        neg_levels = [neg for neg, _ in feet]
+        zs = [0.0] + sorted(levels)
+        # segment k spans zs[k]..zs[k+1]; an agent bidding zs[j] uses 0..j-1,
+        # all below its own footprint
+        mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
+        segs = [  # (T at the midpoint, width)
+            (above[bisect.bisect_left(neg_levels, -z)], hi - lo)
+            for z, lo, hi in zip(mids, zs[:-1], zs[1:])
+        ]
+        for a in served:
+            # the clone and its source are each zero below the other's level
+            k = 0
+            if a == clone:
+                b_a, d_a = clone_level, demands[clone_of]
+                k = bisect.bisect_left(mids, bids[clone_of])
+            else:
+                b_a, d_a = bids[a], demands[a]
+                if a == clone_of:
+                    k = bisect.bisect_left(mids, clone_level)
+            j = bisect.bisect_left(zs, b_a, 1)
+            area = sum(max(0.0, min(d_a, cap - (t - d_a))) * w for t, w in segs[k:j])
+            pay[a] = b_a * alloc[a] - area
+        return alloc, pay
 
     def describe(self):
         return {
@@ -553,6 +671,14 @@ class SubstituteCloneOracle(RankOracle):
         k = bisect.bisect(real, source)
         full, drops = self.base._rank_without_each(real[:k] + [source] + real[k:])
         return full, drops[:k] + drops[k + 1 :] + [drops[k]]
+
+    def threshold_outcome(self, bids):
+        # a laminar base prices the clone inside its source's group
+        if isinstance(self.base, LaminarOracle):
+            return self.base.threshold_outcome(
+                bids, self.position_agent, bids[self.clone_id]
+            )
+        return None
 
     def describe(self):
         return {

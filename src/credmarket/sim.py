@@ -6,16 +6,10 @@ pod total. Agents accumulate Poisson task arrivals whose value decays
 with service latency and expires past a deadline; the round bid is the
 best unexpired value and the round demand is the arrived unit count.
 
-Because the root capacity never binds, allocation and threshold payments
-decompose pod by pod. The engine here settles one pod with one sort of its
-footprints (each live member at its bid, one footprint shared by a phantom
-and its source): the greedy fill walks that list, and its running demand
-totals give every served member's allocation curve, so a pod of m members
-is priced in O(m^2) time, and the ghost scan repeats that once per phantom
-placement. Demands (unit size times an arrival count) and pod capacities
-are integers, so every load in the sweep is an exact float and each
-payment is bitwise the segment-by-segment threshold integral. The tests
-cross-check the engine against the generic greedy/threshold route.
+The root never binds, so a round's `LaminarOracle` (pods as groups)
+settles in closed form through `mechanisms.vcg_outcome`, and the ghost
+world through a `SubstituteCloneOracle` over it. The ghost scan and its
+certificates settle one pod per placement with `settle_group`.
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -28,7 +22,6 @@ import io
 import json
 import math
 import numbers
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -39,7 +32,7 @@ import numpy as np
 from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
 from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
-from .mechanisms import ClinchTranscript, Mechanism, UniformPrior, clinching_auction
+from .mechanisms import ClinchTranscript, Mechanism, UniformPrior, clinching_auction, vcg_outcome
 from .metrics import cliffs_delta, conc
 from .polymatroid import LaminarOracle, SubstituteCloneOracle, pair_gap
 
@@ -216,17 +209,8 @@ class RoundProfile:
         return len(self.bids)
 
     @cached_property
-    def pod_members(self):
-        """Each pod's members in agent order, built once per profile."""
-        pods = [[] for _ in range(len(self.pod_caps))]
-        for a, p in enumerate(self.pod_of.tolist()):
-            pods[p].append(a)
-        return tuple(tuple(m) for m in pods)
-
-    def members(self, pod):
-        return list(self.pod_members[pod])
-
     def oracle(self):
+        """The round's pod laminar, built once per profile."""
         return LaminarOracle(
             self.demands, self.pod_of, self.pod_caps, root_cap=self.root_cap
         )
@@ -283,109 +267,13 @@ def arrival_order(config, seed, round_index):
 
 
 # --------------------------------------------------------------------------
-# Pod-local exact engine
-#
-# With the root slack, rank decomposes as f(S) = sum_p min(cap_p, load_p):
-# greedy allocation and threshold payments within a pod depend only on that
-# pod, so both come out in closed form. A phantom enters as a substitute
-# clone of its source: one footprint, never two. The pod's footprints are
-# sorted once; the greedy fill walks them and keeps demand totals T(z), and
-# each served member's curve is read off T at the shared segment midpoints.
-# The sweep is exact because demands and capacities are integer-valued.
-
-
-def settle_pod(members, bids, demands, cap, clone_of=None, clone_level=0.0):
-    """Greedy allocation and threshold payments of one pod, phantom optional.
-
-    Returns (alloc, pay) keyed by `members`; only members served more than
-    POS_TOL are priced, the rest pay zero.
-
-    One footprint list, sorted once by (-level, id), drives both halves:
-    every live member at its bid, and one footprint shared by the phantom
-    and its source, since the clone presses its source (perfect
-    substitutes: whichever arrives first consumes, the other gets nothing).
-    That footprint is the source at its bid when it bids and the clone does
-    not outbid it, otherwise the clone at `clone_level` with id inf (after
-    every real bidder at its level, as in the generic route over
-    `SubstituteCloneOracle`). The greedy fill walks the list in order,
-    ties to the lower id, and keeps running totals: T(z), the footprint
-    demand strictly above z, is the total of the list's prefix above z. A
-    served member's curve is max(0, min(d_a, cap - (T(z) - d_a [b_a > z]))),
-    and the source's curve is zero wherever its clone outbids it. T(z) is
-    constant between footprint levels, so the same prefix totals price
-    every member: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
-
-    Exactness invariant: demands and `cap` are integer-valued (unit size
-    times an arrival count; integer pod capacities), so every load is an
-    exact float whatever order it is summed in. Each member keeps the
-    breakpoints [0.0] + sorted(levels below b_a) + [b_a], the midpoint
-    evaluation and the ascending `sum` of segment areas, which makes each
-    payment bitwise equal to integrating the curve segment by segment.
-    """
-    clone = math.inf
-    feet = [(-bids[a], a) for a in members if a != clone_of and bids[a] > 0]
-    levels = {bids[a] for a in members if bids[a] > 0}
-    if clone_of is not None:
-        b_s = bids[clone_of]
-        if b_s > 0 and b_s >= clone_level:
-            feet.append((-b_s, clone_of))
-        else:
-            feet.append((-clone_level, clone))
-        levels.add(clone_level)
-    feet.sort()
-    alloc = dict.fromkeys(members, 0.0)
-    pay = dict.fromkeys(members, 0.0)
-    residual = float(cap)
-    above = [0.0]  # above[k]: demand of the k highest footprints
-    for _, a in feet:
-        d = demands[clone_of if a == clone else a]
-        take = min(d, residual)
-        if a != clone:
-            alloc[a] = take
-        residual -= take
-        above.append(above[-1] + d)
-    served = [a for a in members if alloc[a] > POS_TOL]
-    if not served:
-        return alloc, pay
-    neg_levels = [neg for neg, _ in feet]
-    zs = [0.0] + sorted(levels)
-    # segment k spans zs[k]..zs[k+1]; a member bidding zs[j] uses 0..j-1
-    mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
-    widths = [hi - lo for lo, hi in zip(zs[:-1], zs[1:])]
-    totals = [above[bisect_left(neg_levels, -z)] for z in mids]
-    for a in served:
-        b_a, d_a = bids[a], demands[a]
-        # the source is pressed (zero) wherever its clone outbids it
-        floor = clone_level if a == clone_of else -math.inf
-        segs = zip(mids[: bisect_left(zs, b_a, 1)], totals, widths)
-        area = sum(
-            max(0.0, min(d_a, cap - (t - d_a if b_a > z else t))) * w
-            for z, t, w in segs
-            if z >= floor
-        )
-        pay[a] = b_a * alloc[a] - area
-    return alloc, pay
-
-
-def _settle_pods(profile, source=None, level=0.0):
-    """Settle every pod; the phantom, when given, enters its source's pod."""
-    bids, demands = profile.bids.tolist(), profile.demands.tolist()
-    caps = profile.pod_caps.tolist()
-    home = None if source is None else int(profile.pod_of[source])
-    alloc, pay = {}, {}
-    for p, members in enumerate(profile.pod_members):
-        pod_alloc, pod_pay = settle_pod(
-            members, bids, demands, caps[p],
-            clone_of=source if p == home else None, clone_level=level,
-        )
-        alloc.update(pod_alloc)
-        pay.update(pod_pay)
-    return alloc, pay
+# Settlement
 
 
 def settle_threshold(profile):
-    """Honest greedy + threshold payments, pod by pod."""
-    return _settle_pods(profile)
+    """Honest greedy + threshold payments on the round's oracle."""
+    out = vcg_outcome(profile.oracle, profile.bids.tolist())
+    return out.allocation, out.payments
 
 
 def settle_posted(profile, level, arrival, phantom=None):
@@ -445,10 +333,11 @@ def ghost_candidates(profile, alloc=None, pay=None):
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
+    oracle = profile.oracle
     bids, demands = profile.bids.tolist(), profile.demands.tolist()
     caps = profile.pod_caps.tolist()
     out = []
-    for p, members in enumerate(profile.pod_members):
+    for p, members in enumerate(oracle.group_members):
         cap = caps[p]
         levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
         if not levels:
@@ -467,9 +356,7 @@ def ghost_candidates(profile, alloc=None, pay=None):
                 if hi - lo <= 1e-6:
                     continue
                 level = lo + 0.9 * (hi - lo)
-                dev_alloc, dev_pay = settle_pod(
-                    members, bids, demands, cap, clone_of=source, clone_level=level
-                )
+                dev_alloc, dev_pay = oracle.settle_group(p, bids, source, level)
                 surplus = damage = 0.0
                 for m in members:
                     surplus += dev_pay[m] - pay.get(m, 0.0)
@@ -486,8 +373,12 @@ def best_ghost(profile, alloc=None, pay=None):
 
 
 def ghost_settle(profile, source, level):
-    """Deviated allocation and threshold payments with the phantom folded in."""
-    return _settle_pods(profile, source, level)
+    """Deviated allocation and threshold payments of the real agents, with
+    the phantom folded in."""
+    plus = SubstituteCloneOracle(profile.oracle, source)
+    out = vcg_outcome(plus, [*profile.bids.tolist(), level])
+    real = range(profile.n)
+    return {a: out.allocation[a] for a in real}, {a: out.payments[a] for a in real}
 
 
 def certify_ghost(profile, source, level, honest, deviated):
@@ -502,14 +393,14 @@ def certify_ghost(profile, source, level, honest, deviated):
     """
     alloc_h, pay_h = honest
     alloc_d, pay_d = deviated
-    bids, demands = profile.bids.tolist(), profile.demands.tolist()
+    oracle = profile.oracle
+    bids = profile.bids.tolist()
     pod = int(profile.pod_of[source])
-    members = profile.pod_members[pod]
-    cap = float(profile.pod_caps[pod])
+    members = oracle.group_members[pod]
     # the pod replayed with the source bidding at the phantom level
     lifted = list(bids)
     lifted[source] = level
-    lift_alloc, lift_pay = settle_pod(members, lifted, demands, cap)
+    lift_alloc, lift_pay = oracle.settle_group(pod, lifted)
     safe, certs = {}, {}
     for a in range(profile.n):
         moved = (
@@ -534,7 +425,7 @@ def certify_ghost(profile, source, level, honest, deviated):
         for m in members:
             if m != a:
                 walls[m] = wall_level
-        check_alloc, _ = settle_pod(members, walls, demands, cap)
+        check_alloc, _ = oracle.settle_group(pod, walls)
         ok = (
             alloc_d[a] <= POS_TOL
             and pay_d[a] <= POS_TOL
@@ -671,7 +562,7 @@ def _exp2_seed(config, seed):
     rows, detections, nets = [], [], []
     for r in range(config.rounds):
         profile = generate_round(config, seed, r)
-        oracle = profile.oracle()
+        oracle = profile.oracle
         root = make_commitment(oracle, "clinching", "clinch_pay")
         honest_t = ClinchTranscript(commitment_root=root)
         honest_out = clinching_auction(oracle, list(profile.bids), transcript=honest_t)
@@ -749,7 +640,7 @@ def _exp3_seed(config, seed):
         profile = generate_round(config, seed, r)
         # the first pod whose top pair shares capacity inside an open
         # window, with the nudged runner-up clearing the reserve
-        for p, members in enumerate(profile.pod_members):
+        for p, members in enumerate(profile.oracle.group_members):
             sub_bids = [profile.bids[a] for a in members]
             sub_demands = [profile.demands[a] for a in members]
             oracle = LaminarOracle(sub_demands, [0] * len(members), [profile.pod_caps[p]])

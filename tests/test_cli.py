@@ -204,6 +204,25 @@ def _laminar(**fields):
 
 
 @pytest.mark.parametrize("content", [
+    # a slack root: vcg settles group by group in closed form
+    pytest.param(_laminar(), id="slack-root"),
+    # agents 0 and 1 sit in separate groups and contest only the root,
+    # which binds: vcg takes the generic greedy + threshold route
+    pytest.param(_laminar(demands=[2, 1, 1], group_of=[0, 1, 1], group_caps=[2, 2], root_cap=2),
+                 id="binding-root"),
+])
+def test_perturb_prices_laminar_specs(tmp_path, capsys, content):
+    path = tmp_path / "bids.json"
+    path.write_text(json.dumps(content))
+    assert dispatch(["perturb", "--bids", str(path)]) == EXIT_OK
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["pair"] == "(0, 1)"
+    delta, gamma = float(lines["delta"]), float(lines["gamma"])
+    assert delta * gamma > 0
+    assert float(lines["increment"]) == pytest.approx(delta * gamma, abs=1e-9)
+
+
+@pytest.mark.parametrize("content", [
     pytest.param(42, id="scalar-file"),
     pytest.param({"bids": ["x"], "oracle": WORKED_ORACLE}, id="string-bid"),
     pytest.param({"bids": 5, "oracle": WORKED_ORACLE}, id="scalar-bids"),
@@ -229,6 +248,7 @@ def _laminar(**fields):
     pytest.param(_laminar(demands=[1, 1, float("nan")]), id="laminar-nan-demand"),
     pytest.param(_laminar(demands=[1, 1, -4]), id="laminar-negative-demand"),
     pytest.param(_laminar(group_caps=None), id="laminar-null-caps"),
+    pytest.param(_laminar(demands=[1, 1], group_of=[0, 0]), id="laminar-not-bid-count"),
 ])
 def test_perturb_rejects_malformed_bid_file(tmp_path, capsys, content):
     path = tmp_path / "bids.json"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from credmarket.errors import ConfigError, DomainError, StructureError, UnsupportedPriorError
@@ -26,7 +26,13 @@ from credmarket.mechanisms import (
     run_mechanism,
     vcg_outcome,
 )
-from credmarket.polymatroid import LaminarOracle, Level1Matroid, TableOracle
+from credmarket.polymatroid import (
+    LaminarOracle,
+    Level1Matroid,
+    RankOracle,
+    SubstituteCloneOracle,
+    TableOracle,
+)
 
 from conftest import (
     bruteforce_welfare,
@@ -127,6 +133,94 @@ def test_threshold_matches_quadrature_and_externality(rng):
             )
             assert out.payments[i] == pytest.approx(
                 vcg_externality(oracle, bids, i), abs=1e-9
+            )
+
+
+# --------------------------------------------------------------------------
+# Closed-form threshold outcomes vs the generic greedy + threshold route
+
+
+class _GenericRoute(RankOracle):
+    """Forwards `_rank` only: `vcg_outcome` finds no closed form here and
+    runs the greedy + Archer-Tardos loop."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n)
+        self.inner = inner
+
+    def _rank(self, subset):
+        return self.inner.rank(subset)
+
+
+@st.composite
+def laminar_markets(draw, integer, root):
+    """A laminar market of 1-9 members in 1-3 groups, bids from a small grid
+    so zeros and exact ties are common, and an optional substitute clone
+    whose level sits below, at, between or above its source's bid. `root`
+    is "slack" (inf, or exactly the ground set's capped load) or "binding"
+    (half of it)."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    if integer:
+        demands = draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n))
+        caps = draw(st.lists(st.integers(1, 40).map(float), min_size=k, max_size=k))
+    else:
+        demands = draw(st.lists(st.integers(0, 1200).map(lambda c: c / 100), min_size=n, max_size=n))
+        caps = draw(st.lists(st.integers(1, 4000).map(lambda c: c / 100), min_size=k, max_size=k))
+    group_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=n, max_size=n))
+    ground = LaminarOracle(demands, group_of, caps).rank(range(n))
+    if root == "slack":
+        root_cap = draw(st.sampled_from((math.inf, ground)))
+    else:
+        assume(ground > 0)
+        root_cap = ground // 2 if integer else ground / 2
+    oracle = LaminarOracle(demands, group_of, caps, root_cap=root_cap)
+    source = draw(st.none() | st.integers(0, n - 1))
+    if source is None:
+        return oracle, bids
+    b = bids[source]
+    level = draw(st.sampled_from([
+        b, b + 0.5, b + 3.0, max(0.0, b - 0.5), b / 2.0, 11.0,
+        *(x + 0.25 for x in bids), *bids,
+    ]))
+    return SubstituteCloneOracle(oracle, source), bids + [level]
+
+
+@given(laminar_markets(integer=True, root="slack"))
+@settings(max_examples=300, deadline=None)
+def test_slack_laminar_closed_form_is_bitwise_generic(market):
+    oracle, bids = market
+    assert oracle.threshold_outcome(bids) is not None
+    got, want = vcg_outcome(oracle, bids), vcg_outcome(_GenericRoute(oracle), bids)
+    assert got.order == want.order
+    # every id, the clone's included
+    for a in range(oracle.n):
+        assert repr(got.allocation[a]) == repr(want.allocation[a])
+        assert repr(got.payments[a]) == repr(want.payments[a])
+
+
+@given(laminar_markets(integer=False, root="slack"))
+@settings(max_examples=200, deadline=None)
+def test_slack_laminar_closed_form_matches_generic_on_float_demands(market):
+    oracle, bids = market
+    got, want = vcg_outcome(oracle, bids), vcg_outcome(_GenericRoute(oracle), bids)
+    for a in range(oracle.n):
+        assert got.allocation[a] == pytest.approx(want.allocation[a], rel=1e-9, abs=1e-9)
+        assert got.payments[a] == pytest.approx(want.payments[a], rel=1e-9, abs=1e-9)
+
+
+@given(laminar_markets(integer=True, root="binding"))
+@settings(max_examples=100, deadline=None)
+def test_binding_root_takes_the_generic_route(market):
+    oracle, bids = market
+    assert oracle.threshold_outcome(bids) is None
+    out = vcg_outcome(oracle, bids)
+    assert out.allocation == vcg_outcome(_GenericRoute(oracle), bids).allocation
+    for a in range(oracle.n):
+        if out.allocation[a] > 0:
+            assert out.payments[a] == pytest.approx(
+                vcg_externality(oracle, bids, a), abs=1e-9
             )
 
 

@@ -295,6 +295,10 @@ def test_table_oracle_rejects_bad_tables():
     # subsets are missing and the first one is found at once
     with pytest.raises(ConfigError, match=r"missing 1099511627775 subsets, e\.g\. \(0,\)"):
         TableOracle(40, {(): 0.0})
+    # past 2^64 the count is written as a power: 2^100000 - 1 has over
+    # 30,000 digits, more than Python will format
+    with pytest.raises(ConfigError, match=r"missing 2\*\*100000 - 1 subsets, e\.g\. \(0,\)"):
+        TableOracle(100_000, {(): 0.0})
     with pytest.raises(ConfigError, match="missing 1 subsets"):
         TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0})
     full = {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0}

@@ -6,14 +6,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from credmarket import sim
 from credmarket.credibility import make_commitment, tamper_forge_rank, verify_transcript
 from credmarket.errors import ConfigError
-from credmarket.mechanisms import ClinchTranscript, clinching_auction, rank_auth_tag, vcg_outcome
-from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
+from credmarket.mechanisms import ClinchTranscript, clinching_auction, rank_auth_tag
+from credmarket.polymatroid import SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
     POS_TOL,
@@ -32,7 +30,6 @@ from credmarket.sim import (
     run_experiment,
     run_exp3,
     run_r5,
-    settle_pod,
     settle_posted,
     settle_threshold,
 )
@@ -139,12 +136,12 @@ def test_generate_round_structure():
 
 def test_round_oracle_is_the_pod_laminar():
     profile = generate_round(TINY, 17, 1)
-    oracle = profile.oracle()
+    oracle = profile.oracle
     full = set(range(profile.n))
     expected = min(
         profile.root_cap,
         sum(
-            min(sum(profile.demands[a] for a in profile.members(p)), profile.pod_caps[p])
+            min(sum(profile.demands[a] for a in oracle.group_members[p]), profile.pod_caps[p])
             for p in range(len(profile.pod_caps))
         ),
     )
@@ -159,53 +156,7 @@ def test_arrival_order_is_a_seeded_permutation():
 
 
 # --------------------------------------------------------------------------
-# Settlement routes agree with the generic mechanism path
-
-
-@pytest.mark.parametrize("round_index", [0, 1])
-def test_pod_settlement_matches_generic_route(round_index):
-    profile = generate_round(TINY, 17, round_index)
-    alloc, pay = settle_threshold(profile)
-    outcome = vcg_outcome(profile.oracle(), list(profile.bids))
-    for a in range(profile.n):
-        assert alloc[a] == pytest.approx(outcome.allocation[a], abs=1e-9)
-        assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
-
-
-@st.composite
-def _single_pods(draw):
-    """One pod: 1-7 members with integer demands (zero included), bids from
-    a small grid so zeros and exact ties are common, and an optional
-    phantom whose level sits below, at, between or above its source's bid."""
-    m = draw(st.integers(1, 7))
-    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=m, max_size=m))
-    demands = draw(st.lists(st.integers(0, 12).map(float), min_size=m, max_size=m))
-    cap = float(draw(st.integers(1, 40)))
-    source = draw(st.none() | st.integers(0, m - 1))
-    level = 0.0
-    if source is not None:
-        b = bids[source]
-        level = draw(st.sampled_from([
-            b, b + 0.5, b + 3.0, max(0.0, b - 0.5), b / 2.0, 11.0,
-            *(x + 0.25 for x in bids), *bids,
-        ]))
-    return bids, demands, cap, source, level
-
-
-@given(pod=_single_pods())
-@settings(max_examples=300, deadline=None)
-def test_pod_sweep_matches_generic_route(pod):
-    bids, demands, cap, source, level = pod
-    members = list(range(len(bids)))
-    alloc, pay = settle_pod(members, bids, demands, cap, clone_of=source, clone_level=level)
-    oracle = LaminarOracle(demands, [0] * len(bids), [cap])
-    if source is None:
-        outcome = vcg_outcome(oracle, bids)
-    else:
-        outcome = vcg_outcome(SubstituteCloneOracle(oracle, source), bids + [level])
-    for a in members:
-        assert alloc[a] == pytest.approx(outcome.allocation[a], abs=1e-9)
-        assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
+# Ghost scan
 
 
 def _first_ghost_round(config, seed):
@@ -216,16 +167,6 @@ def _first_ghost_round(config, seed):
         if pick is not None:
             return profile, honest, pick
     raise AssertionError("no profitable phantom found in 60 rounds")
-
-
-def test_ghost_settlement_matches_clone_route():
-    profile, _, pick = _first_ghost_round(ScenarioConfig(rounds=60, seeds=(17,)), 17)
-    alloc, pay = ghost_settle(profile, pick.source, pick.level)
-    plus = SubstituteCloneOracle(profile.oracle(), pick.source)
-    outcome = vcg_outcome(plus, list(profile.bids) + [pick.level])
-    for a in range(profile.n):
-        assert alloc[a] == pytest.approx(outcome.allocation[a], abs=1e-9)
-        assert pay[a] == pytest.approx(outcome.payments[a], abs=1e-9)
 
 
 def test_ghost_surplus_and_damage_are_exact():
@@ -247,7 +188,7 @@ def test_live_winning_sources_need_opponent_cover():
         alloc, pay = settle_threshold(profile)
         for cand in ghost_candidates(profile, alloc, pay):
             if profile.bids[cand.source] > 0 and alloc[cand.source] > POS_TOL:
-                members = profile.members(cand.pod)
+                members = profile.oracle.group_members[cand.pod]
                 opp = sum(profile.demands[m] for m in members if m != cand.source)
                 assert opp >= profile.pod_caps[cand.pod] - POS_TOL
 
@@ -390,7 +331,7 @@ def test_clinch_transcripts_are_pinned():
     for seed in config.seeds:
         for r in range(config.rounds):
             profile = generate_round(config, seed, r)
-            oracle = profile.oracle()
+            oracle = profile.oracle
             root = make_commitment(oracle, "clinching", "clinch_pay")
             honest = ClinchTranscript(commitment_root=root)
             clinching_auction(oracle, list(profile.bids), transcript=honest)
