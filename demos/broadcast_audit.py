@@ -1,7 +1,8 @@
 """Broadcasting the auction makes the phantom visible.
 
 Runs an ascending clinching auction over a committed capacity function,
-publishing every price step, demand report, and authenticated rank value.
+publishing every demand report and one hash-chained round per clock step
+with its rank values and clinches.
 Any observer can replay the log: honest transcripts verify clean, while
 classic manipulations (inflated clinches, phantom clinches, forged rank
 values, and a withheld sybil) each leave a specific violation.
@@ -53,18 +54,25 @@ def main():
     audit("forged rank value", tamper_forge_rank(transcript), committed=oracle)
 
     # a sybil world: operator secretly adds a clone rival of agent 1, then
-    # broadcasts a log with the clone's lines withheld and subsets relabeled
+    # broadcasts a log with the clone's lines withheld and each round
+    # relabeled to the real agents, its tag chain recomputed
     plus = SubstituteCloneOracle(oracle, 1)
     shadow = ClinchTranscript(commitment_root=root)
     clinching_auction(plus, values + [5.5], transcript=shadow)
     laundered = ClinchTranscript(commitment_root=root)
     for ev in shadow.events:
-        if ev["event"] in ("demand", "clinch") and ev.get("agent") == 3:
+        if ev["event"] == "demand":
+            if ev["agent"] != 3:
+                laundered.demand(ev["agent"], ev["demand"])
             continue
-        if ev["event"] == "rank_announce":
-            laundered.rank_announce(set(ev["subset"]) - {3}, ev["value"])
-        else:
-            laundered.events.append(dict(ev))
+        active, rank, drops = ev["active"], ev["rank"], ev["drops"]
+        if 3 in active:
+            # the clone's own drop is the real agents' executed rank
+            k = active.index(3)
+            rank = drops[k]
+            active, drops = active[:k] + active[k + 1 :], drops[:k] + drops[k + 1 :]
+        clinches = [c for c in ev["clinches"] if c[0] != 3]
+        laundered.round(ev["price"], active, rank, drops, clinches)
     audit("laundered sybil log", laundered, committed=oracle)
     print("\nthe sybil's announced rank values disagree with the committed",
           "capacity function on the relabeled subsets, so replay flags them.")

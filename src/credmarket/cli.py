@@ -12,7 +12,7 @@ import os
 import sys
 
 from .adversary import apply_deviation, construct_perturbation
-from .credibility import verify_transcript
+from .credibility import make_commitment, verify_transcript
 from .errors import CredmarketError
 from .mechanisms import Mechanism, UniformPrior
 from .metrics import gamma_distribution, scaling_sweep
@@ -61,6 +61,9 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="audit a broadcast transcript file")
     p_ver.add_argument("--transcript", required=True)
+    p_ver.add_argument("--oracle",
+                       help="JSON oracle spec of the committed rank function: "
+                            "also check every announced rank value against it")
 
     p_sweep = sub.add_parser("sweep", help="fit a scaling law on a topology class")
     p_sweep.add_argument("--class", dest="topology_class", required=True,
@@ -95,7 +98,16 @@ def _load_json(path):
         raise CredmarketError(f"cannot read {path}: {exc}") from exc
 
 
-def _oracle_from_spec(obj, n_bids):
+def _numbers(obj, key):
+    values = obj[key]
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise CredmarketError(f"{key} must be a list of numbers, got {json.dumps(values)[:40]}")
+    return values
+
+
+def _oracle_from_spec(obj, n_bids=None):
+    """The rank oracle an oracle spec describes; with `n_bids`, its agent
+    count must match the bids'."""
     if not isinstance(obj, dict):
         raise CredmarketError("the oracle entry must be a JSON object")
     kind = obj.get("kind", "table")
@@ -105,28 +117,33 @@ def _oracle_from_spec(obj, n_bids):
     if missing:
         raise CredmarketError(f"{kind} oracle spec lacks {missing}")
     if kind == "laminar":
+        root_cap = obj.get("root_cap", float("inf"))
+        if not _is_number(root_cap):
+            raise CredmarketError(f"root_cap must be a number, got {root_cap!r}")
         oracle = LaminarOracle(
-            obj["demands"],
-            obj["group_of"],
-            obj["group_caps"],
-            root_cap=obj.get("root_cap", float("inf")),
+            _numbers(obj, "demands"),
+            _numbers(obj, "group_of"),
+            _numbers(obj, "group_caps"),
+            root_cap=root_cap,
         )
-        if oracle.n != n_bids:
+        if n_bids is not None and oracle.n != n_bids:
             raise CredmarketError(f"the laminar oracle has {oracle.n} agents for {n_bids} bids")
         return oracle
     n_agents = obj["n_agents"]
     if not isinstance(n_agents, int) or isinstance(n_agents, bool):
         raise CredmarketError(f"n_agents must be an integer, got {n_agents!r}")
-    if n_agents != n_bids:
+    if n_bids is not None and n_agents != n_bids:
         raise CredmarketError(f"the table oracle has {n_agents} agents for {n_bids} bids")
     if not isinstance(obj["table"], dict):
         raise CredmarketError("the oracle table must map subset keys to ranks")
     table = {}
     try:
         for key, value in obj["table"].items():
+            if not _is_number(value):
+                raise CredmarketError(f"table value {value!r} for {key!r} is not a number")
             subset = frozenset(int(t) for t in key.split(",") if t != "")
             table[subset] = float(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CredmarketError(f"bad table oracle spec: {exc}") from exc
     return TableOracle(n_agents, table)
 
@@ -170,7 +187,15 @@ def _cmd_verify(args):
         )
     if "commitment_root" not in obj:
         raise CredmarketError("transcript file lacks a commitment_root")
-    verdict = verify_transcript(obj, obj["commitment_root"])
+    oracle = None
+    if args.oracle is not None:
+        oracle = _oracle_from_spec(_load_json(args.oracle))
+        if make_commitment(oracle) != obj["commitment_root"]:
+            raise CredmarketError(
+                f"the oracle in {args.oracle} is not the one the transcript's "
+                "commitment_root binds"
+            )
+    verdict = verify_transcript(obj, obj["commitment_root"], oracle=oracle)
     print(json.dumps(verdict.to_json(), sort_keys=True, indent=2))
     return EXIT_OK if verdict.consistent else EXIT_VIOLATIONS
 

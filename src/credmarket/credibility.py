@@ -1,8 +1,11 @@
 """Three ways to make the operator's execution checkable.
 
-1. Broadcast commitment: every demand message and rank announcement lands
-   on a shared log; `verify_transcript` replays the clinching run from the
-   log and flags any clinch the announced quantities do not justify.
+1. Broadcast commitment: every demand message and one `round` event per
+   clock step land on a shared log, the rounds hash-chained from the
+   commitment root; `verify_transcript` checks the chain, the active sets
+   and (given the committed oracle) the rank values, replays the clinching
+   run and flags any clinch the announced quantities do not justify, at
+   one hash and one `rank_without_each` pass per round.
 2. Deposit-backed recomputation (token-matroid markets only): the operator
    commits to the rule, executes, and any per-agent mismatch against the
    committed rule's recomputation slashes the whole deposit.
@@ -12,6 +15,7 @@
    knife edge at stake = 0.
 """
 
+import copy
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -32,13 +36,13 @@ from .mechanisms import (
     Mechanism,
     UniformPrior,
     _digest,
-    rank_auth_tag,
+    _round_tag,
     run_mechanism,
 )
 from .polymatroid import Level1Matroid, RankOracle
 
 CLINCH_TOL = 1e-9
-_is_int = int.__instancecheck__
+_ROUND_FIELDS = ("price", "active", "rank", "drops", "clinches", "tag")
 PHASES = ("commit", "execute", "verify")
 
 
@@ -61,8 +65,8 @@ class Verdict:
 
 
 def make_commitment(oracle, allocation_rule="clinching", payment_rule="clinch_pay"):
-    """Digest binding the rule pair and the rank oracle; the root that
-    rank announcement tags are checked against."""
+    """Digest binding the rule pair and the rank oracle; the root a
+    transcript's tag chain starts from."""
     return _digest(
         {"alloc": allocation_rule, "pay": payment_rule, "oracle": oracle.digest()}
     )
@@ -88,167 +92,169 @@ def _coerce_transcript(transcript):
     raise StructureError(f"cannot read a transcript from {type(transcript).__name__}")
 
 
+def _replay_round(ev, r, demands, clinched, oracle, violations):
+    """Check one `round` event against the demand-replayed active set and,
+    with `oracle`, the committed rank function; replay its clinches into
+    `clinched`. Returns whether the round cleared the market."""
+    price = float(ev["price"])
+    announced, drops = ev["active"], ev["drops"]
+    if not all(type(ev[key]) is list for key in ("active", "drops", "clinches")):
+        raise StructureError(f"round {r}: active, drops and clinches must be lists")
+    active = sorted(i for i, d in demands.items() if d > CLINCH_TOL)
+    # an id equal to an agent's but not an int (1.0, True) is a wrong id
+    complete = (
+        len(announced) == len(active) == len(drops)
+        and all(type(a) is int and a == i for a, i in zip(announced, active))
+    )
+    f_active = f_without = None
+    if complete:
+        f_active, f_without = float(ev["rank"]), [float(v) for v in drops]
+    else:
+        violations.append(
+            {"kind": "missing_rank", "round": r, "price": price, "active": active}
+        )
+    if oracle is not None:
+        true_full, true_drops = oracle.rank_without_each(active)
+        if complete:
+            for k, (value, truth) in enumerate(
+                zip([f_active, *f_without], [true_full, *true_drops])
+            ):
+                if not abs(value - truth) <= CLINCH_TOL:  # NaN too
+                    violations.append(
+                        {
+                            "kind": "wrong_rank",
+                            "round": r,
+                            "price": price,
+                            "without": active[k - 1] if k else None,
+                            "announced": value,
+                            "recomputed": truth,
+                        }
+                    )
+        else:
+            f_active, f_without = true_full, true_drops
+
+    # per-agent supply takes, then the clearing payout if aggregate demand
+    # fits inside the announced capacity
+    expected = {}
+    cleared = False
+    if f_active is not None:
+        for k, i in enumerate(active):
+            take = max(0.0, min(demands[i], f_active - f_without[k]) - clinched[i])
+            if take > 1e-12:
+                expected[i] = take
+        cleared = sum(demands[i] for i in active) <= f_active + 1e-12
+        if cleared:
+            for i in active:
+                rest = demands[i] - (clinched[i] + expected.get(i, 0.0))
+                if rest > 1e-12:
+                    expected[i] = expected.get(i, 0.0) + rest
+    announced_qty = defaultdict(float)
+    for agent, qty in ev["clinches"]:
+        qty = float(qty)
+        if type(agent) is int:
+            announced_qty[agent] += qty
+        else:
+            violations.append(
+                {
+                    "kind": "wrong_clinch",
+                    "round": r,
+                    "price": price,
+                    "agent": agent,
+                    "expected_clinch": 0.0,
+                    "announced_clinch": qty,
+                    "note": "clinch for a non-integer agent id",
+                }
+            )
+    for agent in sorted(set(expected) | set(announced_qty)):
+        want = expected.get(agent, 0.0)
+        if not abs(want - announced_qty[agent]) <= 1e-9:
+            violations.append(
+                {
+                    "kind": "wrong_clinch",
+                    "round": r,
+                    "price": price,
+                    "agent": agent,
+                    "expected_clinch": want,
+                    "announced_clinch": announced_qty[agent],
+                }
+            )
+        clinched[agent] += want
+    return cleared
+
+
 def verify_transcript(transcript, commitment_root, oracle=None):
     """Replay a clinching log against the commitment; list every mismatch.
 
-    Demand messages are agent-attested and trusted; rank announcements must
-    carry a tag matching `commitment_root`; clinch lines are recomputed
-    from the announced quantities (or from `oracle` when given, which also
-    cross-checks every announced rank value against the committed rank
-    function). Segments are delimited by price steps, mirroring one clock
-    round each.
+    Demand messages are agent-attested and trusted; they replay the active
+    set. Each `round` event must carry the tag that extends the chain from
+    `commitment_root` (else `inauthentic_rank`) and list exactly the
+    replayed active set with one drop per member (else `missing_rank`).
+    Its clinches are recomputed from the announced rank values, or from
+    `oracle`'s when the announcement is incomplete (`wrong_clinch`); with
+    `oracle`, one `rank_without_each` pass per round also checks every
+    announced value against the committed rank function (`wrong_rank`).
+    A log whose last round neither clears the market nor leaves the active
+    set empty is unfinished (`missing_rank`). The chain catches a round
+    edited, reordered or dropped after broadcast; an operator that chains
+    a lie from the start is caught only by the replay.
     """
     events = _coerce_transcript(transcript)
     violations = []
     demands = {}
     clinched = defaultdict(float)
-    price = None
-    seen_price = False
-    seg_ranks = {}
-    seg_truth = {}
-    seg_clinches = []
-
-    def true_rank(subset):
-        # the committed f(subset): one drop-one pass per segment over the
-        # replayed active set, built on first use and keyed by subset,
-        # serves every subset a clock round announces. A subset outside it,
-        # or one with a non-int id (1.0 == 1 would match a key), goes to
-        # oracle.rank, which rejects a bad id
-        if not seg_truth:
-            members = sorted(
-                i
-                for i, d in demands.items()
-                if d > CLINCH_TOL and _is_int(i) and 0 <= i < oracle.n
-            )
-            full, drops = oracle.rank_without_each(members)
-            seg_truth[frozenset(members)] = full
-            for k, value in enumerate(drops):
-                seg_truth[frozenset(members[:k] + members[k + 1 :])] = value
-        value = seg_truth.get(subset)
-        if value is None or not all(map(_is_int, subset)):
-            return oracle.rank(subset)
-        return value
-
-    def lookup_rank(subset, p):
-        key = frozenset(subset)
-        if key in seg_ranks:
-            return seg_ranks[key]
-        violations.append(
-            {"kind": "missing_rank", "price_step": p, "subset": sorted(subset)}
-        )
-        if oracle is not None:
-            return true_rank(key)
-        return None
-
-    def flush_segment(p):
-        # replay one clock round: per-agent supply takes, then the clearing
-        # payout if aggregate demand fits inside the announced capacity
-        if p is None:
-            if seg_clinches:
-                raise StructureError("clinch events before any price step")
-            return
-        active = {i for i, d in demands.items() if d > CLINCH_TOL}
-        expected = defaultdict(float)
-        f_active = lookup_rank(active, p) if (active or seg_clinches) else 0.0
-        if f_active is not None and active:
-            shadow = defaultdict(float, clinched)
-            for i in sorted(active):
-                f_wo = lookup_rank(active - {i}, p)
-                if f_wo is None:
-                    continue
-                supply = f_active - f_wo
-                take = max(0.0, min(demands[i], supply) - shadow[i])
-                if take > 1e-12:
-                    expected[i] += take
-                    shadow[i] += take
-            if sum(demands[i] for i in active) <= f_active + 1e-12:
-                for i in sorted(active):
-                    rest = demands[i] - shadow[i]
-                    if rest > 1e-12:
-                        expected[i] += rest
-                        shadow[i] += rest
-        announced = defaultdict(float)
-        for agent, qty, cp in seg_clinches:
-            announced[agent] += qty
-            if abs(cp - p) > CLINCH_TOL:
-                violations.append(
-                    {
-                        "kind": "wrong_clinch",
-                        "price_step": p,
-                        "agent": agent,
-                        "expected_clinch": expected.get(agent, 0.0),
-                        "announced_clinch": qty,
-                        "note": f"clinch priced at {cp}, clock at {p}",
-                    }
-                )
-        for agent in sorted(set(expected) | set(announced)):
-            if abs(expected[agent] - announced[agent]) > 1e-9:
-                violations.append(
-                    {
-                        "kind": "wrong_clinch",
-                        "price_step": p,
-                        "agent": agent,
-                        "expected_clinch": expected[agent],
-                        "announced_clinch": announced[agent],
-                    }
-                )
-            clinched[agent] += expected[agent]
-        seg_ranks.clear()
-        seg_truth.clear()
-        seg_clinches.clear()
-
-    # a field of the wrong type (a non-numeric price, an unhashable agent or
-    # subset element) fails its coercion; that is a malformed transcript
+    head = commitment_root
+    rounds = 0
+    cleared = False
+    # a field of the wrong type (a non-numeric price, an unhashable agent,
+    # a non-list active set) fails its coercion; that is a malformed log
     try:
         for ev in events:
             if not isinstance(ev, dict) or "event" not in ev:
                 raise StructureError(f"malformed event {ev!r}")
             kind = ev["event"]
-            if kind == "price_step":
-                _require(ev, "price")
-                flush_segment(price)
-                price = float(ev["price"])
-                seen_price = True
-            elif kind == "demand":
+            if kind == "demand":
                 _require(ev, "agent", "demand")
-                if seen_price and float(ev["demand"]) > demands.get(ev["agent"], 0.0):
+                d = float(ev["demand"])
+                if rounds and d > demands.get(ev["agent"], 0.0):
                     violations.append(
                         {
                             "kind": "wrong_clinch",
-                            "price_step": price,
+                            "round": rounds,
                             "agent": ev["agent"],
                             "expected_clinch": 0.0,
                             "announced_clinch": 0.0,
                             "note": "demand raised mid-auction",
                         }
                     )
-                demands[ev["agent"]] = float(ev["demand"])
-            elif kind == "rank_announce":
-                _require(ev, "subset", "value", "auth_tag")
-                subset = frozenset(ev["subset"])
-                value = float(ev["value"])
-                if ev["auth_tag"] != rank_auth_tag(commitment_root, subset, ev["value"]):
+                demands[ev["agent"]] = d
+            elif kind == "round":
+                _require(ev, *_ROUND_FIELDS)
+                body = dict(ev)
+                tag = body.pop("tag")
+                if not isinstance(tag, str):
+                    raise StructureError(f"round tag {tag!r} is not a string")
+                if tag != _round_tag(head, body):
                     violations.append(
-                        {"kind": "inauthentic_rank", "subset": sorted(subset)}
+                        {"kind": "inauthentic_rank", "round": rounds, "price": ev["price"]}
                     )
-                elif oracle is not None:
-                    recomputed = true_rank(subset)
-                    if abs(recomputed - value) > CLINCH_TOL:
-                        violations.append(
-                            {
-                                "kind": "wrong_rank",
-                                "subset": sorted(subset),
-                                "announced": value,
-                                "recomputed": recomputed,
-                            }
-                        )
-                seg_ranks[subset] = value
-            elif kind == "clinch":
-                _require(ev, "agent", "qty", "price")
-                seg_clinches.append((ev["agent"], float(ev["qty"]), float(ev["price"])))
+                head = tag
+                cleared = _replay_round(ev, rounds, demands, clinched, oracle, violations)
+                rounds += 1
+            elif kind in ("price_step", "rank_announce"):
+                raise StructureError(
+                    f"{kind!r} events belong to the per-subset transcript format, "
+                    "which is no longer read; rerun the auction to log round events"
+                )
             else:
                 raise StructureError(f"unknown event kind {kind!r}")
-        flush_segment(price)
+        if not cleared and any(d > CLINCH_TOL for d in demands.values()):
+            violations.append(
+                {
+                    "kind": "missing_rank",
+                    "round": rounds,
+                    "note": "the log ends before the auction does",
+                }
+            )
     except CredmarketError:
         raise
     except (TypeError, ValueError) as exc:
@@ -260,42 +266,47 @@ def verify_transcript(transcript, commitment_root, oracle=None):
 
 
 def _copy_transcript(transcript):
-    t = ClinchTranscript(commitment_root=transcript.commitment_root)
-    t.events = [dict(e) for e in transcript.events]
-    return t
+    return ClinchTranscript(
+        commitment_root=transcript.commitment_root,
+        events=copy.deepcopy(transcript.events),
+    )
 
 
-def _clinch_indices(events):
-    idx = [k for k, e in enumerate(events) if e["event"] == "clinch"]
-    if not idx:
-        raise DomainError("transcript has no clinch events to tamper with")
-    return idx
+def _rounds(events):
+    return [ev for ev in events if ev["event"] == "round"]
+
+
+def _clinch_sites(events):
+    # (round event, position in its clinch list) of every clinch, in order
+    sites = [(ev, k) for ev in _rounds(events) for k in range(len(ev["clinches"]))]
+    if not sites:
+        raise DomainError("transcript has no clinches to tamper with")
+    return sites
 
 
 def tamper_inflate_clinch(transcript, factor=2.0, which=0):
     """Scale one recorded clinch quantity; the replay must flag it."""
     t = _copy_transcript(transcript)
-    k = _clinch_indices(t.events)[which]
-    t.events[k]["qty"] = t.events[k]["qty"] * factor
+    ev, k = _clinch_sites(t.events)[which]
+    ev["clinches"][k][1] *= factor
     return t
+
 
 def tamper_ghost_clinch(transcript, agent, qty=1.0, which=-1):
     """Insert a clinch for an agent the supply computation never justified."""
     t = _copy_transcript(transcript)
-    k = _clinch_indices(t.events)[which]
-    price = t.events[k]["price"]
-    t.events.insert(k + 1, {"event": "clinch", "agent": agent, "qty": qty, "price": price})
+    ev, k = _clinch_sites(t.events)[which]
+    ev["clinches"].insert(k + 1, [agent, qty])
     return t
 
 
 def tamper_forge_rank(transcript, delta=1.0, which=0):
-    """Alter an announced rank value without recomputing its tag."""
+    """Alter one round's announced f(D) without recomputing its tag."""
     t = _copy_transcript(transcript)
-    idx = [k for k, e in enumerate(t.events) if e["event"] == "rank_announce"]
-    if not idx:
-        raise DomainError("transcript has no rank announcements")
-    k = idx[which]
-    t.events[k]["value"] = t.events[k]["value"] + delta
+    rounds = _rounds(t.events)
+    if not rounds:
+        raise DomainError("transcript has no rounds")
+    rounds[which]["rank"] += delta
     return t
 
 

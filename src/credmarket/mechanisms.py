@@ -16,7 +16,6 @@ payments to within one clock step for unit-slope demand.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -332,21 +331,11 @@ def _digest(obj):
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _announce_tag(root_text, ids_text, value):
-    # the SHA-256 of an announcement's compact sorted-key JSON,
-    # {"root":…,"subset":[…],"value":…}, assembled from encoded parts;
-    # a finite float's JSON is its repr
-    if type(value) is float and value - value == 0.0:
-        value_text = repr(value)
-    else:
-        value_text = _compact(value)
-    text = f'{{"root":{root_text},"subset":[{ids_text}],"value":{value_text}}}'
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def rank_auth_tag(commitment_root, subset, value):
-    ids_text = _compact(sorted(subset))[1:-1]
-    return _announce_tag(_compact(commitment_root), ids_text, value)
+def _round_tag(prev_tag, body):
+    # one link of the transcript's hash chain: SHA-256 of the previous
+    # link's tag followed by the compact sorted-key JSON of a round event
+    # without its own tag
+    return hashlib.sha256((prev_tag + _compact(body)).encode()).hexdigest()
 
 
 @dataclass
@@ -354,61 +343,46 @@ class ClinchTranscript:
     """Event log of one clinching run.
 
     Events (dicts with an "event" key):
-      price_step    {"price": p}
-      demand        {"agent": i, "demand": d}           -- agent-attested
-      rank_announce {"subset": [...], "value": f(S), "auth_tag": tag}
-      clinch        {"agent": i, "qty": q, "price": p}  -- operator-controlled
-    Demands are treated as integrity-protected (signed by agents);
-    rank announcements carry a tag bound to the committed oracle digest;
-    clinch lines are where a dishonest operator can lie.
+      demand  {"agent": i, "demand": d}                    -- agent-attested
+      round   {"price": p, "active": [...], "rank": f(D),
+               "drops": [f(D - i) for i in active],
+               "clinches": [[i, q], ...], "tag": t}        -- operator-written
+    Demands are treated as integrity-protected (signed by agents). Each
+    clock round is one `round` event: the sorted active ids D, the rank
+    values the round's supplies come from, and the quantities clinched at
+    the round's price, the clearing payout included. Its tag chains the
+    log: t = SHA-256(previous round's tag, or the commitment root for the
+    first round, followed by the round's compact sorted-key JSON without
+    "tag"), so a reordered, omitted or edited round breaks every later
+    link. The chain is not a signature: anyone can recompute it over a
+    lie, which only a replay against the committed rank function catches.
     """
 
     commitment_root: str
     events: list = field(default_factory=list)
 
-    def price_step(self, p):
-        self.events.append({"event": "price_step", "price": p})
+    @property
+    def head(self):
+        """The tag the next round chains from."""
+        for ev in reversed(self.events):
+            if ev["event"] == "round":
+                return ev["tag"]
+        return self.commitment_root
 
     def demand(self, agent, d):
         self.events.append({"event": "demand", "agent": agent, "demand": d})
 
-    def rank_announce(self, subset, value):
-        self.round_announcer(sorted(subset))(None, value)
-
-    def round_announcer(self, members):
-        """Announcer for one clinching round over `members`, a sorted list
-        of distinct ids: `announce(None, v)` logs f(members) = v and
-        `announce(k, v)` logs f(members - {members[k]}) = v. Each subset
-        and its tag text are sliced from the round's list and joined ids,
-        so no subset is sorted or encoded again."""
-        root = _compact(self.commitment_root)
-        joined = _compact(members)[1:-1]  # ids are ints: no comma inside one
-        sizes = [len(t) + 1 for t in joined.split(",")] if members else []
-        starts = list(itertools.accumulate(sizes, initial=0))
-        last = len(members) - 1
-
-        def announce(k, value):
-            if k is None:
-                subset, text = list(members), joined
-            else:
-                subset = members[:k] + members[k + 1 :]
-                if k < last:
-                    text = joined[: starts[k]] + joined[starts[k + 1] :]
-                else:
-                    text = joined[: max(starts[k] - 1, 0)]  # and its comma
-            self.events.append(
-                {
-                    "event": "rank_announce",
-                    "subset": subset,
-                    "value": value,
-                    "auth_tag": _announce_tag(root, text, value),
-                }
-            )
-
-        return announce
-
-    def clinch(self, agent, qty, price):
-        self.events.append({"event": "clinch", "agent": agent, "qty": qty, "price": price})
+    def round(self, price, active, rank, drops, clinches):
+        event = {
+            "event": "round",
+            "price": price,
+            "active": active,
+            "rank": rank,
+            "drops": drops,
+            "clinches": clinches,
+        }
+        event["tag"] = _round_tag(self.head, event)
+        self.events.append(event)
 
     def to_json(self):
         return json.dumps(
@@ -444,8 +418,8 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
 
     A round takes f(D) and every f(D - i) from one
     `oracle.rank_without_each` pass over the sorted active set, O(|D|)
-    for a laminar oracle instead of |D| + 1 rank evaluations; the
-    transcript still announces all |D| + 1 subsets, in the same order.
+    for a laminar oracle instead of |D| + 1 rank evaluations, and logs
+    them with the round's clinches as one `round` event.
     """
     n = oracle.n
     values = _validate_bids(oracle, values)
@@ -464,52 +438,42 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     paid = {i: 0.0 for i in range(n)}
     active = {i for i in range(n) if values[i] > 0 and demand[i] > 0}
 
-    def clinch_round(price):
-        # each active agent clinches up to the slack its opponents leave;
-        # returns the announced f(active) the clearing test reuses
-        members = sorted(active)
-        f_active, f_without = oracle.rank_without_each(members)
-        if transcript is not None:
-            announce = transcript.round_announcer(members)
-            announce(None, f_active)
-        for k, i in enumerate(members):
-            if transcript is not None:
-                announce(k, f_without[k])
-            supply = f_active - f_without[k]
-            take = max(0.0, min(demand[i], supply) - clinched[i])
-            if take > 1e-12:
-                clinched[i] += take
-                paid[i] += take * price
-                if transcript is not None:
-                    transcript.clinch(i, take, price)
-        return f_active
+    def clinch(i, qty):
+        # a sale at the current clock price, listed in the round's event
+        clinched[i] += qty
+        paid[i] += qty * price
+        clinches.append([i, qty])
 
     price = 0.0
-    if transcript is not None:
-        transcript.price_step(price)
     while active:
         total_demand = sum(demand[i] for i in active)
-        f_active = clinch_round(price)
-        if total_demand <= f_active + 1e-12:
+        members = sorted(active)
+        f_active, f_without = oracle.rank_without_each(members)
+        clinches = []
+        # each active agent clinches up to the slack its opponents leave
+        for k, i in enumerate(members):
+            take = max(0.0, min(demand[i], f_active - f_without[k]) - clinched[i])
+            if take > 1e-12:
+                clinch(i, take)
+        cleared = total_demand <= f_active + 1e-12
+        if cleared:
             # market cleared: remaining quantities go out at the current price
-            for i in sorted(active):
+            for i in members:
                 rest = demand[i] - clinched[i]
                 if rest > 1e-12:
-                    clinched[i] += rest
-                    paid[i] += rest * price
-                    if transcript is not None:
-                        transcript.clinch(i, rest, price)
+                    clinch(i, rest)
+        if transcript is not None:
+            transcript.round(price, members, f_active, f_without, clinches)
+        if cleared:
             break
         # fast-forward to the next exit: first clock multiple >= min active value
         exit_value = min(values[i] for i in active)
         price = math.ceil(exit_value / step - 1e-12) * step
+        leavers = sorted(i for i in active if values[i] <= price + 1e-12)
         if transcript is not None:
-            transcript.price_step(price)
-        leavers = {i for i in active if values[i] <= price + 1e-12}
-        for i in sorted(leavers):
-            if transcript is not None:
+            for i in leavers:
                 transcript.demand(i, 0.0)
-        active -= leavers
+        active.difference_update(leavers)
     return MarketOutcome(
         allocation=clinched,
         payments=paid,

@@ -529,8 +529,10 @@ def run_exp1(config, jobs=1):
 
 class _SybilTranscript(ClinchTranscript):
     """Transcript as the deviating operator broadcasts it: the phantom's
-    demand and clinch lines are withheld and every announced subset is
-    relabeled to the committed ground set, values left as executed."""
+    demand lines are withheld and each round is relabeled to the committed
+    ground set. The phantom leaves `active`, `drops` and `clinches`, and
+    its own drop, the executed rank of the real members listed, stands as
+    f(D); the other values stay as executed."""
 
     def __init__(self, commitment_root, ghost_id):
         super().__init__(commitment_root)
@@ -540,22 +542,14 @@ class _SybilTranscript(ClinchTranscript):
         if agent != self.ghost_id:
             super().demand(agent, d)
 
-    def clinch(self, agent, qty, price):
-        if agent != self.ghost_id:
-            super().clinch(agent, qty, price)
-
-    def round_announcer(self, members):
-        if self.ghost_id not in members:
-            return super().round_announcer(members)
-        g = members.index(self.ghost_id)
-        announce = super().round_announcer(members[:g] + members[g + 1 :])
-
-        def relabeled(k, value):
-            # without the phantom, the full set and the phantom's own drop
-            # both read as the real members; later members move up one place
-            announce(None if k is None or k == g else k - (k > g), value)
-
-        return relabeled
+    def round(self, price, active, rank, drops, clinches):
+        if self.ghost_id in active:
+            g = active.index(self.ghost_id)
+            active = active[:g] + active[g + 1 :]
+            rank = drops[g]
+            drops = drops[:g] + drops[g + 1 :]
+        clinches = [c for c in clinches if c[0] != self.ghost_id]
+        super().round(price, active, rank, drops, clinches)
 
 
 def _exp2_seed(config, seed):

@@ -12,7 +12,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from credmarket.mechanisms import edmonds_greedy
+from credmarket.mechanisms import ClinchTranscript, edmonds_greedy
 from credmarket.polymatroid import TableOracle
 
 QUADRATURE_POINTS = 10_000
@@ -128,6 +128,23 @@ def bruteforce_welfare(oracle, bids, step=GRID_STEP):
     feasible = (loads <= np.array(caps) + 1e-12).all(axis=1)
     values = mesh @ np.asarray(bids, dtype=float)
     return float(values[feasible].max())
+
+
+# --------------------------------------------------------------------------
+# Transcript forgery
+
+
+def rechain(transcript):
+    """The transcript with every round tag recomputed in order: what an
+    operator that broadcasts a lie from the start would publish. The tag
+    chain then holds, so only the replay can flag the lie."""
+    out = ClinchTranscript(commitment_root=transcript.commitment_root)
+    for e in transcript.events:
+        if e["event"] == "round":
+            out.round(e["price"], e["active"], e["rank"], e["drops"], e["clinches"])
+        else:
+            out.events.append(dict(e))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,13 @@ import pytest
 
 import credmarket
 from credmarket.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, dispatch
-from credmarket.credibility import make_commitment, tamper_inflate_clinch
+from credmarket.credibility import make_commitment, tamper_forge_rank, tamper_inflate_clinch
 from credmarket.errors import ConfigError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction
 from credmarket.polymatroid import TableOracle
 from credmarket.sim import ScenarioConfig, run_experiment
+
+from conftest import rechain
 
 WORKED_ORACLE = {
     "kind": "table",
@@ -31,11 +33,15 @@ def tiny_config_file(tmp_path):
     return str(path)
 
 
-def _transcript_pair(tmp_path):
+def _worked_transcript():
     oracle = TableOracle(2, {(): 0.0, (0,): 2.0, (1,): 2.0, (0, 1): 3.0})
-    root = make_commitment(oracle)
-    transcript = ClinchTranscript(commitment_root=root)
+    transcript = ClinchTranscript(commitment_root=make_commitment(oracle))
     clinching_auction(oracle, [10.0, 5.0], transcript=transcript)
+    return transcript
+
+
+def _transcript_pair(tmp_path):
+    transcript = _worked_transcript()
     honest = tmp_path / "honest.json"
     honest.write_text(transcript.to_json())
     tampered = tmp_path / "tampered.json"
@@ -132,6 +138,39 @@ def test_verify_honest_and_tampered(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["consistent"] is False
     assert verdict["violations"]
+
+
+def test_verify_with_oracle_catches_a_chained_forgery(tmp_path, capsys):
+    # the forged f(D) of the last round moves no clinch, and the chain is
+    # recomputed over it: only the committed rank function shows the lie
+    forged = tmp_path / "forged.json"
+    forged.write_text(rechain(tamper_forge_rank(_worked_transcript(), which=-1)).to_json())
+    spec = tmp_path / "oracle.json"
+    spec.write_text(json.dumps(WORKED_ORACLE))
+    honest, _ = _transcript_pair(tmp_path)
+    assert dispatch(["verify", "--transcript", str(forged)]) == EXIT_OK
+    assert dispatch(["verify", "--transcript", honest, "--oracle", str(spec)]) == EXIT_OK
+    capsys.readouterr()
+    code = dispatch(["verify", "--transcript", str(forged), "--oracle", str(spec)])
+    assert code == EXIT_VIOLATIONS
+    verdict = json.loads(capsys.readouterr().out)
+    assert {v["kind"] for v in verdict["violations"]} == {"wrong_rank"}
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({**WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0,1": 4}},
+                 id="other-oracle"),
+    pytest.param({**WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0,1": "3"}},
+                 id="string-value"),
+    pytest.param({"kind": "laminar", "demands": [2, 2], "group_of": [0, 0]}, id="no-caps"),
+    pytest.param([1], id="list-spec"),
+])
+def test_verify_rejects_an_oracle_off_the_commitment(tmp_path, capsys, spec):
+    honest, _ = _transcript_pair(tmp_path)
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(spec))
+    assert dispatch(["verify", "--transcript", honest, "--oracle", str(path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_requires_commitment_root(tmp_path, capsys):
@@ -249,6 +288,23 @@ def test_perturb_prices_laminar_specs(tmp_path, capsys, content):
     pytest.param(_laminar(demands=[1, 1, -4]), id="laminar-negative-demand"),
     pytest.param(_laminar(group_caps=None), id="laminar-null-caps"),
     pytest.param(_laminar(demands=[1, 1], group_of=[0, 0]), id="laminar-not-bid-count"),
+    # JSON strings and bools are not numbers, though Python would coerce them
+    pytest.param(_laminar(demands=["1", "1", True], group_caps=["1", 1], root_cap="9"),
+                 id="laminar-coercible-strings"),
+    pytest.param(_laminar(demands=[1, "1", 1]), id="laminar-string-demand"),
+    pytest.param(_laminar(demands=[1, 1, True]), id="laminar-bool-demand"),
+    pytest.param(_laminar(group_of=[0, "0", 1]), id="laminar-string-group"),
+    pytest.param(_laminar(group_of=[0, 0, True]), id="laminar-bool-group"),
+    pytest.param(_laminar(group_caps=[1, "1"]), id="laminar-string-cap"),
+    pytest.param(_laminar(group_caps=[True, 1]), id="laminar-bool-cap"),
+    pytest.param(_laminar(root_cap="9"), id="laminar-string-root-cap"),
+    pytest.param(_laminar(root_cap=True), id="laminar-bool-root-cap"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {
+        **WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0,1": "3"}}},
+                 id="table-string-value"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {
+        **WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0": True}}},
+                 id="table-bool-value"),
 ])
 def test_perturb_rejects_malformed_bid_file(tmp_path, capsys, content):
     path = tmp_path / "bids.json"

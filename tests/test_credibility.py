@@ -1,8 +1,12 @@
 """Credibility devices: broadcast audit, deposit-backed recomputation, fees."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credmarket.adversary import DeviationStrategy, apply_deviation
 from credmarket.credibility import (
@@ -30,11 +34,15 @@ from credmarket.mechanisms import (
     Mechanism,
     UniformPrior,
     clinching_auction,
-    rank_auth_tag,
 )
-from credmarket.polymatroid import LaminarOracle, Level1Matroid, TableOracle
+from credmarket.polymatroid import (
+    LaminarOracle,
+    Level1Matroid,
+    SubstituteCloneOracle,
+    TableOracle,
+)
 
-from conftest import random_bids, random_table_oracle
+from conftest import random_bids, random_table_oracle, rechain
 
 WORKED = TableOracle(2, {(): 0.0, (0,): 2.0, (1,): 2.0, (0, 1): 3.0})
 
@@ -60,12 +68,48 @@ def test_honest_transcripts_verify_clean(rng):
         assert verdict.consistent, verdict.violations[:3]
 
 
+@st.composite
+def clinching_markets(draw):
+    """(oracle, values) over a random table, laminar or clone oracle, with
+    zero values and exact value ties among the draws."""
+    kind = draw(st.sampled_from(("table", "laminar", "clone")))
+    n = draw(st.integers(1, 6 if kind != "table" else 4))
+    if kind == "table":
+        oracle = random_table_oracle(np.random.default_rng(draw(st.integers(0, 10_000))), n)
+    else:
+        groups = draw(st.integers(1, n))
+        oracle = LaminarOracle(
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(1, 4), min_size=groups, max_size=groups)),
+            root_cap=draw(st.sampled_from((math.inf, 1.0, 3.0))),
+        )
+        if kind == "clone":
+            oracle = SubstituteCloneOracle(oracle, draw(st.integers(0, n - 1)))
+    levels = st.sampled_from((0.0, 1.0, 2.5, 2.5, 4.0, 7.25))
+    values = draw(st.lists(levels, min_size=oracle.n, max_size=oracle.n))
+    return oracle, values
+
+
+@given(clinching_markets())
+@settings(max_examples=150, deadline=None)
+def test_honest_transcripts_replay_clean_on_every_evaluator(market):
+    oracle, values = market
+    root, t, _ = run_with_transcript(oracle, values)
+    assert verify_transcript(t, root, oracle=oracle).consistent
+    assert verify_transcript(t.to_json(), root).consistent
+
+
 def test_inflated_clinch_is_flagged():
     root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
     bad = tamper_inflate_clinch(t, factor=2.0)
     verdict = verify_transcript(bad, root)
     assert not verdict.consistent
     assert any(v["kind"] == "wrong_clinch" for v in verdict.violations)
+    # chained over by the operator, the lie still fails the replay
+    assert {v["kind"] for v in verify_transcript(rechain(bad), root).violations} == {
+        "wrong_clinch"
+    }
 
 
 def test_ghost_clinch_is_flagged():
@@ -74,6 +118,9 @@ def test_ghost_clinch_is_flagged():
     verdict = verify_transcript(bad, root)
     assert not verdict.consistent
     assert any(v["kind"] == "wrong_clinch" for v in verdict.violations)
+    assert {v["kind"] for v in verify_transcript(rechain(bad), root).violations} == {
+        "wrong_clinch"
+    }
 
 
 def test_forged_rank_value_breaks_the_tag():
@@ -85,29 +132,94 @@ def test_forged_rank_value_breaks_the_tag():
 
 
 def test_retagged_forgery_needs_the_oracle():
-    # an operator that recomputes tags over lies defeats the tag check but
-    # not a verifier holding the committed rank function
+    # an operator that chains its tags over a lie defeats the tag check but
+    # not a verifier holding the committed rank function. Forging the last
+    # round's f(D) upward leaves every clinch as it was: only the oracle
+    # check sees it
     root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
-    bad = tamper_forge_rank(t, delta=1.0)
-    for e in bad.events:
-        if e["event"] == "rank_announce":
-            e["auth_tag"] = rank_auth_tag(root, set(e["subset"]), e["value"])
+    bad = rechain(tamper_forge_rank(t, delta=1.0, which=-1))
+    assert verify_transcript(bad, root).consistent
     verdict = verify_transcript(bad, root, oracle=WORKED)
     assert not verdict.consistent
-    kinds = {v["kind"] for v in verdict.violations}
-    assert "wrong_rank" in kinds or "wrong_clinch" in kinds
+    assert {v["kind"] for v in verdict.violations} == {"wrong_rank"}
+    # forged in the first round, the lie moves the clinches too
+    bad = rechain(tamper_forge_rank(t, delta=1.0, which=0))
+    kinds = {v["kind"] for v in verify_transcript(bad, root, oracle=WORKED).violations}
+    assert kinds == {"wrong_rank", "wrong_clinch"}
 
 
-@pytest.mark.parametrize("bad", [1.0, 2, -1])
+def test_replay_sells_the_clearing_rest():
+    # under these chained values no supply covers a demand, yet the demands
+    # fit f(D): the clinching rule sells each rest at the clock price. An
+    # honest flat-demand run never gets here (each supply then already
+    # covers its demand), so only a log like this one reaches the rule
+    t = ClinchTranscript(commitment_root="root")
+    t.demand(0, 2.0)
+    t.demand(1, 2.0)
+    t.round(0.0, [0, 1], 4.0, [4.0, 4.0], [[0, 2.0], [1, 2.0]])
+    assert verify_transcript(t, "root").consistent
+    unsold = ClinchTranscript(commitment_root="root", events=t.events[:2])
+    unsold.round(0.0, [0, 1], 4.0, [4.0, 4.0], [])
+    kinds = [v["kind"] for v in verify_transcript(unsold, "root").violations]
+    assert kinds == ["wrong_clinch", "wrong_clinch"]
+
+
+@pytest.mark.parametrize("bad", [1.0, True, 2, -1])
 def test_oracle_replay_rejects_ids_rank_rejects(bad):
-    # a retagged announcement naming a non-id reaches the oracle check; the
-    # replay's per-round pass must not fold 1.0 into agent 1
+    # a round naming a non-id, chained over, is an incomplete announcement:
+    # 1.0 and True are not folded into agent 1
     root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
-    e = next(e for e in t.events if e["event"] == "rank_announce")
-    e["subset"] = [0, bad]
-    e["auth_tag"] = rank_auth_tag(root, e["subset"], e["value"])
-    with pytest.raises(DomainError):
-        verify_transcript(t, root, oracle=WORKED)
+    first = next(e for e in t.events if e["event"] == "round")
+    first["active"] = [0, bad]
+    t = rechain(t)
+    for oracle in (None, WORKED):
+        verdict = verify_transcript(t, root, oracle=oracle)
+        assert [v["kind"] for v in verdict.violations][:1] == ["missing_rank"]
+
+
+#: three agents, three clock rounds: 0 and 4.0 and 6.0
+THREE = TableOracle(
+    3,
+    {
+        (): 0.0, (0,): 2.0, (1,): 2.0, (2,): 1.0,
+        (0, 1): 3.0, (0, 2): 3.0, (1, 2): 3.0, (0, 1, 2): 4.0,
+    },
+)
+
+
+def _three_round_log():
+    root, t, _ = run_with_transcript(THREE, [9.0, 6.0, 4.0])
+    kinds = [e["event"] for e in t.events]
+    assert kinds == ["demand"] * 3 + ["round", "demand", "round", "demand", "round"]
+    assert verify_transcript(t, root, oracle=THREE).consistent
+    return root, t
+
+
+@pytest.mark.parametrize(
+    "edit, kind",
+    [
+        pytest.param(lambda ev: ev[:5] + [ev[7], ev[6], ev[5]], "inauthentic_rank",
+                     id="rounds-swapped"),
+        pytest.param(lambda ev: ev[:5] + ev[6:], "inauthentic_rank", id="middle-round-omitted"),
+        # a cut tail keeps every link it has: the unfinished auction shows
+        pytest.param(lambda ev: ev[:7], "missing_rank", id="tail-truncated"),
+        # the next round lists an active set the demands do not give
+        pytest.param(lambda ev: ev[:4] + ev[5:], "missing_rank", id="leaver-demand-withheld"),
+    ],
+)
+def test_reordered_or_cut_logs_are_flagged(edit, kind):
+    root, t = _three_round_log()
+    t.events = edit(t.events)
+    for oracle in (None, THREE):
+        verdict = verify_transcript(t, root, oracle=oracle)
+        assert kind in {v["kind"] for v in verdict.violations}
+
+
+def test_truncated_log_is_flagged_when_chained_over():
+    root, t = _three_round_log()
+    t.events = t.events[:5]  # the first round and its leaver's demand
+    verdict = verify_transcript(rechain(t), root)
+    assert [v["kind"] for v in verdict.violations] == ["missing_rank"]
 
 
 def test_verify_accepts_json_and_dict_forms():
@@ -117,14 +229,20 @@ def test_verify_accepts_json_and_dict_forms():
     assert verify_transcript(json.dumps(as_dict), root).consistent
 
 
+def _one_round(**fields):
+    event = {"event": "round", "price": 0.0, "active": [0], "rank": 1.0, "drops": [0.0],
+             "clinches": [], "tag": "x"}
+    return {"events": [{"event": "demand", "agent": 0, "demand": 1.0}, {**event, **fields}]}
+
+
 def test_malformed_transcript_raises():
     with pytest.raises(StructureError):
         verify_transcript({"events": [{"event": "teleport"}]}, "root")
     with pytest.raises(StructureError):
-        verify_transcript({"events": [{"event": "clinch", "agent": 0}]}, "root")
+        verify_transcript({"events": [{"event": "demand", "agent": 0}]}, "root")
     with pytest.raises(StructureError):
         verify_transcript(42, "root")
-    # a field that fails its coercion is malformed too
+    # the per-subset format is no longer read
     with pytest.raises(StructureError):
         verify_transcript({"events": [{"event": "price_step", "price": "abc"}]}, "root")
     with pytest.raises(StructureError):
@@ -133,6 +251,15 @@ def test_malformed_transcript_raises():
                          "auth_tag": "x"}]},
             "root",
         )
+    # a field that fails its coercion is malformed too
+    for fields in ({"price": "abc"}, {"active": 5}, {"drops": None}, {"drops": "0"},
+                   {"clinches": [[0]]}, {"tag": 7}):
+        with pytest.raises(StructureError):
+            verify_transcript(_one_round(**fields), "root")
+    bare = _one_round()
+    del bare["events"][1]["drops"]
+    with pytest.raises(StructureError):
+        verify_transcript(bare, "root")
 
 
 def test_commitment_tracks_oracle_content():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: SHA-256 of each demo's stdout with no arguments
 DEMO_STDOUT_SHA256 = {
-    "broadcast_audit": "03c159f0b2dc690e5fa102bf2f0a16389d64285c9a5ddabedf26279876b8c857",
+    "broadcast_audit": "c728108e1cf061f4895c27a83fee715ec04ed864c4b0e23630c76ea57beaaa72",
     "dra_deposits": "45d01af61aa58f6bdc0d7329ab6d680c144a7a6a63929ef40dd3dd3e1b3d7edc",
     "fee_separation": "4a0542bc9c53d9bf9e8e75695a12cd83a15c5b2fa8bc56e510a59fb44321c62a",
     "ghost_operator": "a6799f6c24041f11659fb897c19b796bd3500e1f1660487254eb45726beb4cb2",

@@ -22,7 +22,6 @@ from credmarket.mechanisms import (
     first_price_outcome,
     myerson_outcome,
     posted_price_outcome,
-    rank_auth_tag,
     run_mechanism,
     vcg_outcome,
 )
@@ -351,39 +350,60 @@ def test_clinching_rejects_bad_step():
             clinching_auction(WORKED, [10.0, 5.0], step=step)
 
 
+def _chained(prev_tag, event):
+    # the chain link, written out: SHA-256 of the previous tag followed by
+    # the round's sorted-key compact JSON without its own tag
+    body = {k: v for k, v in event.items() if k != "tag"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256((prev_tag + text).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("members", [[], [7], [0, 3, 12], [9, 10, 11, 100, 1000]])
-def test_round_announcer_slices_every_drop(members):
+def test_round_events_chain_their_tags(members):
     t = ClinchTranscript(commitment_root="r00t")
-    announce = t.round_announcer(members)
-    announce(None, 1.5)
-    for k in range(len(members)):
-        announce(k, float(k))
-    assert [e["subset"] for e in t.events] == [members] + [
-        members[:k] + members[k + 1 :] for k in range(len(members))
-    ]
-    for e in t.events:
-        assert e["auth_tag"] == rank_auth_tag("r00t", e["subset"], e["value"])
+    t.demand(7, 1.0)
+    assert t.head == "r00t"
+    drops = [float(k) for k in range(len(members))]
+    t.round(0.0, members, 1.5, drops, [[m, 0.5] for m in members[:1]])
+    t.demand(7, 0.0)
+    t.round(0.25, members[1:], 2.5, drops[1:], [])
+    first, second = (e for e in t.events if e["event"] == "round")
+    # drops[k] is f(D - members[k]): the event keeps the writer's order
+    assert first["active"] == members and first["drops"] == drops
+    assert first["tag"] == _chained("r00t", first)
+    assert second["tag"] == _chained(first["tag"], second)
+    assert t.head == second["tag"]
 
 
 def test_transcript_roundtrip_and_malformed():
     t = ClinchTranscript(commitment_root="r00t")
     clinching_auction(WORKED, [10.0, 5.0], transcript=t)
     kinds = {e["event"] for e in t.events}
-    assert {"price_step", "demand", "rank_announce", "clinch"} <= kinds
+    assert kinds == {"demand", "round"}
     back = ClinchTranscript.from_json(t.to_json())
     assert back.events == t.events
+    assert back.head == t.head
     with pytest.raises(StructureError):
         ClinchTranscript.from_json('{"events": [{}]}')
     with pytest.raises(StructureError):
         ClinchTranscript.from_json("not json")
 
 
+def _first_round_tag(root, active, rank, drops=()):
+    t = ClinchTranscript(commitment_root=root)
+    t.round(0.0, active, rank, list(drops), [])
+    return t.events[0]["tag"]
+
+
 def test_rank_auth_tag_binds_root_subset_value():
-    base = rank_auth_tag("root", {0, 1}, 3.0)
-    assert rank_auth_tag("root", {1, 0}, 3.0) == base
-    assert rank_auth_tag("other", {0, 1}, 3.0) != base
-    assert rank_auth_tag("root", {0, 1}, 3.5) != base
-    assert rank_auth_tag("root", {0, 2}, 3.0) != base
+    # a round's tag authenticates its rank values: it binds the chain's
+    # root, the active set, f(D) and the drops
+    base = _first_round_tag("root", [0, 1], 3.0, [2.0, 2.0])
+    assert _first_round_tag("root", [0, 1], 3.0, [2.0, 2.0]) == base
+    assert _first_round_tag("other", [0, 1], 3.0, [2.0, 2.0]) != base
+    assert _first_round_tag("root", [0, 1], 3.5, [2.0, 2.0]) != base
+    assert _first_round_tag("root", [0, 2], 3.0, [2.0, 2.0]) != base
+    assert _first_round_tag("root", [0, 1], 3.0, [2.0, 1.0]) != base
 
 
 @pytest.mark.parametrize(
@@ -403,14 +423,17 @@ def test_rank_auth_tag_binds_root_subset_value():
     ],
 )
 def test_rank_auth_tag_is_the_sorted_compact_json_digest(root, subset, value):
-    # the tag format: SHA-256 of the sorted-key, compact JSON of
-    # {"root", "subset", "value"}
+    # the tag of a first round: SHA-256 of the commitment root followed by
+    # the sorted-key, compact JSON of the round without its tag
+    active = sorted(subset)
     text = json.dumps(
-        {"root": root, "subset": sorted(subset), "value": value},
+        {"active": active, "clinches": [], "drops": [value], "event": "round",
+         "price": 0.0, "rank": value},
         sort_keys=True,
         separators=(",", ":"),
     )
-    assert rank_auth_tag(root, subset, value) == hashlib.sha256(text.encode()).hexdigest()
+    expected = hashlib.sha256((root + text).encode()).hexdigest()
+    assert _first_round_tag(root, active, value, [value]) == expected
 
 
 def test_outcome_accessors():

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from credmarket import sim
-from credmarket.credibility import make_commitment, tamper_forge_rank, verify_transcript
+from credmarket.credibility import (
+    make_commitment,
+    tamper_forge_rank,
+    tamper_ghost_clinch,
+    tamper_inflate_clinch,
+    verify_transcript,
+)
 from credmarket.errors import ConfigError
-from credmarket.mechanisms import ClinchTranscript, clinching_auction, rank_auth_tag
+from credmarket.mechanisms import ClinchTranscript, clinching_auction
 from credmarket.polymatroid import SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
@@ -33,6 +39,8 @@ from credmarket.sim import (
     settle_posted,
     settle_threshold,
 )
+
+from conftest import rechain
 
 TINY = ScenarioConfig(rounds=3, seeds=(17,))
 
@@ -317,17 +325,26 @@ def test_small_config_digests_are_pinned(exp):
 #: SHA-256 of the rounds=4, seeds=(17, 42) clinching transcripts and
 #: verdicts below, each list joined by newlines
 CLINCH_PINS = {
-    "honest": "ecf6bed8d7f30748851027622aad2e9c7d3edafb57c40c69c12093fe3a3cbe90",
-    "sybil": "45755f3eb06abc4b46619547c80df51f48060c0b01515732bb398a8716969226",
-    "verdicts": "10af92eb8443f8a944a35ccfee3f4a5cae2be35da2b756fc3db295e9a59f5cbf",
+    "honest": "426ca077ccf717ea2ad700857daa683ff9334447e5054ef8fca44f3f199dbbf6",
+    "sybil": "1aa8d9a800b778e440dc7091c23b3e78b6cc55566de4ea900668e578356c07e3",
+    "verdicts": "f31906171b4dd0109553ab208ba368e3247e64982b85078eac18941b6002fa62",
 }
 
+#: the `consistent` flag of each verdict below, per round: the honest log,
+#: the sybil log with and without the oracle, a forged rank and a withheld
+#: round. These are the flags the per-subset transcript format gave (a
+#: withheld rank announcement in place of the round), so a re-pin of the
+#: digests above cannot hide a lost detection
+CLINCH_CONSISTENT = [True, False, False, False, False] * 8
+CLINCH_CONSISTENT[7] = True  # seed 17 round 1: the sybil log replays clean without the oracle
 
-def test_clinch_transcripts_are_pinned():
-    # byte-identical transcripts and equal verdicts, violations in order,
-    # not only the same exp2 summary digest
-    config = ScenarioConfig(rounds=4, seeds=(17, 42))
-    texts = {name: [] for name in CLINCH_PINS}
+#: events in each honest transcript: 40 opening demands, one demand per
+#: leaver and one round event per clock round
+CLINCH_EVENTS = [95, 89, 94, 91, 89, 101, 89, 92]
+
+
+def _clinch_logs(config):
+    # (profile, oracle, root, honest log, sybil log) of each small-config round
     for seed in config.seeds:
         for r in range(config.rounds):
             profile = generate_round(config, seed, r)
@@ -335,32 +352,82 @@ def test_clinch_transcripts_are_pinned():
             root = make_commitment(oracle, "clinching", "clinch_pay")
             honest = ClinchTranscript(commitment_root=root)
             clinching_auction(oracle, list(profile.bids), transcript=honest)
-            texts["honest"].append(honest.to_json())
-            verdicts = [verify_transcript(honest, root, oracle=oracle)]
             pick = best_ghost(profile)
-            if pick is not None:
-                plus = SubstituteCloneOracle(oracle, pick.source)
-                sybil = _SybilTranscript(root, plus.clone_id)
-                clinching_auction(plus, list(profile.bids) + [pick.level], transcript=sybil)
-                texts["sybil"].append(sybil.to_json())
-                # a forged value and a withheld announcement reach the
-                # inauthentic_rank and missing_rank paths of the replay
-                gap = ClinchTranscript(commitment_root=root)
-                kinds = [e["event"] for e in honest.events]
-                withheld = [k for k, kind in enumerate(kinds) if kind == "rank_announce"][2]
-                gap.events = [e for k, e in enumerate(honest.events) if k != withheld]
-                verdicts += [
-                    verify_transcript(sybil, root, oracle=oracle),
-                    verify_transcript(sybil, root),
-                    verify_transcript(tamper_forge_rank(honest, which=3), root, oracle=oracle),
-                    verify_transcript(gap, root, oracle=oracle),
-                ]
-            texts["verdicts"] += [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
+            plus = SubstituteCloneOracle(oracle, pick.source)
+            sybil = _SybilTranscript(root, plus.clone_id)
+            clinching_auction(plus, list(profile.bids) + [pick.level], transcript=sybil)
+            yield profile, oracle, root, honest, sybil
+
+
+def test_clinch_transcripts_are_pinned():
+    # byte-identical transcripts and equal verdicts, violations in order,
+    # not only the same exp2 summary digest
+    texts = {name: [] for name in CLINCH_PINS}
+    consistent, events = [], []
+    for _, oracle, root, honest, sybil in _clinch_logs(ScenarioConfig(rounds=4, seeds=(17, 42))):
+        texts["honest"].append(honest.to_json())
+        texts["sybil"].append(sybil.to_json())
+        events.append(len(honest.events))
+        # a forged value and a withheld round reach the inauthentic_rank
+        # path of the replay
+        gap = ClinchTranscript(commitment_root=root)
+        withheld = [k for k, e in enumerate(honest.events) if e["event"] == "round"][2]
+        gap.events = [e for k, e in enumerate(honest.events) if k != withheld]
+        verdicts = [
+            verify_transcript(honest, root, oracle=oracle),
+            verify_transcript(sybil, root, oracle=oracle),
+            verify_transcript(sybil, root),
+            verify_transcript(tamper_forge_rank(honest, which=3), root, oracle=oracle),
+            verify_transcript(gap, root, oracle=oracle),
+        ]
+        consistent += [v.consistent for v in verdicts]
+        texts["verdicts"] += [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
     digests = {
         name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
         for name, lines in texts.items()
     }
+    assert consistent == CLINCH_CONSISTENT
+    assert events == CLINCH_EVENTS
     assert digests == CLINCH_PINS
+
+
+def _tampered_logs(honest, n):
+    events = honest.events
+    rounds = [k for k, e in enumerate(events) if e["event"] == "round"]
+    leaver = next(k for k in range(rounds[0], len(events)) if events[k]["event"] == "demand")
+    a, b = rounds[1], rounds[2]
+
+    def edited(new_events):
+        t = ClinchTranscript(commitment_root=honest.commitment_root)
+        t.events = new_events
+        return t
+
+    def relisted(ids):
+        t = edited([dict(e) for e in events])
+        t.events[rounds[0]]["active"] = ids
+        return rechain(t)
+
+    first = events[rounds[0]]["active"]
+    return {
+        "inflate": tamper_inflate_clinch(honest),
+        "ghost-clinch": tamper_ghost_clinch(honest, agent=first[0]),
+        "forge-rank": tamper_forge_rank(honest, which=3),
+        "retagged-forgery": rechain(tamper_forge_rank(honest, which=3)),
+        "rounds-swapped": edited(events[:a] + [events[b]] + events[a + 1 : b] + [events[a]]
+                                 + events[b + 1 :]),
+        "middle-round-omitted": edited(events[:a] + events[a + 1 :]),
+        "tail-truncated": edited(events[: rounds[-1]]),
+        "leaver-demand-withheld": edited(events[:leaver] + events[leaver + 1 :]),
+        "active-float-id": relisted([float(first[0])] + first[1:]),
+        "active-out-of-range": relisted(first + [n]),
+    }
+
+
+def test_every_tamper_of_an_exp2_log_is_flagged():
+    for profile, oracle, root, honest, _ in _clinch_logs(ScenarioConfig(rounds=2, seeds=(17, 42))):
+        for name, bad in _tampered_logs(honest, profile.n).items():
+            verdict = verify_transcript(bad, root, oracle=oracle)
+            assert not verdict.consistent, name
 
 
 def test_r5_propagates_unexpected_errors(monkeypatch):
@@ -409,15 +476,19 @@ def test_sybil_transcript_withholds_the_phantom():
     t = _SybilTranscript("rootdigest", ghost_id=40)
     t.demand(3, 2.0)
     t.demand(40, 5.0)
-    t.rank_announce({3, 40}, 7.0)
-    t.clinch(40, 1.0, 0.5)
-    t.clinch(3, 1.0, 0.5)
-    kinds = [(e["event"], e.get("agent")) for e in t.events]
-    assert ("demand", 40) not in kinds
-    assert ("clinch", 40) not in kinds
-    announce = next(e for e in t.events if e["event"] == "rank_announce")
-    assert announce["subset"] == [3]
-    assert announce["auth_tag"] == rank_auth_tag("rootdigest", {3}, 7.0)
+    # executed: f(D) = 7, f(D - 3) = 5, f(D - 40) = 4
+    t.round(0.5, [3, 40], 7.0, [5.0, 4.0], [[3, 1.0], [40, 1.0]])
+    assert [e.get("agent") for e in t.events if e["event"] == "demand"] == [3]
+    (announced,) = (e for e in t.events if e["event"] == "round")
+    # relabeled to the ground set: the round lists the real members and
+    # reports the phantom's drop as their f(D)
+    assert announced["active"] == [3]
+    assert announced["rank"] == 4.0
+    assert announced["drops"] == [5.0]
+    assert announced["clinches"] == [[3, 1.0]]
+    honest = ClinchTranscript("rootdigest")
+    honest.round(0.5, [3], 4.0, [5.0], [[3, 1.0]])
+    assert announced["tag"] == honest.events[0]["tag"]
 
 
 # --------------------------------------------------------------------------
