@@ -8,6 +8,7 @@ verification violations found — pipelines branch on detection.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,7 +17,7 @@ from .credibility import make_commitment, verify_transcript
 from .errors import CredmarketError
 from .mechanisms import Mechanism, UniformPrior
 from .metrics import gamma_distribution, scaling_sweep
-from .polymatroid import LaminarOracle, TableOracle, pair_gap
+from .polymatroid import LaminarOracle, TableOracle, pair_gap, verify_axioms
 from .sim import ScenarioConfig, report_json, rows_to_csv, run_experiment
 
 EXIT_OK = 0
@@ -139,13 +140,31 @@ def _oracle_from_spec(obj, n_bids=None):
     table = {}
     try:
         for key, value in obj["table"].items():
-            if not _is_number(value):
-                raise CredmarketError(f"table value {value!r} for {key!r} is not a number")
+            # json.load reads NaN and Infinity, which pass every axiom check
+            if not _is_number(value) or not math.isfinite(value):
+                raise CredmarketError(f"table value {value!r} for {key!r} is not a finite number")
             subset = frozenset(int(t) for t in key.split(",") if t != "")
             table[subset] = float(value)
     except ValueError as exc:
         raise CredmarketError(f"bad table oracle spec: {exc}") from exc
-    return TableOracle(n_agents, table)
+    oracle = TableOracle(n_agents, table)
+    # the mechanisms assume a polymatroid: a table that is not one would
+    # price negative shares or blame the bids for its own fault
+    verdict = verify_axioms(oracle)
+    if not verdict.ok:
+        first = _violation(verdict.violations[0])
+        raise CredmarketError(f"the oracle table is not a polymatroid: {first}")
+    return oracle
+
+
+def _violation(v):
+    subset = "{" + ",".join(map(str, v["subset"])) + "}"
+    if v["kind"] == "normalisation":
+        return f"f({{}}) = {_fmt(v['value'])}, not 0"
+    if v["kind"] == "monotonicity":
+        return f"rank falls when agent {v['element']} joins {subset}"
+    i, j = v["pair"]
+    return f"agents {i} and {j} are complements over {subset} (submodularity fails)"
 
 
 def _cmd_run(args):

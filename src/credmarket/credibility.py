@@ -134,7 +134,11 @@ def _replay_round(ev, r, demands, clinched, oracle, violations):
             f_active, f_without = true_full, true_drops
 
     # per-agent supply takes, then the clearing payout if aggregate demand
-    # fits inside the announced capacity
+    # fits inside the announced capacity. An honest polymatroid log never
+    # sells in the payout: by subadditivity f(D) - f(D - i) >= d_i once the
+    # demands fit f(D), so the takes already cover them. The payout stays
+    # to replay announcements that are not a polymatroid's, which
+    # test_replay_sells_the_clearing_rest exercises
     expected = {}
     cleared = False
     if f_active is not None:

@@ -113,6 +113,29 @@ def _greedy(oracle, bids, priority, active):
     return alloc, order
 
 
+def _share(oracle, bids, i, priority, active):
+    """`_greedy(oracle, bids, priority, active)[0][i]` from two rank calls.
+
+    Agent i's greedy share is f(P + i) - f(P), P the agents served ahead of
+    it. P is grown as a set in the greedy's own order, so both sets iterate
+    as the greedy's do and meet the same memo and `_rank`: the result is
+    bitwise the greedy's, and no subset is ranked that the greedy would not.
+    """
+    if bids[i] <= 0.0 or (active is not None and i not in active):
+        return 0.0
+    taken = set()
+    for j in priority_order(bids, priority):
+        if j == i:
+            break
+        if active is not None and j not in active:
+            continue
+        if bids[j] > 0.0:
+            taken.add(j)
+    base = oracle.rank(taken) if taken else 0.0
+    taken.add(i)
+    return oracle.rank(taken) - base
+
+
 def _allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lower=0.0):
     """x_i(z) evaluated at the midpoint of each segment between breakpoints.
 
@@ -135,8 +158,7 @@ def _allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lo
         trial = list(bids)
         trial[i] = z
         prio = [priority_of(j, trial[j]) for j in range(len(bids))]
-        alloc, _ = _greedy(oracle, trial, prio, active)
-        x = alloc[i]
+        x = _share(oracle, trial, i, prio, active)
         if last_x is not None and x < last_x - 1e-9:
             raise NonMonotoneAllocationError(
                 f"allocation of agent {i} fell from {last_x} to {x} as its bid rose past {lo}"
@@ -167,9 +189,8 @@ def archer_tardos_payment(
         oracle, bids, i, priority_of, breakpoints, active, lower=eligible_from
     )
     prio = [priority_of(j, bids[j]) for j in range(len(bids))]
-    alloc, _ = _greedy(oracle, bids, prio, active)
     integral = sum((hi - lo) * x for lo, hi, x in segments)
-    return bids[i] * alloc[i] - integral
+    return bids[i] * _share(oracle, bids, i, prio, active) - integral
 
 
 def vcg_outcome(oracle, bids):
@@ -457,7 +478,13 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
                 clinch(i, take)
         cleared = total_demand <= f_active + 1e-12
         if cleared:
-            # market cleared: remaining quantities go out at the current price
+            # market cleared: remaining quantities go out at the current price.
+            # On a polymatroid this sells nothing: f(D - i) <= sum of d_j over
+            # D - i by subadditivity, so f(D) - f(D - i) >= d_i once total
+            # demand fits f(D), and the supply pass has clinched every demand.
+            # It stays because the replay applies the same rule to announced
+            # values that need not be a polymatroid's; see
+            # test_replay_sells_the_clearing_rest
             for i in members:
                 rest = demand[i] - clinched[i]
                 if rest > 1e-12:

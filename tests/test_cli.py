@@ -229,6 +229,40 @@ def test_perturb_prices_the_worked_example(tmp_path, capsys):
     assert "increment 1" in out
 
 
+# three agents whose grand coalition ranks below a pair, and one whose pairs
+# are complements; with "0,1,2": 4 the table is a polymatroid
+_THREE = {"": 0, "0": 2, "1": 2, "2": 1, "0,1": 3, "0,2": 3, "1,2": 3}
+
+
+def _three_agents(grand):
+    table = {**_THREE, "0,1,2": grand}
+    return {"bids": [9.0, 5.0, 1.0], "oracle": {"n_agents": 3, "table": table}}
+
+
+def test_perturb_prices_a_three_agent_table(tmp_path, capsys):
+    path = tmp_path / "bids.json"
+    path.write_text(json.dumps(_three_agents(4)))
+    assert dispatch(["perturb", "--bids", str(path)]) == EXIT_OK
+    assert "increment 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grand, violation", [
+    (1, "rank falls when agent 2 joins {0,1}"),
+    (10, "agents 1 and 2 are complements over {0}"),
+])
+def test_a_non_polymatroid_table_is_named(tmp_path, capsys, grand, violation):
+    content = _three_agents(grand)
+    bids, spec = tmp_path / "bids.json", tmp_path / "oracle.json"
+    bids.write_text(json.dumps(content))
+    spec.write_text(json.dumps(content["oracle"]))
+    honest, _ = _transcript_pair(tmp_path)
+    for argv in (["perturb", "--bids", str(bids)],
+                 ["verify", "--transcript", honest, "--oracle", str(spec)]):
+        assert dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not a polymatroid" in err and violation in err
+
+
 def test_perturb_rejects_incomplete_file(tmp_path, capsys):
     path = tmp_path / "bids.json"
     path.write_text(json.dumps({"bids": [1.0, 2.0]}))
@@ -305,6 +339,13 @@ def test_perturb_prices_laminar_specs(tmp_path, capsys, content):
     pytest.param({"bids": [10.0, 5.0], "oracle": {
         **WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0": True}}},
                  id="table-bool-value"),
+    pytest.param({"bids": [10.0, 5.0], "oracle": {
+        **WORKED_ORACLE, "table": {**WORKED_ORACLE["table"], "0,1": float("nan")}}},
+                 id="table-nan-value"),
+    # vcg gave agent 2 a share of -2 here, and perturb exited 0
+    pytest.param(_three_agents(1), id="table-not-monotone"),
+    # perturb blamed agent 0's falling allocation here
+    pytest.param(_three_agents(10), id="table-not-submodular"),
 ])
 def test_perturb_rejects_malformed_bid_file(tmp_path, capsys, content):
     path = tmp_path / "bids.json"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from credmarket.adversary import _ScaledOracle
 from credmarket.errors import ConfigError, DomainError, StructureError, UnsupportedPriorError
 from credmarket.mechanisms import (
     ClinchTranscript,
@@ -24,6 +25,8 @@ from credmarket.mechanisms import (
     posted_price_outcome,
     run_mechanism,
     vcg_outcome,
+    _greedy,
+    _share,
 )
 from credmarket.polymatroid import (
     LaminarOracle,
@@ -31,6 +34,9 @@ from credmarket.polymatroid import (
     RankOracle,
     SubstituteCloneOracle,
     TableOracle,
+    generate_topology,
+    make_oracle,
+    random_sp_instance,
 )
 
 from conftest import (
@@ -221,6 +227,132 @@ def test_binding_root_takes_the_generic_route(market):
             assert out.payments[a] == pytest.approx(
                 vcg_externality(oracle, bids, a), abs=1e-9
             )
+
+
+def _capped(dag, rng, floats=False):
+    # random node capacities on a generated topology, in place
+    for v in dag.nodes:
+        dag.node_capacity[v] = float(rng.uniform(0.5, 4.0) if floats else rng.integers(1, 5))
+    return dag
+
+
+def _laminar(rng, n, root="slack"):
+    # float demands and caps, so group loads depend on summation order
+    demands = rng.uniform(0.0, 3.0, size=n).round(3).tolist()
+    group_of = rng.integers(0, 4, size=n).tolist()
+    caps = rng.uniform(1.0, 9.0, size=4).round(3).tolist()
+    ground = LaminarOracle(demands, group_of, caps).rank(range(n))
+    root_cap = ground / 2 if root == "binding" else math.inf
+    return lambda: LaminarOracle(demands, group_of, caps, root_cap=root_cap)
+
+
+def _oracle_maker(kind, seed):
+    """A zero-argument builder of one fresh oracle of `kind` (own memo)."""
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        n = int(rng.integers(2, 7))
+        return lambda: random_table_oracle(np.random.default_rng(seed), n)
+    if kind == "tree_cut":
+        h, beta = [(1, 2), (1, 3), (1, 5), (2, 2)][int(rng.integers(4))]
+        dag = _capped(generate_topology("tree", h=h, beta=beta), rng, floats=True)
+        return lambda: make_oracle(dag, "tree_cut")
+    if kind == "sp":
+        dag = random_sp_instance(int(rng.integers(2, 7)), seed)
+        return lambda: make_oracle(dag, "sp_compositional")
+    if kind == "maxflow":
+        dag = _capped(generate_topology("entangled", n=int(rng.integers(4, 6))), rng)
+        return lambda: make_oracle(dag, "maxflow")
+    if kind == "clone":
+        base = _laminar(rng, int(rng.integers(2, 8)))
+        source = int(rng.integers(0, 2))
+        return lambda: SubstituteCloneOracle(base(), source)
+    if kind == "scaled":
+        n = int(rng.integers(2, 7))
+        return lambda: _ScaledOracle(random_table_oracle(np.random.default_rng(seed), n), 0.37)
+    # 40 agents: above the memo's size limit, every rank call evaluates
+    return _laminar(rng, 40, root="binding")
+
+
+@st.composite
+def share_cases(draw):
+    """A fresh-oracle builder, grid bids (zeros and ties common), agent i,
+    a priority vector (None, virtual values, or arbitrary with ties) and an
+    optional `active` subset."""
+    kind = draw(st.sampled_from(["table", "tree_cut", "sp", "maxflow", "clone", "scaled", "laminar40"]))
+    make = _oracle_maker(kind, draw(st.integers(0, 10_000)))
+    n = make().n
+    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=n, max_size=n))
+    priority = draw(st.sampled_from(["bids", "virtual", "arbitrary"]))
+    if priority == "bids":
+        prio = None
+    elif priority == "virtual":
+        prio = [2.0 * b - 11.0 for b in bids]
+    else:
+        prio = draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n))
+    active = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    return make, bids, draw(st.integers(0, n - 1)), prio, active
+
+
+@given(share_cases())
+@settings(max_examples=300, deadline=None)
+def test_share_is_bitwise_the_greedy_share(case):
+    # each side ranks through its own fresh oracle, so the memo cannot
+    # carry a value from one to the other
+    make, bids, i, prio, active = case
+    assert _share(make(), bids, i, prio, active) == _greedy(make(), bids, prio, active)[0][i]
+
+
+class _Counting:
+    """Counts `rank` calls and `_rank` evaluations on one oracle instance."""
+
+    def __init__(self, oracle):
+        self.calls = self.evals = 0
+        rank, evaluate = oracle.rank, oracle._rank
+
+        def counted_rank(subset):
+            self.calls += 1
+            return rank(subset)
+
+        def counted_eval(subset):
+            self.evals += 1
+            return evaluate(subset)
+
+        oracle.rank, oracle._rank = counted_rank, counted_eval
+
+
+def rank_work_instances():
+    """Fixed generic-route markets by name: (oracle, bids)."""
+    rng = np.random.default_rng(20261019)
+    tree = _capped(generate_topology("tree", h=1, beta=5), rng)
+    flow = _capped(generate_topology("entangled", n=5), rng)
+    return {
+        "table": (random_table_oracle(rng, 6), [float(b) for b in rng.uniform(0.5, 10.0, 6)]),
+        "tree_cut": (make_oracle(tree, "tree_cut"), [float(b) for b in rng.uniform(0.5, 10.0, 5)]),
+        "sp": (make_oracle(random_sp_instance(6, 11), "sp_compositional"),
+               [8.0, 2.5, 2.5, 6.0, 0.0, 9.5]),
+        "maxflow": (make_oracle(flow, "maxflow"), [float(b) for b in rng.uniform(0.5, 10.0, 5)]),
+    }
+
+
+# (rank evaluations, rank calls) of `vcg_outcome` on each instance when a
+# threshold payment reran the whole greedy for every segment of the curve
+RERUN_RANK_WORK = {
+    "table": (21, 168),
+    "tree_cut": (9, 35),
+    "sp": (14, 65),
+    "maxflow": (9, 35),
+}
+
+
+@pytest.mark.parametrize("name", RERUN_RANK_WORK)
+def test_threshold_payments_do_less_rank_work(name):
+    # two rank calls per segment evaluate no subset the rerun did not
+    oracle, bids = rank_work_instances()[name]
+    count = _Counting(oracle)
+    vcg_outcome(oracle, bids)
+    evals, calls = RERUN_RANK_WORK[name]
+    assert count.evals <= evals
+    assert count.calls < calls
 
 
 @given(seed=st.integers(0, 10_000))
