@@ -26,8 +26,10 @@ from .errors import (
     ConfigError,
     DomainError,
     NonMonotoneAllocationError,
+    StructureError,
     UnsupportedPriorError,
 )
+from .polymatroid import RANK_TOL
 
 PAYMENT_RULES = ("vcg", "myerson", "first_price", "posted_price")
 CLOCK_STEP = 0.01
@@ -108,9 +110,20 @@ def _greedy(oracle, bids, priority, active):
             continue
         taken.add(i)
         new = oracle.rank(taken)
-        alloc[i] = new - base
+        gain = new - base
+        if gain < -RANK_TOL:
+            raise _negative_marginal(i, gain)
+        alloc[i] = gain
         base = new
     return alloc, order
+
+
+def _negative_marginal(i, gain):
+    # a polymatroid rank is monotone, so a marginal below zero means the
+    # oracle is not one and the greedy would hand out a negative share
+    return StructureError(
+        f"rank oracle is not monotone: agent {i}'s marginal rank is {gain!r}"
+    )
 
 
 def _share(oracle, bids, i, priority, active):
@@ -133,7 +146,10 @@ def _share(oracle, bids, i, priority, active):
             taken.add(j)
     base = oracle.rank(taken) if taken else 0.0
     taken.add(i)
-    return oracle.rank(taken) - base
+    gain = oracle.rank(taken) - base
+    if gain < -RANK_TOL:
+        raise _negative_marginal(i, gain)
+    return gain
 
 
 def _allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lower=0.0):
@@ -414,8 +430,6 @@ class ClinchTranscript:
 
     @classmethod
     def from_json(cls, text):
-        from .errors import StructureError
-
         try:
             obj = json.loads(text)
             t = cls(commitment_root=obj["commitment_root"])

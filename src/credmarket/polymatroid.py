@@ -7,6 +7,14 @@ subset S of agents can obtain through the capacity network. Four evaluators
 are provided (explicit table, tree min-cut, series-parallel composition,
 generic max-flow with node capacities); they are interchangeable and are
 cross-checked against each other in the test suite.
+
+The max-flow evaluator and the token matroid share one array max-flow,
+`_max_flow`: Edmonds & Karp shortest augmenting paths over flat arc lists,
+arc e paired with its reverse e ^ 1, with no graph object. Each oracle builds
+its network once; a rank evaluation copies the residual capacities, opens
+the source arcs of its subset and augments. With integer capacities every
+push and every sum is an exact float. The structure checks of `CapacityDag`
+are plain graph passes too, so numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -62,25 +70,59 @@ class CapacityDag:
             raise ConfigError(f"unknown topology class {self.topology_class!r}")
         if any(self.node_capacity.get(v, 0.0) < 0 for v in self.nodes):
             raise ConfigError("node capacities must be nonnegative")
-        g = nx.DiGraph(self.edges)
-        g.add_nodes_from(self.nodes)
-        if not nx.is_directed_acyclic_graph(g):
+        succ = {v: [] for v in self.nodes}
+        for u, v in self.edges:
+            succ.setdefault(u, []).append(v)
+            succ.setdefault(v, [])
+        # Kahn's order: a node enters once all its in-edges are spent, so a
+        # cycle leaves nodes out
+        indegree = dict.fromkeys(succ, 0)
+        for _, v in self.edges:
+            indegree[v] += 1
+        order = [v for v, d in indegree.items() if d == 0]
+        for u in order:
+            for v in succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    order.append(v)
+        if len(order) < len(succ):
             raise StructureError("capacity graph contains a cycle")
+        # in reverse topological order each node's successors are settled
+        reaches = set()
+        for v in reversed(order):
+            if v == self.sink or any(w in reaches for w in succ[v]):
+                reaches.add(v)
         for agent, leaf in self.leaves.items():
-            if leaf != self.sink and not nx.has_path(g, leaf, self.sink):
+            if leaf != self.sink and leaf not in reaches:
                 raise StructureError(f"leaf of agent {agent} cannot reach the sink")
         if self.topology_class == "tree":
-            self._check_tree(g)
+            self._check_tree(succ)
         if self.topology_class == "sp" and self.sp_tree is None:
             if not _reduces_series_parallel(self):
                 raise StructureError("graph fails series-parallel recognition")
 
-    def _check_tree(self, g):
-        und = g.to_undirected()
-        if g.number_of_edges() != len(self.nodes) - 1 or not nx.is_connected(und):
+    def _check_tree(self, succ):
+        edges = set(map(tuple, self.edges))
+        # union-find over every node an edge or the node list names
+        root = {v: v for v in succ}
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        parts = len(root)
+        for u, v in edges:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                root[ru] = rv
+                parts -= 1
+        if len(edges) != len(self.nodes) - 1 or parts != 1:
             raise StructureError("tree topology must be a connected tree")
+        out_degree = Counter(u for u, _ in edges)
         for v in self.nodes:
-            if v != self.sink and g.out_degree(v) != 1:
+            if v != self.sink and out_degree[v] != 1:
                 raise StructureError("tree nodes must have a unique edge toward the sink")
 
     @property
@@ -89,32 +131,94 @@ class CapacityDag:
 
 
 def _reduces_series_parallel(dag):
-    # Classic two-terminal reduction: join all leaves to a virtual source,
-    # then alternately merge parallel edges and contract degree-2 internal
-    # vertices. SP iff the multigraph collapses to a single source-sink edge.
-    g = nx.MultiGraph()
-    g.add_nodes_from(dag.nodes)
-    g.add_edges_from((u, v) for u, v in dag.edges)
+    # Classic two-terminal reduction on the undirected multigraph (each
+    # node's neighbours counted with multiplicity): join all leaves to a
+    # virtual source, then alternately merge parallel edges and contract
+    # degree-2 internal vertices. SP iff it collapses to one source-sink edge.
+    adj = {v: Counter() for v in dag.nodes}
+
+    def join(u, v):
+        adj.setdefault(u, Counter())[v] += 1
+        adj.setdefault(v, Counter())[u] += 1
+
+    for u, v in dag.edges:
+        join(u, v)
     src = "__src__"
     for leaf in set(dag.leaves.values()):
-        g.add_edge(src, leaf)
+        join(src, leaf)
     changed = True
     while changed:
         changed = False
-        for u, v in list(g.edges()):
-            if g.number_of_edges(u, v) > 1:
-                while g.number_of_edges(u, v) > 1:
-                    g.remove_edge(u, v)
-                changed = True
-        for v in list(g.nodes()):
-            if v in (src, dag.sink) or g.degree(v) != 2:
+        for nbrs in adj.values():
+            for w, count in nbrs.items():
+                if count > 1:
+                    nbrs[w] = 1
+                    changed = True
+        for v in list(adj):
+            if v in (src, dag.sink) or sum(adj[v].values()) != 2:
                 continue
-            nbrs = [w for w in g.neighbors(v) if w != v]
+            nbrs = [w for w in adj[v] if w != v]
             if len(nbrs) == 2:
-                g.remove_node(v)
-                g.add_edge(nbrs[0], nbrs[1])
+                for w in nbrs:
+                    del adj[w][v]
+                del adj[v]
+                join(*nbrs)
                 changed = True
-    return g.number_of_nodes() == 2 and g.number_of_edges(src, dag.sink) == 1
+    return len(adj) == 2 and adj.get(src, Counter())[dag.sink] == 1
+
+
+# --------------------------------------------------------------------------
+# Array max-flow
+# --------------------------------------------------------------------------
+
+
+def _add_arc(adj, head, cap, u, v, c):
+    """Append the arc u -> v of capacity c under an even id e, and its
+    reverse v -> u, of capacity 0, under e ^ 1."""
+    adj[u].append(len(head))
+    head.append(v)
+    cap.append(c)
+    adj[v].append(len(head))
+    head.append(u)
+    cap.append(0.0)
+
+
+def _max_flow(adj, head, residual, source, sink):
+    """Value of a maximum source-sink flow (Edmonds & Karp, JACM 1972).
+
+    `adj[u]` lists the arcs leaving node u, arc e runs to `head[e]`, and
+    `residual[e]` is its residual capacity, consumed in place. Each round
+    finds a shortest residual path by BFS and pushes its bottleneck, which
+    leaves that arc at exactly zero. A path of infinite arcs only would
+    push infinity; callers rule such paths out before they call.
+    """
+    flow = 0.0
+    n = len(adj)
+    while True:
+        via = [None] * n  # the arc each reached node was entered by
+        via[source] = -1
+        queue = [source]
+        for u in queue:
+            for e in adj[u]:
+                v = head[e]
+                if via[v] is None and residual[e] > 0.0:
+                    via[v] = e
+                    queue.append(v)
+            if via[sink] is not None:
+                break
+        else:
+            return flow
+        path = []
+        v = sink
+        while v != source:
+            e = via[v]
+            path.append(e)
+            v = head[e ^ 1]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[e ^ 1] += push
+        flow += push
 
 
 # --------------------------------------------------------------------------
@@ -388,34 +492,62 @@ class SPOracle(RankOracle):
 
 
 class MaxflowOracle(RankOracle):
-    """Generic max-flow evaluator; node capacities split into edge capacities."""
+    """Generic max-flow evaluator on the node-split network.
+
+    Node v becomes an arc v_in -> v_out carrying its capacity, each DAG edge
+    an uncapacitated arc u_out -> v_in, and each agent a source arc into its
+    leaf, closed until `_rank` opens it for the agents of the subset. The
+    network is built once, from the capacities the DAG holds at
+    construction.
+    """
 
     evaluator = "maxflow"
 
     def __init__(self, dag):
         super().__init__(dag.n_agents)
         self.dag = dag
-
-    def _split_graph(self):
-        g = nx.DiGraph()
-        for v in self.dag.nodes:
-            c = self.dag.node_capacity[v]
-            if math.isinf(c):
-                g.add_edge((v, "in"), (v, "out"))
-            else:
-                g.add_edge((v, "in"), (v, "out"), capacity=c)
-        for u, v in self.dag.edges:
-            g.add_edge((u, "out"), (v, "in"))
-        return g
+        # node v splits into v_in = 2k and v_out = 2k + 1; the source is last
+        ends = (v for edge in dag.edges for v in edge)
+        names = dict.fromkeys((*dag.nodes, *ends, *dag.leaves.values(), dag.sink))
+        k = {v: i for i, v in enumerate(names)}
+        self._source = 2 * len(k)
+        self._target = 2 * k[dag.sink] + 1
+        self._adj = [[] for _ in range(self._source + 1)]
+        self._head, self._capacity = [], []
+        arcs = (self._adj, self._head, self._capacity)
+        for v in dict.fromkeys(dag.nodes):
+            _add_arc(*arcs, 2 * k[v], 2 * k[v] + 1, dag.node_capacity[v])
+        for u, v in dag.edges:
+            _add_arc(*arcs, 2 * k[u] + 1, 2 * k[v], math.inf)
+        self._source_arc = []
+        for a in range(self.n):
+            self._source_arc.append(len(self._head))
+            _add_arc(*arcs, self._source, 2 * k[dag.leaves[a]], 0.0)
+        # a leaf that reaches the sink over infinite arcs alone would carry
+        # unbounded flow: search back from the sink along those arcs (an
+        # odd arc is the reverse of one entering its tail)
+        reached = {self._target}
+        queue = [self._target]
+        for x in queue:
+            for e in self._adj[x]:
+                u = self._head[e]
+                if e & 1 and u not in reached and self._capacity[e ^ 1] == math.inf:
+                    reached.add(u)
+                    queue.append(u)
+        for a in range(self.n):
+            if 2 * k[dag.leaves[a]] in reached:
+                raise StructureError(
+                    f"agent {a} reaches the sink through infinite capacities "
+                    "only: its rank is unbounded"
+                )
 
     def _rank(self, subset):
         if not subset:
             return 0.0
-        g = self._split_graph()
+        residual = self._capacity.copy()
         for agent in subset:
-            g.add_edge("__src__", (self.dag.leaves[agent], "in"))
-        value, _ = nx.maximum_flow(g, "__src__", (self.dag.sink, "out"))
-        return float(value)
+            residual[self._source_arc[agent]] = math.inf
+        return _max_flow(self._adj, self._head, residual, self._source, self._target)
 
     def describe(self):
         return {"evaluator": self.evaluator, "dag": dag_to_obj(self.dag)}
@@ -985,6 +1117,22 @@ class Level1Matroid:
         self.tokens = tuple(
             (k, t) for k, c in enumerate(self.capacities) for t in range(c)
         )
+        # the bipartite network source -> agent -> integrator -> sink:
+        # agents are nodes 0..m-1, integrators m..m+K-1, then source and
+        # sink; every source arc stays closed until `matroid_rank` opens it
+        m, n_int = len(self.agents), len(caps)
+        self._source, self._sink = m + n_int, m + n_int + 1
+        self._adj = [[] for _ in range(m + n_int + 2)]
+        self._head, self._capacity = [], []
+        arcs = (self._adj, self._head, self._capacity)
+        for k, c in enumerate(caps):
+            _add_arc(*arcs, m + k, self._sink, float(c))
+        self._source_arc = {}
+        for i, a in enumerate(self.agents):
+            self._source_arc[a] = len(self._head)
+            _add_arc(*arcs, self._source, i, 0.0)
+            for k in sorted(self.eligibility[a]):
+                _add_arc(*arcs, i, m + k, 1.0)
 
     def matroid_rank(self, subset):
         """Max number of agents in `subset` simultaneously assignable."""
@@ -992,19 +1140,10 @@ class Level1Matroid:
         for a in subset:
             if a not in self.eligibility:
                 raise DomainError(f"agent {a!r} is not in the matroid ground set")
-        if not subset:
-            return 0
-        g = nx.DiGraph()
+        residual = self._capacity.copy()
         for a in subset:
-            g.add_edge("s", ("a", a), capacity=1)
-            for k in self.eligibility[a]:
-                g.add_edge(("a", a), ("k", k), capacity=1)
-        for k, c in enumerate(self.capacities):
-            g.add_edge(("k", k), "t", capacity=c)
-        if ("t" not in g) or ("s" not in g):
-            return 0
-        value, _ = nx.maximum_flow(g, "s", "t")
-        return int(value)
+            residual[self._source_arc[a]] = 1.0
+        return int(_max_flow(self._adj, self._head, residual, self._source, self._sink))
 
     def is_independent(self, subset):
         return self.matroid_rank(subset) == len(set(subset))

@@ -57,6 +57,43 @@ def bruteforce_cut_rank(dag, subset):
     return best
 
 
+def networkx_flow_rank(dag, subset):
+    """f(S) as networkx's maximum flow on the node-split graph: node v
+    becomes the edge (v, in) -> (v, out) of its capacity, an infinite
+    capacity leaves the edge uncapacitated, and a source feeds S's leaves."""
+    if not subset:
+        return 0.0
+    g = nx.DiGraph()
+    for v in dag.nodes:
+        cap = dag.node_capacity[v]
+        if cap == float("inf"):
+            g.add_edge((v, "in"), (v, "out"))
+        else:
+            g.add_edge((v, "in"), (v, "out"), capacity=cap)
+    for u, v in dag.edges:
+        g.add_edge((u, "out"), (v, "in"))
+    for agent in subset:
+        g.add_edge("__src__", (dag.leaves[agent], "in"))
+    value, _ = nx.maximum_flow(g, "__src__", (dag.sink, "out"))
+    return float(value)
+
+
+def networkx_matroid_rank(capacities, eligibility, subset):
+    """The token matroid's rank as networkx's maximum flow through
+    source -> agent -> eligible integrator -> sink, unit arcs up to the
+    integrators' token budgets."""
+    g = nx.DiGraph()
+    g.add_nodes_from(("s", "t"))
+    for a in subset:
+        g.add_edge("s", ("a", a), capacity=1)
+        for k in eligibility[a]:
+            g.add_edge(("a", a), ("k", k), capacity=1)
+    for k, c in enumerate(capacities):
+        g.add_edge(("k", k), "t", capacity=c)
+    value, _ = nx.maximum_flow(g, "s", "t")
+    return int(value)
+
+
 # --------------------------------------------------------------------------
 # Reference oracle 2: payment by dense-grid quadrature of the bid-axis
 # allocation curve (pointwise greedy reruns; no breakpoint integral)

@@ -1,6 +1,10 @@
-"""Every name the package, the tests and the demos import is read."""
+"""Every name the package, the tests and the demos import is read, and the
+package imports nothing beyond its runtime dependencies."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,13 @@ def test_the_scan_sees_unread_and_exempt_names():
         "np.zeros(dumps([]))\n"
     )
     assert _unread_imports(tree) == [(2, "os")]
+
+
+def test_the_package_imports_no_graph_library():
+    # networkx is the tests' reference max-flow, not a runtime dependency
+    probe = "import sys, credmarket; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -302,6 +302,25 @@ def test_share_is_bitwise_the_greedy_share(case):
     assert _share(make(), bids, i, prio, active) == _greedy(make(), bids, prio, active)[0][i]
 
 
+NON_MONOTONE = TableOracle(3, {
+    (): 0, (0,): 2, (1,): 2, (2,): 1, (0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 1,
+})
+
+
+def test_non_monotone_oracle_fails_loudly():
+    # f(D) = 1 < f({0, 1}) = 3: the greedy would give agent 2 a share of -2
+    message = r"^rank oracle is not monotone: agent 2's marginal rank is -2\.0$"
+    bids = [9.0, 5.0, 1.0]
+    with pytest.raises(StructureError, match=message):
+        vcg_outcome(NON_MONOTONE, bids)
+    with pytest.raises(StructureError, match=message):
+        edmonds_greedy(NON_MONOTONE, bids)
+    with pytest.raises(StructureError, match=message):
+        _share(NON_MONOTONE, bids, 2, None, None)
+    # agents ahead of the drop keep their monotone shares
+    assert _share(NON_MONOTONE, bids, 1, None, None) == 1.0
+
+
 class _Counting:
     """Counts `rank` calls and `_rank` evaluations on one oracle instance."""
 

@@ -13,11 +13,14 @@ from credmarket.errors import (
     DomainError,
     Level2RegimeError,
     MatroidBoundaryError,
+    StructureError,
 )
 from credmarket.polymatroid import (
     EXHAUSTIVE_AXIOM_LIMIT,
+    CapacityDag,
     LaminarOracle,
     Level1Matroid,
+    MaxflowOracle,
     SubstituteCloneOracle,
     TableOracle,
     entangled_oracle,
@@ -30,7 +33,12 @@ from credmarket.polymatroid import (
     verify_axioms,
 )
 
-from conftest import bruteforce_cut_rank, random_table_oracle
+from conftest import (
+    bruteforce_cut_rank,
+    networkx_flow_rank,
+    networkx_matroid_rank,
+    random_table_oracle,
+)
 
 
 def all_subsets(n):
@@ -97,17 +105,17 @@ def test_generated_topology_oracles_are_polymatroids(n, seed):
 # Cut enumeration agrees with the production evaluators
 
 
-@pytest.mark.parametrize(
-    "dag_factory",
-    [
-        lambda: generate_topology("series", n=3, d=2),
-        lambda: generate_topology("parallel", n=4, k=2),
-        lambda: generate_topology("tree", h=2, beta=2),
-        lambda: generate_topology("sp", n=4),
-        lambda: generate_topology("sp", n=5, seed=7),
-        lambda: generate_topology("sp", n=4, seed=99),
-    ],
-)
+CUT_DAGS = [
+    lambda: generate_topology("series", n=3, d=2),
+    lambda: generate_topology("parallel", n=4, k=2),
+    lambda: generate_topology("tree", h=2, beta=2),
+    lambda: generate_topology("sp", n=4),
+    lambda: generate_topology("sp", n=5, seed=7),
+    lambda: generate_topology("sp", n=4, seed=99),
+]
+
+
+@pytest.mark.parametrize("dag_factory", CUT_DAGS)
 def test_rank_matches_bruteforce_cut(dag_factory):
     dag = dag_factory()
     oracle = make_oracle(dag)
@@ -115,6 +123,84 @@ def test_rank_matches_bruteforce_cut(dag_factory):
         assert oracle.rank(s) == pytest.approx(
             bruteforce_cut_rank(dag, s), abs=1e-9
         ), f"subset {sorted(s)}"
+
+
+@pytest.mark.parametrize("dag_factory", CUT_DAGS)
+def test_maxflow_matches_bruteforce_cut(dag_factory):
+    dag = dag_factory()
+    oracle = make_oracle(dag, "maxflow")
+    for s in all_subsets(dag.n_agents):
+        assert oracle.rank(s) == bruteforce_cut_rank(dag, s), f"subset {sorted(s)}"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_maxflow_matches_entangled_closed_form(n):
+    flow = make_oracle(generate_topology("entangled", n), "maxflow")
+    closed = entangled_oracle(n)
+    for s in all_subsets(n):
+        assert flow.rank(s) == closed.rank(s), f"subset {sorted(s)}"
+
+
+@st.composite
+def flow_dags(draw, integer):
+    """A random DAG on v0..v{m-1} with sink v{m-1}: every other node has an
+    edge to a later one, so every node reaches the sink. Inner nodes may be
+    uncapacitated; the sink is not, which bounds every flow."""
+    m = draw(st.integers(3, 8))
+    nodes = [f"v{i}" for i in range(m)]
+    edges = []
+    for i in range(m - 1):
+        later = st.sampled_from(nodes[i + 1 :])
+        edges += [(nodes[i], v) for v in draw(st.lists(later, min_size=1, max_size=3, unique=True))]
+    cap = st.integers(0, 4).map(float) if integer else st.floats(0.1, 10.0)
+    caps = {v: draw(st.one_of(cap, st.just(math.inf))) for v in nodes[:-1]}
+    caps[nodes[-1]] = draw(cap)
+    n_agents = draw(st.integers(1, 4))
+    leaves = {a: draw(st.sampled_from(nodes[:-1])) for a in range(n_agents)}
+    return CapacityDag(nodes, caps, edges, leaves, nodes[-1], "general")
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_dags(integer=True))
+def test_maxflow_is_networkx_flow_on_integer_capacities(dag):
+    oracle = MaxflowOracle(dag)
+    for s in all_subsets(dag.n_agents):
+        assert oracle.rank(s) == networkx_flow_rank(dag, s), f"subset {sorted(s)}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_dags(integer=False))
+def test_maxflow_matches_networkx_flow_on_float_capacities(dag):
+    oracle = MaxflowOracle(dag)
+    for s in all_subsets(dag.n_agents):
+        assert math.isclose(oracle.rank(s), networkx_flow_rank(dag, s), rel_tol=1e-12)
+
+
+def test_maxflow_reroutes_along_reverse_arcs():
+    # the first shortest path sends agent 0 through x, the only way out for
+    # agent 1; the maximum needs that unit pushed back and sent through y
+    nodes = ["a", "b", "x", "y", "s"]
+    caps = {"a": 1.0, "b": 1.0, "x": 1.0, "y": 1.0, "s": math.inf}
+    edges = [("a", "x"), ("a", "y"), ("b", "x"), ("x", "s"), ("y", "s")]
+    dag = CapacityDag(nodes, caps, edges, {0: "a", 1: "b"}, "s", "general")
+    assert MaxflowOracle(dag).rank({0, 1}) == 2.0
+
+
+@pytest.mark.parametrize("caps, edges, leaves, message", [
+    pytest.param(
+        {"a": math.inf, "s": math.inf}, [("a", "s")], {0: "a"}, "agent 0 reaches",
+        id="bare-leaf",
+    ),
+    pytest.param(
+        # agent 0's own leaf is bounded; agent 1 enters past it
+        {"a": 2.0, "b": math.inf, "s": math.inf}, [("a", "b"), ("b", "s")],
+        {0: "a", 1: "b"}, "agent 1 reaches", id="behind-a-bounded-leaf",
+    ),
+])
+def test_unbounded_flow_is_a_structure_error(caps, edges, leaves, message):
+    dag = CapacityDag(list(caps), caps, edges, leaves, "s", "general")
+    with pytest.raises(StructureError, match=f"^{message} the sink through infinite capacities"):
+        MaxflowOracle(dag)
 
 
 def test_sp_chain_pair_gaps_are_unit():
@@ -350,6 +436,18 @@ def test_level1_matroid_oracle_matches_matroid_rank():
     assert verify_axioms(oracle).ok
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_level1_matroid_rank_is_networkx_flow(data):
+    capacities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    integrators = st.sets(st.integers(0, len(capacities) - 1))
+    eligibility = data.draw(st.dictionaries(st.integers(0, 9), integrators, min_size=1, max_size=5))
+    m = Level1Matroid(capacities, eligibility)
+    for r in range(len(m.agents) + 1):
+        for s in itertools.combinations(m.agents, r):
+            assert m.matroid_rank(s) == networkx_matroid_rank(capacities, eligibility, s)
+
+
 def test_fractional_capacity_is_level2():
     with pytest.raises(Level2RegimeError):
         Level1Matroid([1.5, 2], {0: {0}, 1: {1}})
@@ -427,3 +525,53 @@ def test_infinite_root_is_supported():
 def test_laminar_oracle_rejects_malformed_inputs(demands, group_of, group_caps, root_cap):
     with pytest.raises(ConfigError):
         LaminarOracle(demands, group_of, group_caps, root_cap=root_cap)
+
+
+# --------------------------------------------------------------------------
+# Capacity DAG structure checks
+
+
+@pytest.mark.parametrize("nodes, edges, leaves, sink, cls, message", [
+    pytest.param(
+        ["a", "b", "t"], [("a", "b"), ("b", "a"), ("b", "t")], {0: "a"}, "t", "general",
+        "capacity graph contains a cycle", id="cycle",
+    ),
+    pytest.param(
+        ["a", "b", "t"], [("b", "t")], {0: "b", 1: "a"}, "t", "general",
+        "leaf of agent 1 cannot reach the sink", id="stranded-leaf",
+    ),
+    pytest.param(
+        # five nodes and four edges, but a-b-r closes a loop and c-d floats
+        ["r", "a", "b", "c", "d"], [("a", "r"), ("b", "r"), ("a", "b"), ("c", "d")],
+        {0: "a"}, "r", "tree", "tree topology must be a connected tree", id="disconnected-tree",
+    ),
+    pytest.param(
+        ["r", "a", "b"], [("a", "r"), ("a", "b")], {0: "a"}, "r", "tree",
+        "tree nodes must have a unique edge toward the sink", id="two-out-edges",
+    ),
+    pytest.param(
+        # the Wheatstone bridge: every inner vertex keeps degree 3
+        ["s", "a", "b", "t"], [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")],
+        {0: "s"}, "t", "sp", "graph fails series-parallel recognition", id="wheatstone",
+    ),
+])
+def test_capacity_dag_rejects_bad_structure(nodes, edges, leaves, sink, cls, message):
+    caps = dict.fromkeys(nodes, 1.0)
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        CapacityDag(nodes, caps, edges, leaves, sink, cls)
+
+
+def test_series_parallel_recognition_accepts_without_grammar():
+    # two leaves joined, then a link: parallel then series reductions
+    nodes = ["l0", "l1", "j", "t"]
+    dag = CapacityDag(
+        nodes, dict.fromkeys(nodes, 1.0), [("l0", "j"), ("l1", "j"), ("j", "t")],
+        {0: "l0", 1: "l1"}, "t", "sp",
+    )
+    assert dag.sp_tree is None
+    # every grammar-built network is recognised from its bare graph too
+    for seed in range(20):
+        built = random_sp_instance(5, seed)
+        CapacityDag(
+            built.nodes, built.node_capacity, built.edges, built.leaves, built.sink, "sp"
+        )
