@@ -27,6 +27,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -682,7 +683,10 @@ class LaminarOracle(RankOracle):
         agent keeps the breakpoints [0.0] + sorted(levels below b_a) +
         [b_a], the midpoint evaluation and the ascending `sum` of segment
         areas, which makes each payment bitwise equal to integrating the
-        curve segment by segment, as the generic route does.
+        curve segment by segment, as the generic route does. That `sum` is
+        CPython 3.11's plain left-to-right float addition (3.12 compensates
+        it), which `settle_placements`, the batch form of this method for
+        phantom placements, reproduces with `np.cumsum`.
         """
         members = self.group_members[g]
         demands, cap = self._demand_list, self._cap_list[g]
@@ -732,6 +736,86 @@ class LaminarOracle(RankOracle):
             area = sum(max(0.0, min(d_a, cap - (t - d_a))) * w for t, w in segs[k:j])
             pay[a] = b_a * alloc[a] - area
         return alloc, pay
+
+    @cached_property
+    def _member_table(self):
+        """(ids, demand, slot, tri) for `settle_placements`: the members of
+        group g as column g of an (M, groups) id array padded with id n to
+        the largest group M, their demands (zero-padded), each agent's
+        position in its group, and the (M, M, 1) mask tri[a, c] = c < a of
+        earlier positions."""
+        width = max(map(len, self.group_members))
+        ids = np.full((width, len(self.group_members)), self.n)
+        slot = np.zeros(self.n, dtype=int)
+        for g, members in enumerate(self.group_members):
+            ids[: len(members), g] = members
+            slot[list(members)] = range(len(members))
+        demand = np.append(self.demands, 0.0)[ids]
+        return ids, demand, slot, np.tri(width, k=-1, dtype=bool)[:, :, None]
+
+    def settle_placements(self, bids, groups, sources, levels):
+        """`settle_group` for a batch of W phantom placements, in one array
+        pass.
+
+        Placement w adds a substitute clone of member `sources[w]` of group
+        `groups[w]`, bidding `levels[w]`, a level strictly inside a bid
+        window above the source: above its bid and equal to no member's
+        bid. The clone then holds the source's footprint at that level and
+        the source is not served. Returns (alloc, pay), two (W, M) float
+        arrays: row w holds the real members of its group in
+        `group_members` order, zero-padded to the largest group M. The
+        phantom itself is not priced.
+
+        Each row is `settle_group(groups[w], bids, sources[w], levels[w])`
+        on the real members, bitwise under its integer invariant: each
+        footprint's served amount is its demand capped by the cap less the
+        footprint demand ahead of it, ties in id order (the greedy fill's
+        residual); the breakpoints are 0.0, every member bid and the clone
+        level, sorted, where repeats only add zero-width segments whose
+        +0.0 areas leave every partial sum as it is; and the segment areas
+        accumulate along the segment axis with `np.cumsum`, in the order
+        CPython 3.11's `sum` adds them.
+        """
+        bids = np.asarray(bids, dtype=float)
+        groups = np.asarray(groups, dtype=int)
+        sources = np.asarray(sources, dtype=int)
+        levels = np.asarray(levels, dtype=float)
+        ids, demand, slot, tri = self._member_table
+        # (member position, placement) arrays: the long placement axis
+        # runs innermost, so every array op makes few, long inner loops
+        bid = np.append(bids, 0.0)[ids[:, groups]]
+        demand = demand[:, groups]
+        cap = self.group_caps[groups]
+        source = np.arange(len(ids))[:, None] == slot[sources]
+        if (
+            (self.group_of[sources] != groups).any()
+            or not (levels > bids[sources]).all()
+            or (bid == levels).any()
+        ):
+            raise DomainError(
+                "each clone level must lie inside a bid window above a "
+                "source of its group"
+            )
+        # footprints: every member at its bid, the source's at the clone's
+        # level; c is ahead of a above it, or tied and earlier in id order
+        level = np.where(source, levels, bid)
+        feet = level > 0
+        foot = np.where(feet, demand, 0.0)
+        ahead = np.where(tri, level >= level[:, None], level > level[:, None])
+        residual = np.maximum(0.0, cap - np.einsum("acw,cw->aw", ahead, foot))
+        alloc = np.where(feet & ~source, np.minimum(demand, residual), 0.0)
+        # segment k spans zs[k]..zs[k+1]; T, the footprint demand strictly
+        # above its midpoint, is constant on it
+        zs = np.sort(np.concatenate((np.zeros((1, len(levels))), bid, levels[None])), axis=0)
+        lo, hi = zs[:-1], zs[1:]
+        t = np.einsum("kcw,cw->kw", level > ((lo + hi) / 2.0)[:, None], foot)
+        # (segment, member, placement): a member's segments run up to its
+        # bid, the ones above it have zero width
+        width = np.where(hi[:, None] <= bid, (hi - lo)[:, None], 0.0)
+        segments = np.maximum(0.0, np.minimum(demand, cap - (t[:, None] - demand))) * width
+        area = np.cumsum(segments, axis=0)[-1]
+        pay = np.where(alloc > RANK_TOL, bid * alloc - area, 0.0)
+        return alloc.T, pay.T
 
     def describe(self):
         return {
@@ -1114,9 +1198,6 @@ class Level1Matroid:
             if bad:
                 raise ConfigError(f"agent {a} eligible for unknown integrator {bad[0]}")
         self.agents = tuple(sorted(self.eligibility))
-        self.tokens = tuple(
-            (k, t) for k, c in enumerate(self.capacities) for t in range(c)
-        )
         # the bipartite network source -> agent -> integrator -> sink:
         # agents are nodes 0..m-1, integrators m..m+K-1, then source and
         # sink; every source arc stays closed until `matroid_rank` opens it

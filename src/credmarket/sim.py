@@ -8,8 +8,11 @@ best unexpired value and the round demand is the arrived unit count.
 
 The root never binds, so a round's `LaminarOracle` (pods as groups)
 settles in closed form through `mechanisms.vcg_outcome`, and the ghost
-world through a `SubstituteCloneOracle` over it. The ghost scan and its
-certificates settle one pod per placement with `settle_group`.
+world through a `SubstituteCloneOracle` over it. The ghost scan settles
+all of a round's phantom placements in one array pass
+(`settle_placements`); the certificates settle one pod each with
+`settle_group`. Each agent's draws replay numpy's seeded PCG64 stream in
+Python (`_stream`).
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -29,6 +32,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from ._stream import Stream, entropy_words, seed_states
 from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
 from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
@@ -224,23 +228,35 @@ def generate_round(config, seed, round_index):
     Poisson; each draws a latency (tier base times jitter), a deadline,
     and a base value; it contributes only if it beats its deadline, after
     latency decay. The bid is the best surviving task value.
+
+    The substream is numpy 2.4's PCG64 `Generator` seeded with the triple
+    through numpy's seed-sequence hashing, replayed bit for bit by
+    `_stream`: the hashing runs once per round over all agents as uint64
+    columns, and each agent's PCG64 state and draws run on Python ints.
+    The digests therefore do not depend on the installed numpy;
+    `tests/test_sim.py` compares the streams with numpy's own and flags a
+    release whose streams differ.
     """
     pods = config.pods()
     lam = config.value_decay_per_ms
+    rate = config.arrival_rate
+    deadlines = config.deadlines_ms
+    n_deadlines = len(deadlines)
+    # every agent id is below 2**32 (one entropy word), so the rows align
+    prefix = entropy_words(seed) + entropy_words(round_index)
+    states = seed_states([prefix + [a] for a in range(config.n_agents)]).tolist()
     bids, demands, pod_of = [], [], []
     agent = 0
     for pid, pod in enumerate(pods):
         base_lat = config.tier_latencies_ms[pod.tier]
         jit_hi = TIER_JITTER_HI[pod.tier]
         for units in pod.units:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, round_index, agent])
-            )
-            k = int(rng.poisson(config.arrival_rate))
+            rng = Stream(states[agent])
+            k = rng.poisson(rate)
             best = 0.0
             for _ in range(k):
                 latency = base_lat * rng.uniform(0.5, jit_hi)
-                deadline = config.deadlines_ms[rng.integers(len(config.deadlines_ms))]
+                deadline = deadlines[rng.integers(n_deadlines)]
                 if latency <= deadline:
                     value = rng.uniform(VALUE_LO, VALUE_HI) * math.exp(-lam * latency)
                     best = max(best, value)
@@ -330,13 +346,17 @@ def ghost_candidates(profile, alloc=None, pay=None):
     covers the pod (its zero outcome must be producible by some honest
     field); sleepers and already-displaced members carry no such burden.
     Candidate levels sit inside each bid window above the source.
+
+    The round's placements settle in one `LaminarOracle.settle_placements`
+    array pass; surplus and damage then add up over each pod's members in
+    id order, from 0.0, as a running sum would.
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
     oracle = profile.oracle
     bids, demands = profile.bids.tolist(), profile.demands.tolist()
     caps = profile.pod_caps.tolist()
-    out = []
+    placements = []
     for p, members in enumerate(oracle.group_members):
         cap = caps[p]
         levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
@@ -355,15 +375,30 @@ def ghost_candidates(profile, alloc=None, pay=None):
                 hi = tops[w]
                 if hi - lo <= 1e-6:
                     continue
-                level = lo + 0.9 * (hi - lo)
-                dev_alloc, dev_pay = oracle.settle_group(p, bids, source, level)
-                surplus = damage = 0.0
-                for m in members:
-                    surplus += dev_pay[m] - pay.get(m, 0.0)
-                    damage += (alloc.get(m, 0.0) - dev_alloc[m]) * bids[m]
-                if surplus > POS_TOL:
-                    out.append(GhostCandidate(surplus, damage, source, level, p))
-    return out
+                placements.append((p, source, lo + 0.9 * (hi - lo)))
+    if not placements:
+        return []
+    pods, sources, levels = zip(*placements)
+    dev_alloc, dev_pay = oracle.settle_placements(bids, pods, sources, levels)
+    # each placement's pod members, padded with id n as the settlement pads
+    # its rows, and their honest allocation, payment and bid
+    n, width = profile.n, dev_alloc.shape[1]
+    padded = [[*m, *[n] * (width - len(m))] for m in oracle.group_members]
+    honest = np.array([
+        [*(alloc.get(a, 0.0) for a in range(n)), 0.0],
+        [*(pay.get(a, 0.0) for a in range(n)), 0.0],
+        [*bids, 0.0],
+    ])
+    alloc_h, pay_h, bid = honest[:, np.array(padded)[list(pods)]]
+    # running sums from 0.0 in member order: a leading zero, then cumsum
+    zero = np.zeros((len(placements), 1))
+    surplus = np.cumsum(np.hstack((zero, dev_pay - pay_h)), axis=1)[:, -1]
+    damage = np.cumsum(np.hstack((zero, (alloc_h - dev_alloc) * bid)), axis=1)[:, -1]
+    return [
+        GhostCandidate(s, d, source, level, p)
+        for s, d, (p, source, level) in zip(surplus.tolist(), damage.tolist(), placements)
+        if s > POS_TOL
+    ]
 
 
 def best_ghost(profile, alloc=None, pay=None):

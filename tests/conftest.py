@@ -7,13 +7,25 @@ bug in the production path cannot hide in its own mirror.
 """
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from credmarket.mechanisms import ClinchTranscript, edmonds_greedy
-from credmarket.polymatroid import TableOracle
+from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle, TableOracle
+from credmarket.sim import (
+    POS_TOL,
+    TIER_JITTER_HI,
+    VALUE_HI,
+    VALUE_LO,
+    GhostCandidate,
+    RoundProfile,
+    settle_threshold,
+)
 
 QUADRATURE_POINTS = 10_000
 GRID_STEP = 0.25
@@ -168,6 +180,85 @@ def bruteforce_welfare(oracle, bids, step=GRID_STEP):
 
 
 # --------------------------------------------------------------------------
+# Reference simulator paths: numpy-built round streams and the per-window
+# ghost scan
+
+
+def reference_generate_round(config, seed, round_index):
+    """`sim.generate_round` on numpy's own objects: one
+    `default_rng(SeedSequence([seed, round, agent]))` per agent and scalar
+    numpy draws."""
+    pods = config.pods()
+    lam = config.value_decay_per_ms
+    bids, demands, pod_of = [], [], []
+    agent = 0
+    for pid, pod in enumerate(pods):
+        base_lat = config.tier_latencies_ms[pod.tier]
+        jit_hi = TIER_JITTER_HI[pod.tier]
+        for units in pod.units:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, round_index, agent])
+            )
+            k = int(rng.poisson(config.arrival_rate))
+            best = 0.0
+            for _ in range(k):
+                latency = base_lat * rng.uniform(0.5, jit_hi)
+                deadline = config.deadlines_ms[rng.integers(len(config.deadlines_ms))]
+                if latency <= deadline:
+                    value = rng.uniform(VALUE_LO, VALUE_HI) * math.exp(-lam * latency)
+                    best = max(best, value)
+            bids.append(best)
+            demands.append(float(units * k))
+            pod_of.append(pid)
+            agent += 1
+    return RoundProfile(
+        bids=np.array(bids),
+        demands=np.array(demands),
+        pod_of=np.array(pod_of),
+        pod_caps=np.array([p.capacity for p in pods]),
+        root_cap=config.tier_capacities[-1],
+    )
+
+
+def reference_ghost_candidates(profile, alloc=None, pay=None):
+    """`sim.ghost_candidates` with one `settle_group` call per placement,
+    and surplus and damage as running sums over the pod's members."""
+    if alloc is None or pay is None:
+        alloc, pay = settle_threshold(profile)
+    oracle = profile.oracle
+    bids, demands = profile.bids.tolist(), profile.demands.tolist()
+    caps = profile.pod_caps.tolist()
+    out = []
+    for p, members in enumerate(oracle.group_members):
+        cap = caps[p]
+        levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
+        if not levels:
+            continue
+        total = sum(demands[m] for m in members)
+        for source in members:
+            if demands[source] <= 0:
+                continue
+            if bids[source] > 0 and alloc.get(source, 0.0) > POS_TOL:
+                if total - demands[source] < cap - POS_TOL:
+                    continue
+            tops = [lv for lv in levels if lv > bids[source]]
+            for w in range(len(tops)):
+                lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
+                hi = tops[w]
+                if hi - lo <= 1e-6:
+                    continue
+                level = lo + 0.9 * (hi - lo)
+                dev_alloc, dev_pay = oracle.settle_group(p, bids, source, level)
+                surplus = damage = 0.0
+                for m in members:
+                    surplus += dev_pay[m] - pay.get(m, 0.0)
+                    damage += (alloc.get(m, 0.0) - dev_alloc[m]) * bids[m]
+                if surplus > POS_TOL:
+                    out.append(GhostCandidate(surplus, damage, source, level, p))
+    return out
+
+
+# --------------------------------------------------------------------------
 # Transcript forgery
 
 
@@ -224,6 +315,41 @@ def random_table_oracle(rng, n, cap_max=4):
 
 def random_bids(rng, n, lo=0.5, hi=10.0):
     return [float(b) for b in rng.uniform(lo, hi, size=n)]
+
+
+@st.composite
+def laminar_markets(draw, integer, root):
+    """A laminar market of 1-9 members in 1-3 groups, bids from a small grid
+    so zeros and exact ties are common, and an optional substitute clone
+    whose level sits below, at, between or above its source's bid. `root`
+    is "slack" (inf, or exactly the ground set's capped load) or "binding"
+    (half of it)."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    if integer:
+        demands = draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n))
+        caps = draw(st.lists(st.integers(1, 40).map(float), min_size=k, max_size=k))
+    else:
+        demands = draw(st.lists(st.integers(0, 1200).map(lambda c: c / 100), min_size=n, max_size=n))
+        caps = draw(st.lists(st.integers(1, 4000).map(lambda c: c / 100), min_size=k, max_size=k))
+    group_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=n, max_size=n))
+    ground = LaminarOracle(demands, group_of, caps).rank(range(n))
+    if root == "slack":
+        root_cap = draw(st.sampled_from((math.inf, ground)))
+    else:
+        assume(ground > 0)
+        root_cap = ground // 2 if integer else ground / 2
+    oracle = LaminarOracle(demands, group_of, caps, root_cap=root_cap)
+    source = draw(st.none() | st.integers(0, n - 1))
+    if source is None:
+        return oracle, bids
+    b = bids[source]
+    level = draw(st.sampled_from([
+        b, b + 0.5, b + 3.0, max(0.0, b - 0.5), b / 2.0, 11.0,
+        *(x + 0.25 for x in bids), *bids,
+    ]))
+    return SubstituteCloneOracle(oracle, source), bids + [level]
 
 
 @pytest.fixture

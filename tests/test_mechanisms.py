@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credmarket.adversary import _ScaledOracle
@@ -41,6 +41,7 @@ from credmarket.polymatroid import (
 
 from conftest import (
     bruteforce_welfare,
+    laminar_markets,
     quadrature_payment,
     random_bids,
     random_table_oracle,
@@ -155,41 +156,6 @@ class _GenericRoute(RankOracle):
 
     def _rank(self, subset):
         return self.inner.rank(subset)
-
-
-@st.composite
-def laminar_markets(draw, integer, root):
-    """A laminar market of 1-9 members in 1-3 groups, bids from a small grid
-    so zeros and exact ties are common, and an optional substitute clone
-    whose level sits below, at, between or above its source's bid. `root`
-    is "slack" (inf, or exactly the ground set's capped load) or "binding"
-    (half of it)."""
-    n = draw(st.integers(1, 9))
-    k = draw(st.integers(1, 3))
-    if integer:
-        demands = draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n))
-        caps = draw(st.lists(st.integers(1, 40).map(float), min_size=k, max_size=k))
-    else:
-        demands = draw(st.lists(st.integers(0, 1200).map(lambda c: c / 100), min_size=n, max_size=n))
-        caps = draw(st.lists(st.integers(1, 4000).map(lambda c: c / 100), min_size=k, max_size=k))
-    group_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    bids = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.5]), min_size=n, max_size=n))
-    ground = LaminarOracle(demands, group_of, caps).rank(range(n))
-    if root == "slack":
-        root_cap = draw(st.sampled_from((math.inf, ground)))
-    else:
-        assume(ground > 0)
-        root_cap = ground // 2 if integer else ground / 2
-    oracle = LaminarOracle(demands, group_of, caps, root_cap=root_cap)
-    source = draw(st.none() | st.integers(0, n - 1))
-    if source is None:
-        return oracle, bids
-    b = bids[source]
-    level = draw(st.sampled_from([
-        b, b + 0.5, b + 3.0, max(0.0, b - 0.5), b / 2.0, 11.0,
-        *(x + 0.25 for x in bids), *bids,
-    ]))
-    return SubstituteCloneOracle(oracle, source), bids + [level]
 
 
 @given(laminar_markets(integer=True, root="slack"))

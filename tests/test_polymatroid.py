@@ -35,6 +35,7 @@ from credmarket.polymatroid import (
 
 from conftest import (
     bruteforce_cut_rank,
+    laminar_markets,
     networkx_flow_rank,
     networkx_matroid_rank,
     random_table_oracle,
@@ -369,6 +370,111 @@ def test_drop_one_pass_edges_and_bad_ids():
         for unsorted in ([1, 0], [0, 0], [0, 1, 1]):
             with pytest.raises(DomainError):
                 oracle.rank_without_each(unsorted)
+
+
+# --------------------------------------------------------------------------
+# Batch phantom settlement: settle_placements(bids, groups, sources, levels)
+# row by row against settle_group(g, bids, source, level)
+
+
+def _window_placements(oracle, bids, frac):
+    """(group, source, level) for every bid window above every member, the
+    level `frac` of the way up the window, as the ghost scan places them."""
+    out = []
+    for g, members in enumerate(oracle.group_members):
+        levels = sorted({bids[a] for a in members if bids[a] > 0}, reverse=True)
+        for source in members:
+            tops = [lv for lv in levels if lv > bids[source]]
+            for w, hi in enumerate(tops):
+                lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
+                out.append((g, source, lo + frac * (hi - lo)))
+    return out
+
+
+def _batch_against_groups(oracle, bids, placements):
+    """(got, want) per placement and member: the batch row, padding
+    included, against `settle_group` over the group's members and zeros."""
+    alloc, pay = oracle.settle_placements(bids, *zip(*placements))
+    width = alloc.shape[1]
+    assert alloc.shape == pay.shape == (len(placements), width)
+    for w, (g, source, level) in enumerate(placements):
+        want_alloc, want_pay = oracle.settle_group(g, bids, source, level)
+        members = oracle.group_members[g]
+        pad = [0.0] * (width - len(members))
+        yield (
+            (alloc[w].tolist(), pay[w].tolist()),
+            ([want_alloc[m] for m in members] + pad, [want_pay[m] for m in members] + pad),
+        )
+
+
+def _laminar_part(market):
+    # the strategy's clone, if it drew one, gives way to the placements
+    oracle, bids = market
+    if isinstance(oracle, SubstituteCloneOracle):
+        return oracle.base, bids[:-1]
+    return oracle, bids
+
+
+@given(laminar_markets(integer=True, root="slack"), st.sampled_from((0.1, 0.5, 0.9)))
+@settings(max_examples=300, deadline=None)
+def test_batch_placements_are_bitwise_settle_group(market, frac):
+    oracle, bids = _laminar_part(market)
+    placements = _window_placements(oracle, bids, frac)
+    if not placements:
+        return
+    for got, want in _batch_against_groups(oracle, bids, placements):
+        assert repr(got) == repr(want)
+    # one placement alone (W = 1) is its batch row
+    batch = oracle.settle_placements(bids, *zip(*placements))
+    for w, placement in enumerate(placements):
+        alone = oracle.settle_placements(bids, *zip(placement))
+        assert repr(alone[0].tolist()) == repr(batch[0][w : w + 1].tolist())
+        assert repr(alone[1].tolist()) == repr(batch[1][w : w + 1].tolist())
+
+
+@given(laminar_markets(integer=False, root="slack"), st.sampled_from((0.1, 0.5, 0.9)))
+@settings(max_examples=200, deadline=None)
+def test_batch_placements_match_settle_group_on_float_demands(market, frac):
+    oracle, bids = _laminar_part(market)
+    placements = _window_placements(oracle, bids, frac)
+    if not placements:
+        return
+    for (alloc, pay), (want_alloc, want_pay) in _batch_against_groups(oracle, bids, placements):
+        assert alloc == pytest.approx(want_alloc, rel=1e-9, abs=1e-9)
+        assert pay == pytest.approx(want_pay, rel=1e-9, abs=1e-9)
+
+
+def test_batch_placements_cover_ties_sleepers_and_lone_members():
+    # group 0: a tie at 5.0 and a sleeper (demand, zero bid); groups 1 and
+    # 2 have one member each, so they pad every row and host no placement
+    oracle = LaminarOracle([4, 4, 3, 5, 2, 6], [0, 0, 0, 0, 1, 2], [9, 5, 4])
+    bids = [5.0, 5.0, 0.0, 2.5, 3.0, 1.0]
+    placements = _window_placements(oracle, bids, 0.9)
+    assert {(g, s) for g, s, _ in placements} == {(0, 2), (0, 3)}
+    for got, want in _batch_against_groups(oracle, bids, placements):
+        assert repr(got) == repr(want)
+    # the sleeper's phantom at 4.75 serves below the tied pair and shuts
+    # out agent 3; the sleeper itself stays unserved and pays nothing
+    alloc, pay = oracle.settle_placements(bids, [0], [2], [4.75])
+    assert alloc.tolist() == [[4.0, 4.0, 0.0, 0.0]]
+    assert pay[0, 2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "groups, sources, levels",
+    [
+        ([0], [3], [2.5]),  # at the source's bid
+        ([0], [3], [2.0]),  # below it
+        ([0], [3], [math.nan]),
+        ([0], [2], [2.5]),  # on a member's bid
+        ([1], [3], [4.0]),  # a source from another group
+    ],
+)
+def test_batch_placements_reject_levels_outside_a_window(groups, sources, levels):
+    oracle = LaminarOracle([4, 4, 3, 5, 2, 6], [0, 0, 0, 0, 1, 2], [9, 5, 4])
+    bids = [5.0, 5.0, 0.0, 2.5, 3.0, 1.0]
+    with pytest.raises(DomainError):
+        oracle.settle_placements(bids, groups, sources, levels)
 
 
 def test_oracle_needs_one_agent():

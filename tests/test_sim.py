@@ -17,7 +17,8 @@ from credmarket.credibility import (
 )
 from credmarket.errors import ConfigError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction
-from credmarket.polymatroid import SubstituteCloneOracle
+from credmarket._stream import Stream, entropy_words, seed_states
+from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
     POS_TOL,
@@ -40,7 +41,11 @@ from credmarket.sim import (
     settle_threshold,
 )
 
-from conftest import rechain
+from conftest import (
+    rechain,
+    reference_generate_round,
+    reference_ghost_candidates,
+)
 
 TINY = ScenarioConfig(rounds=3, seeds=(17,))
 
@@ -156,6 +161,69 @@ def test_round_oracle_is_the_pod_laminar():
     assert oracle.rank(full) == pytest.approx(expected)
 
 
+#: seeds whose entropy words cross the 32- and 64-bit boundaries
+STREAM_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+@pytest.mark.parametrize("rate", (0.3, 2.0, 7.5, 10.0, 12.5, 40.0))
+@pytest.mark.parametrize(
+    "deadlines",
+    ((120.0,), (100.0, 150.0, 200.0), (60.0, 90.0, 120.0, 150.0, 400.0)),
+    ids=lambda d: f"{len(d)}_deadlines",
+)
+def test_round_stream_is_numpys(rate, deadlines):
+    # Poisson by multiplication below rate 10 and by PTRS from 10 up; one
+    # deadline draws no integer at all
+    config = ScenarioConfig(arrival_rate=rate, deadlines_ms=deadlines)
+    for seed in STREAM_SEEDS:
+        for r in (0, 3):
+            got = generate_round(config, seed, r)
+            want = reference_generate_round(config, seed, r)
+            assert got.bids.tobytes() == want.bids.tobytes()
+            assert got.demands.tobytes() == want.demands.tobytes()
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    (
+        [],
+        [17],
+        [2**32 - 1, 0],
+        [2**32, 7],
+        [2**64 + 5, 2**32 - 1],
+        [0, 2**32],
+        [2**96 - 1, 2**40 + 3, 5],
+    ),
+)
+def test_seed_hashing_is_numpys(prefix):
+    # widths 1-7 words: below, at and past the four-word pool
+    agents = (0, 1, 39, 2**32 - 1)
+    rows = [sum(map(entropy_words, [*prefix, a]), []) for a in agents]
+    got = seed_states(rows)
+    for row, a in zip(got, agents):
+        want = np.random.SeedSequence([*prefix, a]).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_stream_draws_are_numpys():
+    # the stashed high half of a 32-bit draw survives the double draws
+    # between two integer draws, and PTRS runs far past the model's rates
+    for agent in range(30):
+        entropy = [2**32 + agent, 11, agent]
+        stream = Stream(seed_states([sum(map(entropy_words, entropy), [])])[0])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        for lam in (0.3, 9.99, 10.0, 37.5, 1e3, 1e5):
+            for _ in range(40):
+                assert stream.poisson(lam) == rng.poisson(lam)
+                assert stream.integers(3) == rng.integers(3)
+                assert stream.uniform(0.5, 6.0) == rng.uniform(0.5, 6.0)
+                assert stream.integers(7) == rng.integers(7)
+    # past numpy's largest mean both refuse
+    for draw in (stream.poisson, rng.poisson):
+        with pytest.raises(ValueError, match="lam value too large"):
+            draw(1e19)
+
+
 def test_arrival_order_is_a_seeded_permutation():
     order = arrival_order(TINY, 17, 0)
     assert sorted(order) == list(range(TINY.n_agents))
@@ -175,6 +243,47 @@ def _first_ghost_round(config, seed):
         if pick is not None:
             return profile, honest, pick
     raise AssertionError("no profitable phantom found in 60 rounds")
+
+
+@pytest.mark.parametrize(
+    "exp, config",
+    [
+        ("exp1", ScenarioConfig(rounds=100, seeds=(17, 42))),
+        ("r5", ScenarioConfig(rounds=4, seeds=(17, 42))),
+    ],
+    ids=["exp1", "r5_small"],
+)
+def test_ghost_scan_is_the_per_window_reference(monkeypatch, exp, config):
+    # every scan the experiment makes, field by field (repr also tells a
+    # numpy float from a Python one)
+    scan, found = sim.ghost_candidates, []
+
+    def checked(profile, alloc=None, pay=None):
+        got = scan(profile, alloc, pay)
+        assert repr(got) == repr(reference_ghost_candidates(profile, alloc, pay))
+        found.append(len(got))
+        return got
+
+    monkeypatch.setattr(sim, "ghost_candidates", checked)
+    run_experiment(exp, config)
+    assert len(found) >= config.rounds * len(config.seeds) and sum(found) > 0
+
+
+def test_ghost_scan_settles_no_single_window(monkeypatch):
+    config = ScenarioConfig(rounds=10, seeds=(17,))
+    rounds = [generate_round(config, 17, r) for r in range(config.rounds)]
+    honest = [settle_threshold(profile) for profile in rounds]
+    calls = []
+    settle_group = LaminarOracle.settle_group
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return settle_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaminarOracle, "settle_group", spy)
+    found = sum(len(ghost_candidates(p, *h)) for p, h in zip(rounds, honest))
+    assert found > 0
+    assert calls == []
 
 
 def test_ghost_surplus_and_damage_are_exact():
