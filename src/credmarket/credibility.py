@@ -36,6 +36,7 @@ from .mechanisms import (
     Mechanism,
     UniformPrior,
     _digest,
+    _round_clinches,
     _round_tag,
     run_mechanism,
 )
@@ -133,25 +134,13 @@ def _replay_round(ev, r, demands, clinched, oracle, violations):
         else:
             f_active, f_without = true_full, true_drops
 
-    # per-agent supply takes, then the clearing payout if aggregate demand
-    # fits inside the announced capacity. An honest polymatroid log never
-    # sells in the payout: by subadditivity f(D) - f(D - i) >= d_i once the
-    # demands fit f(D), so the takes already cover them. The payout stays
-    # to replay announcements that are not a polymatroid's, which
-    # test_replay_sells_the_clearing_rest exercises
+    # the auction's own rule on the announced (or recomputed) rank values
     expected = {}
     cleared = False
     if f_active is not None:
-        for k, i in enumerate(active):
-            take = max(0.0, min(demands[i], f_active - f_without[k]) - clinched[i])
-            if take > 1e-12:
-                expected[i] = take
-        cleared = sum(demands[i] for i in active) <= f_active + 1e-12
-        if cleared:
-            for i in active:
-                rest = demands[i] - (clinched[i] + expected.get(i, 0.0))
-                if rest > 1e-12:
-                    expected[i] = expected.get(i, 0.0) + rest
+        clinches, cleared = _round_clinches(active, demands, clinched, f_active, f_without)
+        for i, qty in clinches:
+            expected[i] = expected.get(i, 0.0) + qty
     announced_qty = defaultdict(float)
     for agent, qty in ev["clinches"]:
         qty = float(qty)

@@ -441,6 +441,35 @@ class ClinchTranscript:
         return t
 
 
+def _round_clinches(members, demand, clinched, f_active, f_without):
+    """The clinches of one clock round at its price, as ([[agent, qty], ...],
+    cleared), for the active `members` in ascending order, their `demand`
+    and `clinched` quantities so far, and the round's f(D) and f(D - i).
+
+    Each member clinches up to the slack its opponents leave,
+    max(0, min(d_i, f(D) - f(D - i)) - clinched_i). If the active demand
+    then fits f(D) the market clears and every remaining quantity goes
+    out too, listed after the takes. On a polymatroid that payout sells
+    nothing: f(D - i) <= sum of d_j over D - i by subadditivity, so
+    f(D) - f(D - i) >= d_i once the demand fits f(D). It stays because
+    the auditor's replay applies the same rule to announced values that
+    need not be a polymatroid's; see test_replay_sells_the_clearing_rest.
+    """
+    clinches, held = [], {}
+    for k, i in enumerate(members):
+        take = max(0.0, min(demand[i], f_active - f_without[k]) - clinched[i])
+        if take > 1e-12:
+            clinches.append([i, take])
+            held[i] = clinched[i] + take
+    cleared = sum(demand[i] for i in members) <= f_active + 1e-12
+    if cleared:
+        for i in members:
+            rest = demand[i] - held.get(i, clinched[i])
+            if rest > 1e-12:
+                clinches.append([i, rest])
+    return clinches, cleared
+
+
 def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     """Ascending clock with flat unit demands d_i(p) = f({i}) while p < v_i.
 
@@ -473,36 +502,14 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     paid = {i: 0.0 for i in range(n)}
     active = {i for i in range(n) if values[i] > 0 and demand[i] > 0}
 
-    def clinch(i, qty):
-        # a sale at the current clock price, listed in the round's event
-        clinched[i] += qty
-        paid[i] += qty * price
-        clinches.append([i, qty])
-
     price = 0.0
     while active:
-        total_demand = sum(demand[i] for i in active)
         members = sorted(active)
         f_active, f_without = oracle.rank_without_each(members)
-        clinches = []
-        # each active agent clinches up to the slack its opponents leave
-        for k, i in enumerate(members):
-            take = max(0.0, min(demand[i], f_active - f_without[k]) - clinched[i])
-            if take > 1e-12:
-                clinch(i, take)
-        cleared = total_demand <= f_active + 1e-12
-        if cleared:
-            # market cleared: remaining quantities go out at the current price.
-            # On a polymatroid this sells nothing: f(D - i) <= sum of d_j over
-            # D - i by subadditivity, so f(D) - f(D - i) >= d_i once total
-            # demand fits f(D), and the supply pass has clinched every demand.
-            # It stays because the replay applies the same rule to announced
-            # values that need not be a polymatroid's; see
-            # test_replay_sells_the_clearing_rest
-            for i in members:
-                rest = demand[i] - clinched[i]
-                if rest > 1e-12:
-                    clinch(i, rest)
+        clinches, cleared = _round_clinches(members, demand, clinched, f_active, f_without)
+        for i, qty in clinches:
+            clinched[i] += qty
+            paid[i] += qty * price
         if transcript is not None:
             transcript.round(price, members, f_active, f_without, clinches)
         if cleared:

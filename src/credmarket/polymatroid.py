@@ -3,10 +3,15 @@ generators, and the token-matroid construction.
 
 The central object is a polymatroid rank function f: 2^E -> R>=0 over an
 agent ground set E = {0..n-1}: f(S) is the maximum joint service rate any
-subset S of agents can obtain through the capacity network. Four evaluators
-are provided (explicit table, tree min-cut, series-parallel composition,
-generic max-flow with node capacities); they are interchangeable and are
-cross-checked against each other in the test suite.
+subset S of agents can obtain through the capacity network. Any network
+can be evaluated four interchangeable ways, cross-checked against each
+other in the test suite: an explicit table, tree min-cut, series-parallel
+composition and generic max-flow with node capacities. Two rank functions
+have closed forms instead: the fully entangled witness, and the two-level
+`LaminarOracle`, whose `settle` is also the one engine that prices its
+groups' greedy allocations and threshold payments, a row per group in one
+array pass. `SubstituteCloneOracle` adds a substitute copy of one agent's
+position to any of them.
 
 The max-flow evaluator and the token matroid share one array max-flow,
 `_max_flow`: Edmonds & Karp shortest augmenting paths over flat arc lists,
@@ -637,183 +642,152 @@ class LaminarOracle(RankOracle):
         return min(root, inner), drops
 
     def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
-        """Settle each group alone (`settle_group`) when the root is slack;
-        None when it can bind. `clone_of` and `clone_level` add a
-        substitute clone of that agent under id n, as `SubstituteCloneOracle`
-        numbers it."""
+        """Settle each group alone, one `settle` row per group, when the
+        root is slack; None when it can bind. `clone_of` and `clone_level`
+        add a substitute clone of that agent under id n, as
+        `SubstituteCloneOracle` numbers it, in its source's row."""
         if not self._slack_root:
             return None
-        alloc = dict.fromkeys(range(self.n), 0.0)
-        pay = dict.fromkeys(range(self.n), 0.0)
-        home = None if clone_of is None else self._group_list[clone_of]
-        for g in range(len(self._cap_list)):
-            group_alloc, group_pay = self.settle_group(
-                g, bids, clone_of if g == home else None, clone_level
-            )
-            alloc.update(group_alloc)
-            pay.update(group_pay)
-        return alloc, pay
-
-    def settle_group(self, g, bids, clone_of=None, clone_level=0.0):
-        """Greedy allocation and threshold payments of group `g` alone.
-
-        With a slack root this is the group's share of the market's outcome
-        (the closed form behind `threshold_outcome`); with a binding root it
-        is the group standing on its own cap. `bids` is indexed by agent id,
-        finite and nonnegative. `clone_of` (a member) adds a substitute
-        clone bidding `clone_level`, reported under id n as in
-        `SubstituteCloneOracle`. Returns (alloc, pay); only agents served
-        more than RANK_TOL are priced, the rest pay zero.
-
-        One footprint list, sorted once by (-level, id), drives both halves:
-        every live member at its bid, but the clone and its source share one
-        footprint (perfect substitutes: the first in that order consumes,
-        the other gets nothing, and each is zero wherever the other outbids
-        it). The greedy fill walks the list and keeps running totals: T(z),
-        the footprint demand strictly above z, is the total of the list's
-        prefix above z. Below its bid a served agent's curve is
-        max(0, min(d_a, cap - (T(z) - d_a))). T(z) is constant between
-        footprint levels, so the same prefix totals price every served
-        agent: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos),
-        O(m^2) for a group of m members.
-
-        Exactness invariant: with integer-valued demands and caps (the
-        simulator's unit sizes times arrival counts, integer pod capacities)
-        every load is an exact float whatever order it is summed in. Each
-        agent keeps the breakpoints [0.0] + sorted(levels below b_a) +
-        [b_a], the midpoint evaluation and the ascending `sum` of segment
-        areas, which makes each payment bitwise equal to integrating the
-        curve segment by segment, as the generic route does. That `sum` is
-        CPython 3.11's plain left-to-right float addition (3.12 compensates
-        it), which `settle_placements`, the batch form of this method for
-        phantom placements, reproduces with `np.cumsum`.
-        """
-        members = self.group_members[g]
-        demands, cap = self._demand_list, self._cap_list[g]
-        clone = self.n
-        feet = [(-bids[a], a) for a in members if a != clone_of and bids[a] > 0]
-        levels = {bids[a] for a in members if bids[a] > 0}
-        alloc = dict.fromkeys(members, 0.0)
+        n, (ids, slot, _, _) = self.n, self._slots
+        size, groups = ids.shape
+        sources, levels = np.full(groups, -1), np.zeros(groups)
+        # each id's place in the (group, slot) rows flattened, the clone's
+        # last in its source's row
+        picks = self.group_of * size + slot[:n]
         if clone_of is not None:
-            b_s = bids[clone_of]
-            if b_s > 0 and b_s >= clone_level:
-                feet.append((-b_s, clone_of))
-            elif clone_level > 0:
-                feet.append((-clone_level, clone))
-            levels.add(clone_level)
-            alloc[clone] = 0.0
-        feet.sort()
-        pay = dict.fromkeys(alloc, 0.0)
-        residual = cap
-        above = [0.0]  # above[k]: demand of the k highest footprints
-        for _, a in feet:
-            d = demands[clone_of if a == clone else a]
-            take = min(d, residual)
-            alloc[a] = take
-            residual -= take
-            above.append(above[-1] + d)
-        served = [a for a in alloc if alloc[a] > RANK_TOL]
-        neg_levels = [neg for neg, _ in feet]
-        zs = [0.0] + sorted(levels)
-        # segment k spans zs[k]..zs[k+1]; an agent bidding zs[j] uses 0..j-1,
-        # all below its own footprint
-        mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
-        segs = [  # (T at the midpoint, width)
-            (above[bisect.bisect_left(neg_levels, -z)], hi - lo)
-            for z, lo, hi in zip(mids, zs[:-1], zs[1:])
-        ]
-        for a in served:
-            # the clone and its source are each zero below the other's level
-            k = 0
-            if a == clone:
-                b_a, d_a = clone_level, demands[clone_of]
-                k = bisect.bisect_left(mids, bids[clone_of])
-            else:
-                b_a, d_a = bids[a], demands[a]
-                if a == clone_of:
-                    k = bisect.bisect_left(mids, clone_level)
-            j = bisect.bisect_left(zs, b_a, 1)
-            area = sum(max(0.0, min(d_a, cap - (t - d_a))) * w for t, w in segs[k:j])
-            pay[a] = b_a * alloc[a] - area
-        return alloc, pay
+            home = self._group_list[clone_of]
+            sources[home], levels[home] = clone_of, clone_level
+            picks = np.append(picks, home * size + size - 1)
+        alloc, pay = self.settle(bids[:n], np.arange(groups), sources, levels)
+        alloc, pay = np.stack((alloc, pay)).reshape(2, -1)[:, picks].tolist()
+        return dict(enumerate(alloc)), dict(enumerate(pay))
 
     @cached_property
-    def _member_table(self):
-        """(ids, demand, slot, tri) for `settle_placements`: the members of
-        group g as column g of an (M, groups) id array padded with id n to
-        the largest group M, their demands (zero-padded), each agent's
-        position in its group, and the (M, M, 1) mask tri[a, c] = c < a of
-        earlier positions."""
-        width = max(map(len, self.group_members))
-        ids = np.full((width, len(self.group_members)), self.n)
-        slot = np.zeros(self.n, dtype=int)
-        for g, members in enumerate(self.group_members):
-            ids[: len(members), g] = members
-            slot[list(members)] = range(len(members))
-        demand = np.append(self.demands, 0.0)[ids]
-        return ids, demand, slot, np.tri(width, k=-1, dtype=bool)[:, :, None]
+    def _slots(self):
+        """(ids, slot, demand, tri) for `settle`. ids is an (S, groups)
+        array, S = M + 1 for the largest group M: column g holds group g's
+        members in id order, padded with id n, and its last row is the
+        clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
+        clone's. demand holds the demands by id and 0.0 at id n, which id
+        -1 reads too; tri[a, c] = c < a marks the slots before a."""
+        n, groups = self.n, self.group_members
+        size = max(map(len, groups)) + 1
+        ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in groups]).T
+        slot = [size - 1] * (n + 1)
+        for members in groups:
+            for k, a in enumerate(members):
+                slot[a] = k
+        demand = np.append(self.demands, 0.0)
+        return ids, np.array(slot), demand, np.tri(size, k=-1, dtype=bool)[:, :, None]
 
-    def settle_placements(self, bids, groups, sources, levels):
-        """`settle_group` for a batch of W phantom placements, in one array
-        pass.
+    def settle(self, bids, groups, sources, levels):
+        """Greedy allocation and threshold payments of groups settled
+        alone, W rows in one array pass.
 
-        Placement w adds a substitute clone of member `sources[w]` of group
-        `groups[w]`, bidding `levels[w]`, a level strictly inside a bid
-        window above the source: above its bid and equal to no member's
-        bid. The clone then holds the source's footprint at that level and
-        the source is not served. Returns (alloc, pay), two (W, M) float
-        arrays: row w holds the real members of its group in
-        `group_members` order, zero-padded to the largest group M. The
-        phantom itself is not priced.
+        Row w settles group `groups[w]` (an index into `group_members`) on
+        its own cap under bid row w: `bids` is one (n,) vector shared by
+        every row or a (W, n) matrix, finite and nonnegative. With `sources[w]` a member of that group
+        (-1 for none) the row adds a substitute clone of it bidding
+        `levels[w]`, at any level; every level must be finite and
+        nonnegative, and a row without a clone leaves its level unused.
+        With a slack root a row is the group's share of the market's
+        outcome (the closed form behind `threshold_outcome`); with a
+        binding root it is the group standing on its own cap. Returns
+        (alloc, pay), two (W, M + 1) float arrays: row w holds its group's
+        members in `group_members` order, zero-padded to the largest group
+        M, then the clone. Only slots served more than RANK_TOL are
+        priced; the rest pay zero.
 
-        Each row is `settle_group(groups[w], bids, sources[w], levels[w])`
-        on the real members, bitwise under its integer invariant: each
-        footprint's served amount is its demand capped by the cap less the
-        footprint demand ahead of it, ties in id order (the greedy fill's
-        residual); the breakpoints are 0.0, every member bid and the clone
-        level, sorted, where repeats only add zero-width segments whose
-        +0.0 areas leave every partial sum as it is; and the segment areas
-        accumulate along the segment axis with `np.cumsum`, in the order
-        CPython 3.11's `sum` adds them.
+        Each slot bids for one footprint: a member at its bid, but the
+        clone and its source share the source's (perfect substitutes). The
+        higher of the two holds it, the source on a tie, and the other is
+        zero wherever the holder outbids it; a clone tied with another
+        member loses, as id n does. A footprint is served its demand
+        capped by the cap less the footprint demand ahead of it (higher,
+        or tied in an earlier slot): the greedy fill's residual. Below its
+        bid a served slot's curve is x_a(z) = max(0, min(d_a, cap - (T(z)
+        - d_a))), T(z) the footprint demand strictly above z, and
+        p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
+
+        Exactness invariant: with integer-valued demands and caps (the
+        simulator's unit sizes times arrival counts, integer pod caps)
+        every load is an exact float in any summation order, and so is
+        the curve, computed as max(0, d_a + min(0, cap - T(z))). The
+        breakpoints are 0.0, every member bid and the clone level,
+        sorted; T is read at each segment's midpoint, and repeated
+        breakpoints only add zero-width segments, whose +0.0 areas leave
+        every partial sum as it is. The areas are added one segment at a
+        time from the lowest, as `np.cumsum` along the segment axis would
+        add them, so each payment is the plain left-to-right sum of its
+        segment areas: what the generic route
+        (`mechanisms.archer_tardos_payment`) integrates, bitwise where
+        Python's `sum` adds floats left to right, as CPython 3.11 does.
         """
         bids = np.asarray(bids, dtype=float)
         groups = np.asarray(groups, dtype=int)
         sources = np.asarray(sources, dtype=int)
         levels = np.asarray(levels, dtype=float)
-        ids, demand, slot, tri = self._member_table
-        # (member position, placement) arrays: the long placement axis
-        # runs innermost, so every array op makes few, long inner loops
-        bid = np.append(bids, 0.0)[ids[:, groups]]
-        demand = demand[:, groups]
-        cap = self.group_caps[groups]
-        source = np.arange(len(ids))[:, None] == slot[sources]
-        if (
-            (self.group_of[sources] != groups).any()
-            or not (levels > bids[sources]).all()
-            or (bid == levels).any()
+        n, rows = self.n, len(groups)
+        ids, slot, pad, tri = self._slots
+        if bids.shape not in ((n,), (rows, n)) or not (
+            groups.shape == sources.shape == levels.shape == (rows,)
+        ):
+            raise DomainError("settle needs a group, a source and a level per bid row")
+        # (slot, row) arrays, the long row axis innermost so that every
+        # array op makes few, long inner loops: np.take keeps that order,
+        # where ids[:, groups] would lay rows outermost and make every
+        # mixed op strided. Bid and demand column n holds the 0.0 that
+        # padding id n and clone id -1 read
+        row = np.arange(rows)
+        member = ids.take(groups, axis=1)
+        # a source's slot holds its id only inside its row's group; -1
+        # names the clone slot, and ids out of range wrap onto a slot that
+        # holds another id
+        at = slot.take(sources, mode="wrap")
+        if not (
+            (member[at, row] == sources).all()
+            and 0.0 <= levels.min(initial=0.0)
+            and levels.max(initial=0.0) < math.inf
         ):
             raise DomainError(
-                "each clone level must lie inside a bid window above a "
-                "source of its group"
+                "each clone needs a source in its row's group and a finite "
+                "nonnegative level"
             )
-        # footprints: every member at its bid, the source's at the clone's
-        # level; c is ahead of a above it, or tied and earlier in id order
-        level = np.where(source, levels, bid)
-        feet = level > 0
-        foot = np.where(feet, demand, 0.0)
-        ahead = np.where(tri, level >= level[:, None], level > level[:, None])
-        residual = np.maximum(0.0, cap - np.einsum("acw,cw->aw", ahead, foot))
-        alloc = np.where(feet & ~source, np.minimum(demand, residual), 0.0)
-        # segment k spans zs[k]..zs[k+1]; T, the footprint demand strictly
-        # above its midpoint, is constant on it
-        zs = np.sort(np.concatenate((np.zeros((1, len(levels))), bid, levels[None])), axis=0)
+        table = np.zeros((rows, n + 1))
+        table[:, :n] = bids
+        bid = table[row, member]
+        level = np.where(sources >= 0, levels, 0.0)
+        bid[-1] = level
+        demand = pad[member]
+        demand[-1] = pad[sources]
+        cap = self.group_caps[groups]
+        # a footprint's load is its demand while it bids; the pair's goes to
+        # the source on a tie, and each of the two is zero below the
+        # other's level, its floor
+        load = np.where(bid > 0, demand, 0.0)
+        source_bid = bid[at, row]
+        held = source_bid >= level
+        load[np.where(held, len(ids) - 1, at), row] = 0.0
+        floor = np.zeros_like(bid)
+        floor[at, row] = level
+        floor[-1] = source_bid
+        # c is ahead of a above it, or tied in an earlier slot
+        ahead = np.where(tri, bid >= bid[:, None], bid > bid[:, None])
+        residual = np.maximum(0.0, cap - np.einsum("acw,cw->aw", ahead, load))
+        alloc = np.minimum(load, residual)
+        # segment k spans zs[k]..zs[k+1]; T at its midpoint is constant on it
+        zs = np.sort(np.vstack((np.zeros(rows), bid)), axis=0)
         lo, hi = zs[:-1], zs[1:]
-        t = np.einsum("kcw,cw->kw", level > ((lo + hi) / 2.0)[:, None], foot)
-        # (segment, member, placement): a member's segments run up to its
-        # bid, the ones above it have zero width
-        width = np.where(hi[:, None] <= bid, (hi - lo)[:, None], 0.0)
-        segments = np.maximum(0.0, np.minimum(demand, cap - (t[:, None] - demand))) * width
-        area = np.cumsum(segments, axis=0)[-1]
+        mid = (lo + hi) / 2.0
+        t = np.einsum("kcw,cw->kw", bid > mid[:, None], load)
+        # (segment, slot, row) areas: a slot's curve from its floor up to
+        # its bid, zero width elsewhere
+        curve = np.maximum(0.0, demand + np.minimum(0.0, cap - t)[:, None])
+        inside = (hi[:, None] <= bid) & (mid[:, None] >= floor)
+        areas = curve * ((hi - lo)[:, None] * inside)
+        area = areas[0]
+        for segment in areas[1:]:
+            area = area + segment
         pay = np.where(alloc > RANK_TOL, bid * alloc - area, 0.0)
         return alloc.T, pay.T
 
@@ -1079,24 +1053,25 @@ def _entangled_dag(n):
     return CapacityDag(nodes, caps, edges, leaves, "sink", "general")
 
 
-class EntangledTable(TableOracle):
+class EntangledOracle(RankOracle):
     """Closed-form rank of the fully entangled witness.
 
-    A subset S covers every pair touching S: f(S) = C(n,2) - C(n-|S|,2).
-    Cross-checked against the max-flow evaluator on the explicit DAG.
+    A subset S covers every pair touching S: f(S) = C(n,2) - C(n-|S|,2),
+    a function of |S| alone. Cross-checked against the max-flow evaluator
+    on the explicit DAG.
     """
 
-    def __init__(self, n):
-        table = {}
-        for r in range(n + 1):
-            val = math.comb(n, 2) - math.comb(n - r, 2)
-            for s in itertools.combinations(range(n), r):
-                table[s] = float(val)
-        super().__init__(n, table)
+    evaluator = "entangled"
+
+    def _rank(self, subset):
+        return float(math.comb(self.n, 2) - math.comb(self.n - len(subset), 2))
+
+    def describe(self):
+        return {"evaluator": self.evaluator, "n_agents": self.n}
 
 
 def entangled_oracle(n):
-    return EntangledTable(n)
+    return EntangledOracle(n)
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,12 @@ best unexpired value and the round demand is the arrived unit count.
 
 The root never binds, so a round's `LaminarOracle` (pods as groups)
 settles in closed form through `mechanisms.vcg_outcome`, and the ghost
-world through a `SubstituteCloneOracle` over it. The ghost scan settles
-all of a round's phantom placements in one array pass
-(`settle_placements`); the certificates settle one pod each with
-`settle_group`. Each agent's draws replay numpy's seeded PCG64 stream in
-Python (`_stream`).
+world through a `SubstituteCloneOracle` over it. One engine,
+`LaminarOracle.settle`, prices every pod in an array pass: a row per pod
+behind those closed forms, a row per phantom placement in the ghost
+scan's one call a round, and two rows, the lifted and the walled replay,
+for each certificate. Each agent's draws replay numpy's seeded PCG64
+stream in Python (`_stream`).
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -65,6 +66,10 @@ CLASS_TIER_LATENCIES = {
     "entangled": (4.0, 12.0, 45.0),
 }
 
+#: largest accepted mean task arrivals per agent and round: tasks are drawn
+#: one at a time, so a round's generation grows linearly with the rate
+MAX_ARRIVAL_RATE = 1e3
+
 SCENARIO_SCHEMA_VERSION = 1
 POS_TOL = 1e-9
 ARRIVAL_STREAM_TAG = 777  # rng substream for posted-price arrival order
@@ -116,6 +121,10 @@ class ScenarioConfig:
             )
         if self.n_agents <= 0 or self.rounds <= 0 or self.arrival_rate <= 0:
             raise ConfigError("agent count, rounds, and arrival rate must be positive")
+        if self.arrival_rate > MAX_ARRIVAL_RATE:
+            raise ConfigError(
+                f"arrival rate must be at most {MAX_ARRIVAL_RATE:g}, got {self.arrival_rate:g}"
+            )
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be a non-empty list of nonnegative integers")
         if len(self.tier_capacities) != 3 or len(self.tier_latencies_ms) != 3:
@@ -347,9 +356,9 @@ def ghost_candidates(profile, alloc=None, pay=None):
     field); sleepers and already-displaced members carry no such burden.
     Candidate levels sit inside each bid window above the source.
 
-    The round's placements settle in one `LaminarOracle.settle_placements`
-    array pass; surplus and damage then add up over each pod's members in
-    id order, from 0.0, as a running sum would.
+    The round's placements settle in one `LaminarOracle.settle` array
+    pass, a row per placement; surplus and damage then add up over each
+    pod's members in id order, from 0.0, as a running sum would.
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
@@ -379,7 +388,10 @@ def ghost_candidates(profile, alloc=None, pay=None):
     if not placements:
         return []
     pods, sources, levels = zip(*placements)
-    dev_alloc, dev_pay = oracle.settle_placements(bids, pods, sources, levels)
+    # the members' columns: the phantom's payment is no one's surplus
+    dev_alloc, dev_pay = (
+        x[:, :-1] for x in oracle.settle(bids, pods, sources, levels)
+    )
     # each placement's pod members, padded with id n as the settlement pads
     # its rows, and their honest allocation, payment and bid
     n, width = profile.n, dev_alloc.shape[1]
@@ -432,10 +444,19 @@ def certify_ghost(profile, source, level, honest, deviated):
     bids = profile.bids.tolist()
     pod = int(profile.pod_of[source])
     members = oracle.group_members[pod]
-    # the pod replayed with the source bidding at the phantom level
-    lifted = list(bids)
+    # the pod replayed twice in one settlement: with the source bidding at
+    # the phantom level, and with every opponent walled above the source
+    wall_level = min(VALUE_HI, max(level, bids[source] + 1.0))
+    lifted, walls = list(bids), list(bids)
     lifted[source] = level
-    lift_alloc, lift_pay = oracle.settle_group(pod, lifted)
+    for m in members:
+        if m != source:
+            walls[m] = wall_level
+    (lift, wall), (lift_pay, _) = oracle.settle(
+        [lifted, walls], [pod, pod], [-1, -1], [0.0, 0.0]
+    )
+    lift_alloc, lift_pay = (dict(zip(members, row.tolist())) for row in (lift, lift_pay))
+    walled = wall[members.index(source)]
     safe, certs = {}, {}
     for a in range(profile.n):
         moved = (
@@ -455,16 +476,10 @@ def certify_ghost(profile, source, level, honest, deviated):
             certs[a] = {"family": "lifted_source", "agent": a, "level": level}
             continue
         # the source itself: zero outcome under a wall of opponents
-        walls = list(bids)
-        wall_level = min(VALUE_HI, max(level, bids[a] + 1.0))
-        for m in members:
-            if m != a:
-                walls[m] = wall_level
-        check_alloc, _ = oracle.settle_group(pod, walls)
         ok = (
             alloc_d[a] <= POS_TOL
             and pay_d[a] <= POS_TOL
-            and check_alloc.get(a, 0.0) <= POS_TOL
+            and walled <= POS_TOL
         )
         safe[a] = ok
         certs[a] = {"family": "wall", "agent": a, "level": wall_level}

@@ -6,6 +6,7 @@ welfare from grid enumeration, ranks from explicit cut enumeration — so a
 bug in the production path cannot hide in its own mirror.
 """
 
+import bisect
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from credmarket.mechanisms import ClinchTranscript, edmonds_greedy
-from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle, TableOracle
+from credmarket.polymatroid import RANK_TOL, LaminarOracle, SubstituteCloneOracle, TableOracle
 from credmarket.sim import (
     POS_TOL,
     TIER_JITTER_HI,
@@ -180,8 +181,8 @@ def bruteforce_welfare(oracle, bids, step=GRID_STEP):
 
 
 # --------------------------------------------------------------------------
-# Reference simulator paths: numpy-built round streams and the per-window
-# ghost scan
+# Reference simulator paths: numpy-built round streams, the scalar pod
+# settlement and the per-window ghost scan
 
 
 def reference_generate_round(config, seed, round_index):
@@ -220,9 +221,97 @@ def reference_generate_round(config, seed, round_index):
     )
 
 
+def reference_settle_group(oracle, g, bids, clone_of=None, clone_level=0.0):
+    """Greedy allocation and threshold payments of group `g` of a
+    `LaminarOracle` alone, one footprint sort at a time: the scalar engine
+    that `LaminarOracle.settle` replaced, kept as its reference.
+
+    With a slack root this is the group's share of the market's outcome
+    (the closed form behind `threshold_outcome`); with a binding root it
+    is the group standing on its own cap. `bids` is indexed by agent id,
+    finite and nonnegative. `clone_of` (a member) adds a substitute
+    clone bidding `clone_level`, reported under id n as in
+    `SubstituteCloneOracle`. Returns (alloc, pay); only agents served
+    more than RANK_TOL are priced, the rest pay zero.
+
+    One footprint list, sorted once by (-level, id), drives both halves:
+    every live member at its bid, but the clone and its source share one
+    footprint (perfect substitutes: the first in that order consumes,
+    the other gets nothing, and each is zero wherever the other outbids
+    it). The greedy fill walks the list and keeps running totals: T(z),
+    the footprint demand strictly above z, is the total of the list's
+    prefix above z. Below its bid a served agent's curve is
+    max(0, min(d_a, cap - (T(z) - d_a))). T(z) is constant between
+    footprint levels, so the same prefix totals price every served
+    agent: p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos),
+    O(m^2) for a group of m members.
+
+    Exactness invariant: with integer-valued demands and caps (the
+    simulator's unit sizes times arrival counts, integer pod capacities)
+    every load is an exact float whatever order it is summed in. Each
+    agent keeps the breakpoints [0.0] + sorted(levels below b_a) +
+    [b_a], the midpoint evaluation and the ascending `sum` of segment
+    areas, which makes each payment bitwise equal to integrating the
+    curve segment by segment, as the generic route does. That `sum` is
+    CPython 3.11's plain left-to-right float addition (3.12 compensates
+    it), which `LaminarOracle.settle` reproduces by adding the areas one
+    segment at a time.
+    """
+    members = oracle.group_members[g]
+    demands, cap = oracle._demand_list, oracle._cap_list[g]
+    clone = oracle.n
+    feet = [(-bids[a], a) for a in members if a != clone_of and bids[a] > 0]
+    levels = {bids[a] for a in members if bids[a] > 0}
+    alloc = dict.fromkeys(members, 0.0)
+    if clone_of is not None:
+        b_s = bids[clone_of]
+        if b_s > 0 and b_s >= clone_level:
+            feet.append((-b_s, clone_of))
+        elif clone_level > 0:
+            feet.append((-clone_level, clone))
+        levels.add(clone_level)
+        alloc[clone] = 0.0
+    feet.sort()
+    pay = dict.fromkeys(alloc, 0.0)
+    residual = cap
+    above = [0.0]  # above[k]: demand of the k highest footprints
+    for _, a in feet:
+        d = demands[clone_of if a == clone else a]
+        take = min(d, residual)
+        alloc[a] = take
+        residual -= take
+        above.append(above[-1] + d)
+    served = [a for a in alloc if alloc[a] > RANK_TOL]
+    neg_levels = [neg for neg, _ in feet]
+    zs = [0.0] + sorted(levels)
+    # segment k spans zs[k]..zs[k+1]; an agent bidding zs[j] uses 0..j-1,
+    # all below its own footprint
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(zs[:-1], zs[1:])]
+    segs = [  # (T at the midpoint, width)
+        (above[bisect.bisect_left(neg_levels, -z)], hi - lo)
+        for z, lo, hi in zip(mids, zs[:-1], zs[1:])
+    ]
+    for a in served:
+        # the clone and its source are each zero below the other's level
+        k = 0
+        if a == clone:
+            b_a, d_a = clone_level, demands[clone_of]
+            k = bisect.bisect_left(mids, bids[clone_of])
+        else:
+            b_a, d_a = bids[a], demands[a]
+            if a == clone_of:
+                k = bisect.bisect_left(mids, clone_level)
+        j = bisect.bisect_left(zs, b_a, 1)
+        area = sum(max(0.0, min(d_a, cap - (t - d_a))) * w for t, w in segs[k:j])
+        pay[a] = b_a * alloc[a] - area
+    return alloc, pay
+
+
+
 def reference_ghost_candidates(profile, alloc=None, pay=None):
-    """`sim.ghost_candidates` with one `settle_group` call per placement,
-    and surplus and damage as running sums over the pod's members."""
+    """`sim.ghost_candidates` with one `reference_settle_group` call per
+    placement, and surplus and damage as running sums over the pod's
+    members."""
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
     oracle = profile.oracle
@@ -248,7 +337,7 @@ def reference_ghost_candidates(profile, alloc=None, pay=None):
                 if hi - lo <= 1e-6:
                     continue
                 level = lo + 0.9 * (hi - lo)
-                dev_alloc, dev_pay = oracle.settle_group(p, bids, source, level)
+                dev_alloc, dev_pay = reference_settle_group(oracle, p, bids, source, level)
                 surplus = damage = 0.0
                 for m in members:
                     surplus += dev_pay[m] - pay.get(m, 0.0)

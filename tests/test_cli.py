@@ -395,6 +395,21 @@ def test_negative_seed_exits_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_rejects_a_huge_arrival_rate_without_traceback(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**ScenarioConfig().to_dict(), "arrival_rate": 1e19}))
+    src = os.path.dirname(os.path.dirname(credmarket.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "credmarket", "run", "--exp", "exp1", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "arrival rate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_rejects_bad_grid(capsys):
     assert dispatch(["sweep", "--class", "series", "--grid", "2,x,4"]) == EXIT_CONFIG
     assert dispatch(["sweep", "--class", "series", "--grid", "2,3,4"]) == EXIT_CONFIG

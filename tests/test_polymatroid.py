@@ -35,10 +35,10 @@ from credmarket.polymatroid import (
 
 from conftest import (
     bruteforce_cut_rank,
-    laminar_markets,
     networkx_flow_rank,
     networkx_matroid_rank,
     random_table_oracle,
+    reference_settle_group,
 )
 
 
@@ -373,108 +373,133 @@ def test_drop_one_pass_edges_and_bad_ids():
 
 
 # --------------------------------------------------------------------------
-# Batch phantom settlement: settle_placements(bids, groups, sources, levels)
-# row by row against settle_group(g, bids, source, level)
+# Laminar settlement: LaminarOracle.settle(bids, groups, sources, levels)
+# row by row against the scalar reference_settle_group(oracle, g, bids,
+# source, level)
+
+#: bids from a grid, so zeros and exact ties are common, or any float
+BIDS = st.sampled_from([0.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 20.0)
 
 
-def _window_placements(oracle, bids, frac):
-    """(group, source, level) for every bid window above every member, the
-    level `frac` of the way up the window, as the ghost scan places them."""
-    out = []
-    for g, members in enumerate(oracle.group_members):
-        levels = sorted({bids[a] for a in members if bids[a] > 0}, reverse=True)
-        for source in members:
-            tops = [lv for lv in levels if lv > bids[source]]
-            for w, hi in enumerate(tops):
-                lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
-                out.append((g, source, lo + frac * (hi - lo)))
-    return out
+@st.composite
+def settle_rows(draw, integer):
+    """A laminar oracle, bids (one shared vector or a row each) and 1-6
+    rows (group, source or -1, level), each clone level below, at or above
+    its source's bid or tied with a member's."""
+    oracle, _ = draw(laminar_instances(integer))
+    n, groups = oracle.n, oracle.group_members
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        bids = draw(st.lists(BIDS, min_size=n, max_size=n))
+        matrix = [bids] * count
+    else:
+        matrix = bids = [draw(st.lists(BIDS, min_size=n, max_size=n)) for _ in range(count)]
+    rows = []
+    for row_bids in matrix:
+        g = draw(st.integers(0, len(groups) - 1))
+        if not groups[g] or draw(st.booleans()):
+            rows.append((g, -1, draw(BIDS)))
+            continue
+        source = draw(st.sampled_from(groups[g]))
+        b = row_bids[source]
+        ties = [row_bids[m] for m in groups[g]]
+        level = draw(st.sampled_from([b, b / 2.0, b + 0.5, *ties]) | BIDS)
+        rows.append((g, source, level))
+    return oracle, bids, rows
 
 
-def _batch_against_groups(oracle, bids, placements):
-    """(got, want) per placement and member: the batch row, padding
-    included, against `settle_group` over the group's members and zeros."""
-    alloc, pay = oracle.settle_placements(bids, *zip(*placements))
-    width = alloc.shape[1]
-    assert alloc.shape == pay.shape == (len(placements), width)
-    for w, (g, source, level) in enumerate(placements):
-        want_alloc, want_pay = oracle.settle_group(g, bids, source, level)
+def _rows_against_reference(oracle, bids, rows):
+    """(got, want) per row: the settled row, padding and clone slot
+    included, against the reference over the group's members, zeros and
+    the clone."""
+    alloc, pay = oracle.settle(bids, *zip(*rows))
+    slots = max(map(len, oracle.group_members)) + 1
+    assert alloc.shape == pay.shape == (len(rows), slots)
+    for w, (g, source, level) in enumerate(rows):
+        row_bids = bids[w] if np.ndim(bids) == 2 else bids
+        clone = None if source < 0 else source
+        want_alloc, want_pay = reference_settle_group(oracle, g, row_bids, clone, level)
         members = oracle.group_members[g]
-        pad = [0.0] * (width - len(members))
+        ids = [*members, *[None] * (slots - 1 - len(members)), oracle.n]
         yield (
             (alloc[w].tolist(), pay[w].tolist()),
-            ([want_alloc[m] for m in members] + pad, [want_pay[m] for m in members] + pad),
+            ([want_alloc.get(a, 0.0) for a in ids], [want_pay.get(a, 0.0) for a in ids]),
         )
 
 
-def _laminar_part(market):
-    # the strategy's clone, if it drew one, gives way to the placements
-    oracle, bids = market
-    if isinstance(oracle, SubstituteCloneOracle):
-        return oracle.base, bids[:-1]
-    return oracle, bids
-
-
-@given(laminar_markets(integer=True, root="slack"), st.sampled_from((0.1, 0.5, 0.9)))
+@given(settle_rows(integer=True))
 @settings(max_examples=300, deadline=None)
-def test_batch_placements_are_bitwise_settle_group(market, frac):
-    oracle, bids = _laminar_part(market)
-    placements = _window_placements(oracle, bids, frac)
-    if not placements:
-        return
-    for got, want in _batch_against_groups(oracle, bids, placements):
+def test_batch_placements_are_bitwise_settle_group(case):
+    oracle, bids, rows = case
+    for got, want in _rows_against_reference(oracle, bids, rows):
         assert repr(got) == repr(want)
-    # one placement alone (W = 1) is its batch row
-    batch = oracle.settle_placements(bids, *zip(*placements))
-    for w, placement in enumerate(placements):
-        alone = oracle.settle_placements(bids, *zip(placement))
+    # a row settled alone (W = 1) is its batch row
+    batch = oracle.settle(bids, *zip(*rows))
+    for w, row in enumerate(rows):
+        row_bids = bids[w] if np.ndim(bids) == 2 else bids
+        alone = oracle.settle(row_bids, *zip(row))
         assert repr(alone[0].tolist()) == repr(batch[0][w : w + 1].tolist())
         assert repr(alone[1].tolist()) == repr(batch[1][w : w + 1].tolist())
 
 
-@given(laminar_markets(integer=False, root="slack"), st.sampled_from((0.1, 0.5, 0.9)))
+@given(settle_rows(integer=False))
 @settings(max_examples=200, deadline=None)
-def test_batch_placements_match_settle_group_on_float_demands(market, frac):
-    oracle, bids = _laminar_part(market)
-    placements = _window_placements(oracle, bids, frac)
-    if not placements:
-        return
-    for (alloc, pay), (want_alloc, want_pay) in _batch_against_groups(oracle, bids, placements):
+def test_batch_placements_match_settle_group_on_float_demands(case):
+    for (alloc, pay), (want_alloc, want_pay) in _rows_against_reference(*case):
         assert alloc == pytest.approx(want_alloc, rel=1e-9, abs=1e-9)
         assert pay == pytest.approx(want_pay, rel=1e-9, abs=1e-9)
 
 
-def test_batch_placements_cover_ties_sleepers_and_lone_members():
+def _sleeper_market():
     # group 0: a tie at 5.0 and a sleeper (demand, zero bid); groups 1 and
-    # 2 have one member each, so they pad every row and host no placement
+    # 2 have one member each, so they pad every group-0 row
     oracle = LaminarOracle([4, 4, 3, 5, 2, 6], [0, 0, 0, 0, 1, 2], [9, 5, 4])
-    bids = [5.0, 5.0, 0.0, 2.5, 3.0, 1.0]
-    placements = _window_placements(oracle, bids, 0.9)
-    assert {(g, s) for g, s, _ in placements} == {(0, 2), (0, 3)}
-    for got, want in _batch_against_groups(oracle, bids, placements):
+    return oracle, [5.0, 5.0, 0.0, 2.5, 3.0, 1.0]
+
+
+def test_batch_placements_cover_ties_sleepers_and_lone_members():
+    oracle, bids = _sleeper_market()
+    rows = [(0, 2, 4.75), (0, 3, 4.0), (0, -1, 0.0), (1, -1, 0.0), (2, 5, 1.0)]
+    for got, want in _rows_against_reference(oracle, bids, rows):
         assert repr(got) == repr(want)
-    # the sleeper's phantom at 4.75 serves below the tied pair and shuts
+    # the sleeper's clone at 4.75 is served below the tied pair and shuts
     # out agent 3; the sleeper itself stays unserved and pays nothing
-    alloc, pay = oracle.settle_placements(bids, [0], [2], [4.75])
-    assert alloc.tolist() == [[4.0, 4.0, 0.0, 0.0]]
-    assert pay[0, 2] == 0.0
+    alloc, pay = oracle.settle(bids, [0], [2], [4.75])
+    assert alloc.tolist() == [[4.0, 4.0, 0.0, 0.0, 1.0]]
+    assert pay[0, 2] == 0.0 and pay[0, 4] > 0.0
+
+
+@pytest.mark.parametrize(
+    "level, clone_alloc",
+    [(2.5, 0.0), (2.0, 0.0), (0.0, 0.0), (5.0, 1.0)],
+    ids=["at-bid", "below-bid", "zero", "on-member-bid"],
+)
+def test_clone_levels_need_no_bid_window(level, clone_alloc):
+    # at or below its source's bid the clone gets nothing; tied with the
+    # pair at 5.0 it loses the tie, as id n does, and takes the rest of
+    # the cap after them, shutting out its source
+    oracle, bids = _sleeper_market()
+    for got, want in _rows_against_reference(oracle, bids, [(0, 3, level)]):
+        assert repr(got) == repr(want)
+        assert got[0][-1] == clone_alloc
+        assert (got[0][3] == 0.0) == (clone_alloc > 0.0)
 
 
 @pytest.mark.parametrize(
     "groups, sources, levels",
     [
-        ([0], [3], [2.5]),  # at the source's bid
-        ([0], [3], [2.0]),  # below it
         ([0], [3], [math.nan]),
-        ([0], [2], [2.5]),  # on a member's bid
+        ([0], [3], [math.inf]),
+        ([0], [3], [-0.5]),
         ([1], [3], [4.0]),  # a source from another group
+        ([0], [6], [4.0]),  # a source outside the ground set
     ],
 )
 def test_batch_placements_reject_levels_outside_a_window(groups, sources, levels):
-    oracle = LaminarOracle([4, 4, 3, 5, 2, 6], [0, 0, 0, 0, 1, 2], [9, 5, 4])
-    bids = [5.0, 5.0, 0.0, 2.5, 3.0, 1.0]
+    # the window of a clone level is now [0, inf), in its source's group
+    oracle, bids = _sleeper_market()
     with pytest.raises(DomainError):
-        oracle.settle_placements(bids, groups, sources, levels)
+        oracle.settle(bids, groups, sources, levels)
 
 
 def test_oracle_needs_one_agent():

@@ -16,7 +16,7 @@ from credmarket.credibility import (
     verify_transcript,
 )
 from credmarket.errors import ConfigError
-from credmarket.mechanisms import ClinchTranscript, clinching_auction
+from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
 from credmarket._stream import Stream, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
 from credmarket.sim import (
@@ -82,6 +82,8 @@ def test_config_validation():
         {"seeds": 17},
         {"arrival_rate": float("nan")},
         {"arrival_rate": "2"},
+        {"arrival_rate": 1e19},
+        {"arrival_rate": sim.MAX_ARRIVAL_RATE * (1 + 1e-15)},
         {"value_decay_per_ms": float("inf")},
         {"tier_capacities": [200.0, float("nan"), 500.0]},
         {"deadlines_ms": [100.0, None, 200.0]},
@@ -92,6 +94,7 @@ def test_config_validation():
             ScenarioConfig.from_dict({**base, **bad})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict([("rounds", 3)])
+    ScenarioConfig(arrival_rate=sim.MAX_ARRIVAL_RATE)
 
 
 def test_config_dict_roundtrip():
@@ -269,21 +272,51 @@ def test_ghost_scan_is_the_per_window_reference(monkeypatch, exp, config):
     assert len(found) >= config.rounds * len(config.seeds) and sum(found) > 0
 
 
+def _count_settlements(monkeypatch):
+    # the row count of every `LaminarOracle.settle` call
+    calls, settle = [], LaminarOracle.settle
+
+    def spy(self, bids, groups, sources, levels):
+        calls.append(len(groups))
+        return settle(self, bids, groups, sources, levels)
+
+    monkeypatch.setattr(LaminarOracle, "settle", spy)
+    return calls
+
+
 def test_ghost_scan_settles_no_single_window(monkeypatch):
     config = ScenarioConfig(rounds=10, seeds=(17,))
     rounds = [generate_round(config, 17, r) for r in range(config.rounds)]
     honest = [settle_threshold(profile) for profile in rounds]
-    calls = []
-    settle_group = LaminarOracle.settle_group
-
-    def spy(self, *args, **kwargs):
-        calls.append(args)
-        return settle_group(self, *args, **kwargs)
-
-    monkeypatch.setattr(LaminarOracle, "settle_group", spy)
-    found = sum(len(ghost_candidates(p, *h)) for p, h in zip(rounds, honest))
+    calls = _count_settlements(monkeypatch)
+    found = 0
+    for profile, pair in zip(rounds, honest):
+        calls.clear()
+        cands = ghost_candidates(profile, *pair)
+        # one call a round, a row per placement, and none without one
+        assert len(calls) <= 1
+        if cands:
+            assert calls and calls[0] >= len(cands)
+        found += len(cands)
     assert found > 0
-    assert calls == []
+
+
+def test_every_settlement_is_one_engine_call(monkeypatch):
+    profile, honest, pick = _first_ghost_round(ScenarioConfig(rounds=60, seeds=(17,)), 17)
+    calls = _count_settlements(monkeypatch)
+    pods = len(profile.pod_caps)
+    settle_threshold(profile)
+    assert calls == [pods]
+    deviated = ghost_settle(profile, pick.source, pick.level)
+    assert calls == [pods, pods]
+    # a slack laminar oracle built by hand takes the same single call
+    oracle = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
+    vcg_outcome(oracle, [5.0, 5.0, 0.0, 2.5])
+    vcg_outcome(SubstituteCloneOracle(oracle, 2), [5.0, 5.0, 0.0, 2.5, 4.75])
+    assert calls == [pods, pods, 2, 2]
+    # both certificate replays, lifted and walled, as two rows of one call
+    certify_ghost(profile, pick.source, pick.level, honest, deviated)
+    assert calls == [pods, pods, 2, 2, 2]
 
 
 def test_ghost_surplus_and_damage_are_exact():
@@ -429,6 +462,20 @@ SMALL_DIGESTS = {
 def test_small_config_digests_are_pinned(exp):
     report = run_experiment(exp, ScenarioConfig(rounds=4, seeds=(17, 42)))
     assert report["digest"] == SMALL_DIGESTS[exp]
+
+
+#: summary digests of the four experiments at the default ScenarioConfig
+DEFAULT_DIGESTS = {
+    "exp1": "011e0ec45351aca4f0b57ac19063fae8b3f7fb633b15915bc26982a772309f5e",
+    "exp2": "1ae36ea83068e6d932be14be3e828ed4e29237228561871baf85f6a27b41f2d4",
+    "exp3": "fca9c3840f0c007b9ef906e2e8f586ce40f9b08ac8f81bce6ee0635f6c2d1083",
+    "r5": "5125cabbf026232a5275395f141af85abf01179d2481a739d5a6fa7da0eb8c51",
+}
+
+
+@pytest.mark.parametrize("exp", sorted(DEFAULT_DIGESTS))
+def test_default_config_digests_are_pinned(exp):
+    assert run_experiment(exp, ScenarioConfig())["digest"] == DEFAULT_DIGESTS[exp]
 
 
 #: SHA-256 of the rounds=4, seeds=(17, 42) clinching transcripts and
