@@ -113,6 +113,17 @@ class AgentObservation:
         )
 
 
+def _world(profile, entrant=None):
+    """The key of an honest-run world: equal for two worlds exactly when
+    their runs on one oracle, mechanism and seed are the same run. It holds
+    the exact bits of every bid (-0.0 apart from 0.0, an int bid as the
+    float the mechanism reads) and the entrant's source and level."""
+    bits = tuple(float(b).hex() for b in profile)
+    if entrant is None:
+        return bits, None
+    return bits, (entrant["source"], float(entrant["level"]).hex())
+
+
 @dataclass
 class Certificate:
     """A rationalizing counterfactual: honest execution of `profile` (plus
@@ -122,20 +133,30 @@ class Certificate:
     profile: list
     entrant: dict = None  # {"source": agent id, "level": bid} or None
 
-    def replay(self, mechanism, oracle, seed=0):
-        """Honest-run the certificate world; return (x_agent, p_agent)."""
-        if self.entrant is not None:
-            oracle = SubstituteCloneOracle(oracle, self.entrant["source"])
-            profile = list(self.profile) + [self.entrant["level"]]
-        else:
-            profile = list(self.profile)
-        out = run_mechanism(oracle, profile, mechanism, seed=seed)
+    def replay(self, mechanism, oracle, seed=0, outcomes=None):
+        """Honest-run the certificate world; return (x_agent, p_agent).
+
+        `outcomes`, when given, maps `_world` keys to runs already made on
+        this oracle, mechanism and seed: a world found there is not run
+        again, and a world run here is added to it.
+        """
+        if outcomes is None:
+            outcomes = {}
+        key = _world(self.profile, self.entrant)
+        out = outcomes.get(key)
+        if out is None:
+            if self.entrant is not None:
+                oracle = SubstituteCloneOracle(oracle, self.entrant["source"])
+                profile = list(self.profile) + [self.entrant["level"]]
+            else:
+                profile = list(self.profile)
+            out = outcomes[key] = run_mechanism(oracle, profile, mechanism, seed=seed)
         return out.allocation[self.agent], out.payments[self.agent]
 
-    def matches(self, observation, mechanism, oracle, seed=0, tol=1e-7):
+    def matches(self, observation, mechanism, oracle, seed=0, tol=1e-7, outcomes=None):
         if abs(self.profile[self.agent] - observation.own_bid) > tol:
             return False
-        x, p = self.replay(mechanism, oracle, seed=seed)
+        x, p = self.replay(mechanism, oracle, seed=seed, outcomes=outcomes)
         return (
             abs(x - observation.own_allocation) <= tol
             and abs(p - observation.own_payment) <= tol
@@ -295,12 +316,13 @@ def _unchanged(honest, deviated, i, tol=MATCH_TOL):
     )
 
 
-def _first_match(candidates, deviated, bids, mechanism, oracle, seed):
+def _first_match(candidates, deviated, bids, mechanism, oracle, seed, outcomes):
     """The first candidate certificate whose honest replay reproduces what
-    its agent saw in `deviated`, else None."""
+    its agent saw in `deviated`, else None; `outcomes` is the world cache
+    of `Certificate.replay`."""
     for cert in candidates:
         obs = AgentObservation.from_outcome(deviated, bids, cert.agent)
-        if cert.matches(obs, mechanism, oracle, seed=seed):
+        if cert.matches(obs, mechanism, oracle, seed=seed, outcomes=outcomes):
             return cert
     return None
 
@@ -317,7 +339,7 @@ def _checked_certificates(deviated, bids, mechanism, oracle, seed):
     return certs
 
 
-def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source, level):
+def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source, level, outcomes):
     """Per-agent rationalizations of a ghost world.
 
     For everyone except the source, the deviated world is literally the
@@ -345,7 +367,7 @@ def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source,
                     profile=list(bids),
                     entrant={"source": source, "level": level},
                 ))
-        certs[i] = _first_match(candidates, deviated, bids, mechanism, oracle, seed)
+        certs[i] = _first_match(candidates, deviated, bids, mechanism, oracle, seed, outcomes)
     return certs
 
 
@@ -372,6 +394,9 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
         raise ConfigError("discriminate is implemented for vcg/first_price only")
 
     honest = run_mechanism(oracle, bids, mechanism, seed=seed)
+    # certificate replays share one run per world; most certificates
+    # replay the honest world or one other
+    outcomes = {_world(bids): honest}
     agents = range(n)
     ghost = None
 
@@ -388,7 +413,9 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             )
         perturbed = list(bids)
         perturbed[j] += strategy.delta
-        shadow = run_mechanism(oracle, perturbed, mechanism, seed=seed)
+        shadow = outcomes[_world(perturbed)] = run_mechanism(
+            oracle, perturbed, mechanism, seed=seed
+        )
         if abs(shadow.allocation[i] - honest.allocation[i]) > 1e-9:
             raise DomainError(
                 "perturbation moved the winner's allocation; window logic is off"
@@ -405,7 +432,7 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
         certs = {
             k: _first_match(
                 [Certificate(agent=k, profile=list(perturbed if k == i else bids))],
-                deviated, bids, mechanism, oracle, seed,
+                deviated, bids, mechanism, oracle, seed, outcomes,
             )
             for k in agents
         }
@@ -437,7 +464,7 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             )
             undelivered = out_plus.allocation[plus.clone_id]
         certs = _ghost_certificates(
-            oracle, bids, mechanism, seed, honest, deviated, source, level
+            oracle, bids, mechanism, seed, honest, deviated, source, level, outcomes
         )
         ghost = {"source": source, "level": level, "undelivered": undelivered}
 

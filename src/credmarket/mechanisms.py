@@ -15,9 +15,11 @@ payments to within one clock step for unit-slope demand.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,55 +128,67 @@ def _negative_marginal(i, gain):
     )
 
 
-def _share(oracle, bids, i, priority, active):
-    """`_greedy(oracle, bids, priority, active)[0][i]` from two rank calls.
+def _share(oracle, bids, i, priority_of=None, active=None):
+    """Agent i's greedy share as a function of its own bid, z -> x_i(z),
+    with every opponent's bid held at `bids`; `priority_of(j, b_j)` maps a
+    bid to priority space (the bid itself when None).
 
-    Agent i's greedy share is f(P + i) - f(P), P the agents served ahead of
-    it. P is grown as a set in the greedy's own order, so both sets iterate
-    as the greedy's do and meet the same memo and `_rank`: the result is
-    bitwise the greedy's, and no subset is ranked that the greedy would not.
+    The opponents the greedy can serve (in `active` when given, bidding
+    above 0) are put in greedy order once. At a level z, i sorts after
+    those whose priority is higher, or equal with a lower id, as in
+    `priority_order`; a bisect finds that prefix P, and the share is
+    f(P + i) - f(P). P is built as a set in the greedy's own order, so both
+    sets iterate as the greedy's do and meet the same memo and `_rank`:
+    x_i(z) is bitwise `_greedy(oracle, bids with b_i = z, ...)[0][i]`, and
+    no subset is ranked that the greedy would not.
     """
-    if bids[i] <= 0.0 or (active is not None and i not in active):
-        return 0.0
-    taken = set()
-    for j in priority_order(bids, priority):
-        if j == i:
-            break
-        if active is not None and j not in active:
-            continue
-        if bids[j] > 0.0:
-            taken.add(j)
-    base = oracle.rank(taken) if taken else 0.0
-    taken.add(i)
-    gain = oracle.rank(taken) - base
-    if gain < -RANK_TOL:
-        raise _negative_marginal(i, gain)
-    return gain
+    if active is not None and i not in active:
+        return lambda z: 0.0
+    if priority_of is None:
+        prio = bids
+        priority_of = lambda j, b: b
+    else:
+        prio = [priority_of(j, b) for j, b in enumerate(bids)]
+    served = [
+        j for j in priority_order(bids, prio)
+        if j != i and bids[j] > 0.0 and (active is None or j in active)
+    ]
+    keys = [(-prio[j], j) for j in served]
+
+    def share(z):
+        if z <= 0.0:
+            return 0.0
+        taken = set(served[: bisect.bisect(keys, (-priority_of(i, z), i))])
+        base = oracle.rank(taken) if taken else 0.0
+        taken.add(i)
+        gain = oracle.rank(taken) - base
+        if gain < -RANK_TOL:
+            raise _negative_marginal(i, gain)
+        return gain
+
+    return share
 
 
-def _allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lower=0.0):
-    """x_i(z) evaluated at the midpoint of each segment between breakpoints.
+def _allocation_curve(share, i, top, breakpoints, lower=0.0):
+    """x_i(z) = share(z) evaluated at the midpoint of each segment between
+    breakpoints.
 
-    `priority_of(j, b_j)` maps an agent's bid to priority space; breakpoints
-    are the bid levels where agent i's priority crosses an opponent's.
-    Returns (segment start, segment end, x on segment) triples covering
-    [lower, b_i]; the curve is identically zero below `lower`.
+    Breakpoints are the bid levels where agent i's priority crosses an
+    opponent's. Returns (segment start, segment end, x on segment) triples
+    covering [lower, top], top = b_i; the curve is identically zero below
+    `lower`.
     """
     pts = sorted({p for p in breakpoints if p > lower})
-    cuts = [lower] + pts + [bids[i]]
-    cuts = sorted({c for c in cuts if lower <= c <= bids[i]})
-    if bids[i] not in cuts:
-        cuts.append(bids[i])
+    cuts = [lower] + pts + [top]
+    cuts = sorted({c for c in cuts if lower <= c <= top})
+    if top not in cuts:
+        cuts.append(top)
     segments = []
     last_x = None
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo <= 0:
             continue
-        z = (lo + hi) / 2.0
-        trial = list(bids)
-        trial[i] = z
-        prio = [priority_of(j, trial[j]) for j in range(len(bids))]
-        x = _share(oracle, trial, i, prio, active)
+        x = share((lo + hi) / 2.0)
         if last_x is not None and x < last_x - 1e-9:
             raise NonMonotoneAllocationError(
                 f"allocation of agent {i} fell from {last_x} to {x} as its bid rose past {lo}"
@@ -193,20 +207,25 @@ def archer_tardos_payment(
     priority crosses an opponent's level, so the integral is evaluated
     exactly as a finite sum of segment areas (no quadrature). `eligible_from`
     zeroes the curve below a participation threshold (reserve prices).
+    Every level of the curve, b_i included, is read off one greedy order of
+    the opponents (`_share`).
     """
     bids = _validate_bids(oracle, bids)
-    if priority_of is None:
-        priority_of = lambda j, b: b
+    try:
+        agent = operator.index(i)
+    except TypeError:
+        agent = -1
+    if not 0 <= agent < oracle.n:
+        raise DomainError(f"agent id {i!r} is not in the ground set")
+    i = agent
     if breakpoints is None:
         breakpoints = [bids[j] for j in range(len(bids)) if j != i]
     if bids[i] <= eligible_from:
         return 0.0
-    segments = _allocation_curve(
-        oracle, bids, i, priority_of, breakpoints, active, lower=eligible_from
-    )
-    prio = [priority_of(j, bids[j]) for j in range(len(bids))]
+    share = _share(oracle, bids, i, priority_of, active)
+    segments = _allocation_curve(share, i, bids[i], breakpoints, lower=eligible_from)
     integral = sum((hi - lo) * x for lo, hi, x in segments)
-    return bids[i] * _share(oracle, bids, i, prio, active) - integral
+    return bids[i] * share(bids[i]) - integral
 
 
 def vcg_outcome(oracle, bids):

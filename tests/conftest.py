@@ -7,6 +7,7 @@ bug in the production path cannot hide in its own mirror.
 """
 
 import bisect
+import contextlib
 import itertools
 import math
 
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from credmarket.mechanisms import ClinchTranscript, edmonds_greedy
+import credmarket.adversary
+from credmarket.errors import NonMonotoneAllocationError
+from credmarket.mechanisms import (
+    ClinchTranscript,
+    _negative_marginal,
+    _validate_bids,
+    edmonds_greedy,
+    priority_order,
+)
 from credmarket.polymatroid import RANK_TOL, LaminarOracle, SubstituteCloneOracle, TableOracle
 from credmarket.sim import (
     POS_TOL,
@@ -149,6 +158,129 @@ def vcg_externality(oracle, bids, agent):
     alloc_wo, _ = edmonds_greedy(oracle, absent)
     others_best = sum(absent[j] * alloc_wo[j] for j in alloc_wo if j != agent)
     return others_best - others_now
+
+
+# --------------------------------------------------------------------------
+# Reference oracle 2b: the threshold payment with the opponents' greedy order
+# rebuilt for every segment of the allocation curve, as `archer_tardos_payment`
+# computed it before it kept one order per payment. Its rank calls, their
+# subsets' iteration order and its float operations are the contract the
+# one-order curve must reproduce bitwise.
+
+
+def reference_share(oracle, bids, i, priority, active):
+    """Agent i's greedy share from two rank calls, P grown in a full
+    priority order of all n agents."""
+    if bids[i] <= 0.0 or (active is not None and i not in active):
+        return 0.0
+    taken = set()
+    for j in priority_order(bids, priority):
+        if j == i:
+            break
+        if active is not None and j not in active:
+            continue
+        if bids[j] > 0.0:
+            taken.add(j)
+    base = oracle.rank(taken) if taken else 0.0
+    taken.add(i)
+    gain = oracle.rank(taken) - base
+    if gain < -RANK_TOL:
+        raise _negative_marginal(i, gain)
+    return gain
+
+
+def reference_allocation_curve(oracle, bids, i, priority_of, breakpoints, active=None, lower=0.0):
+    """x_i at each segment midpoint, every priority recomputed per segment."""
+    pts = sorted({p for p in breakpoints if p > lower})
+    cuts = [lower] + pts + [bids[i]]
+    cuts = sorted({c for c in cuts if lower <= c <= bids[i]})
+    if bids[i] not in cuts:
+        cuts.append(bids[i])
+    segments = []
+    last_x = None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo <= 0:
+            continue
+        z = (lo + hi) / 2.0
+        trial = list(bids)
+        trial[i] = z
+        prio = [priority_of(j, trial[j]) for j in range(len(bids))]
+        x = reference_share(oracle, trial, i, prio, active)
+        if last_x is not None and x < last_x - 1e-9:
+            raise NonMonotoneAllocationError(
+                f"allocation of agent {i} fell from {last_x} to {x} as its bid rose past {lo}"
+            )
+        last_x = x
+        segments.append((lo, hi, x))
+    return segments
+
+
+def reference_threshold_payment(
+    oracle, bids, i, priority_of=None, breakpoints=None, active=None, eligible_from=0.0
+):
+    """`archer_tardos_payment` with a full priority sort per segment."""
+    bids = _validate_bids(oracle, bids)
+    if priority_of is None:
+        priority_of = lambda j, b: b
+    if breakpoints is None:
+        breakpoints = [bids[j] for j in range(len(bids)) if j != i]
+    if bids[i] <= eligible_from:
+        return 0.0
+    segments = reference_allocation_curve(
+        oracle, bids, i, priority_of, breakpoints, active, lower=eligible_from
+    )
+    prio = [priority_of(j, bids[j]) for j in range(len(bids))]
+    integral = sum((hi - lo) * x for lo, hi, x in segments)
+    return bids[i] * reference_share(oracle, bids, i, prio, active) - integral
+
+
+def recording(oracle):
+    """Turn `oracle` into an instance of a subclass of its own class that
+    appends ("rank", tuple(subset)) for every `rank` call and ("eval",
+    tuple(subset)) for every `_rank` evaluation to `oracle.log`; the tuples
+    keep each subset's iteration order. Returns the oracle."""
+    base = type(oracle)
+
+    class Recording(base):
+        def rank(self, subset):
+            if not isinstance(subset, (frozenset, set, list, tuple)):
+                subset = tuple(subset)
+            self.log.append(("rank", tuple(subset)))
+            return base.rank(self, subset)
+
+        def _rank(self, subset):
+            self.log.append(("eval", tuple(subset)))
+            return base._rank(self, subset)
+
+    oracle.__class__ = Recording
+    oracle.log = []
+    return oracle
+
+
+def reference_staircase_rank(entries, subset):
+    """The staircase rank as one numpy reduction per node: min(|S|,
+    min over m of m + #entries of S strictly above m)."""
+    entries = np.asarray(entries, dtype=int)
+    if not subset:
+        return 0.0
+    ent = entries[list(subset)]
+    best = float(len(ent))
+    for m in range(1, int(entries.max()) + 1):
+        best = min(best, m + float((ent > m).sum()))
+    return best
+
+
+@contextlib.contextmanager
+def unshared_worlds():
+    """Give every certificate world a key of its own, so `apply_deviation`
+    replays each certificate with a run of its own, as it did before the
+    runs of one call were shared."""
+    shared = credmarket.adversary._world
+    credmarket.adversary._world = lambda profile, entrant=None: object()
+    try:
+        yield
+    finally:
+        credmarket.adversary._world = shared
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import credmarket.adversary
 
 from credmarket.adversary import (
     AgentObservation,
@@ -22,7 +25,7 @@ from credmarket.errors import (
 from credmarket.mechanisms import Mechanism, UniformPrior
 from credmarket.polymatroid import LaminarOracle, TableOracle, pair_gap
 
-from conftest import random_bids, random_table_oracle
+from conftest import random_bids, random_table_oracle, unshared_worlds
 
 WORKED = TableOracle(2, {(): 0.0, (0,): 2.0, (1,): 2.0, (0, 1): 3.0})
 VCG = Mechanism(payment_rule="vcg")
@@ -254,6 +257,68 @@ def test_certificate_replay_is_exact(seed):
         cert = result.certificates[i]
         obs = result.observation(i)
         assert cert.matches(obs, VCG, oracle)
+
+
+def _bits(bids):
+    return tuple(float(b).hex() for b in bids)
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    kind=st.sampled_from(["ghost_bid", "payment_perturb"]),
+    rule=st.sampled_from(["vcg", "myerson", "first_price"]),
+    place=st.sampled_from(["auto", "below", "top", "tie"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_certificate_replays_run_each_world_once(seed, kind, rule, place):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    if rng.integers(2):
+        oracle = random_table_oracle(rng, n)
+    else:  # a binding root: every rule takes the generic route
+        oracle = LaminarOracle(rng.integers(1, 4, size=n).tolist(), [0] * n, [9.0], root_cap=2.0)
+    bids = [float(b) for b in rng.integers(1, 9, size=n) / 2.0]  # ties are common
+    mechanism = Mechanism(payment_rule=rule, prior=UniformPrior(0.0, 8.0))
+    if kind == "payment_perturb":
+        try:
+            strategy = construct_perturbation(bids, oracle)
+        except (NoWindowError, NoDeviationError):
+            assume(False)
+    else:
+        top = max(bids)
+        level = {"auto": None, "below": top / 2.0, "top": top + 1.0, "tie": top}[place]
+        strategy = DeviationStrategy(kind="ghost_bid", level=level)
+
+    with unshared_worlds():
+        want = apply_deviation(strategy, bids, mechanism, oracle)
+    worlds = []
+    run = credmarket.adversary.run_mechanism
+
+    def logged(world_oracle, profile, *args, **kwargs):
+        source = getattr(world_oracle, "position_agent", None)
+        worlds.append((source, _bits(profile)))
+        return run(world_oracle, profile, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(credmarket.adversary, "run_mechanism", logged)
+        got = apply_deviation(strategy, bids, mechanism, oracle)
+
+    for side in ("honest", "deviated"):
+        a, b = getattr(got, side), getattr(want, side)
+        assert repr(a.allocation) == repr(b.allocation) and repr(a.payments) == repr(b.payments)
+    assert got.certificates == want.certificates
+    assert got.undetectable == want.undetectable
+    assert got.ghost == want.ghost
+    # one run per world; the phantom's world is the one exception: the
+    # operator runs it on its clone oracle, and the source's entrant
+    # certificate replays it on a clone oracle of its own
+    repeats = [w for w in set(worlds) if worlds.count(w) > 1]
+    if kind == "ghost_bid" and repeats:
+        ghost = got.ghost
+        assert repeats == [(ghost["source"], _bits(bids + [ghost["level"]]))]
+        assert worlds.count(repeats[0]) == 2
+    else:
+        assert repeats == []
 
 
 def test_strategy_validation():

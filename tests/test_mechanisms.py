@@ -45,6 +45,8 @@ from conftest import (
     quadrature_payment,
     random_bids,
     random_table_oracle,
+    recording,
+    reference_threshold_payment,
     vcg_externality,
 )
 
@@ -265,7 +267,9 @@ def test_share_is_bitwise_the_greedy_share(case):
     # each side ranks through its own fresh oracle, so the memo cannot
     # carry a value from one to the other
     make, bids, i, prio, active = case
-    assert _share(make(), bids, i, prio, active) == _greedy(make(), bids, prio, active)[0][i]
+    priority_of = None if prio is None else (lambda j, b: prio[j])
+    share = _share(make(), bids, i, priority_of, active)
+    assert share(bids[i]) == _greedy(make(), bids, prio, active)[0][i]
 
 
 NON_MONOTONE = TableOracle(3, {
@@ -282,9 +286,74 @@ def test_non_monotone_oracle_fails_loudly():
     with pytest.raises(StructureError, match=message):
         edmonds_greedy(NON_MONOTONE, bids)
     with pytest.raises(StructureError, match=message):
-        _share(NON_MONOTONE, bids, 2, None, None)
+        _share(NON_MONOTONE, bids, 2)(bids[2])
     # agents ahead of the drop keep their monotone shares
-    assert _share(NON_MONOTONE, bids, 1, None, None) == 1.0
+    assert _share(NON_MONOTONE, bids, 1)(bids[1]) == 1.0
+
+
+@st.composite
+def payment_cases(draw):
+    """A fresh-oracle builder (a table, a small float laminar market with a
+    slack or binding root, or a 40-agent one, above the memo's size limit),
+    bids with ties, and per agent the keyword arguments `vcg_outcome`,
+    `myerson_outcome` or a `discriminate` deviation pass to
+    `archer_tardos_payment`."""
+    kind = draw(st.sampled_from(["table", "laminar", "laminar40"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "table":
+        make = _oracle_maker("table", seed)
+    else:
+        n = 40 if kind == "laminar40" else draw(st.integers(1, 9))
+        make = _laminar(np.random.default_rng(seed), n, draw(st.sampled_from(["slack", "binding"])))
+    n = make().n
+    grid = st.sampled_from([0.0, 1.0, 2.5, 4.0, 5.5, 7.5, 11.0])
+    bid = draw(st.sampled_from([grid, st.floats(0.0, 12.0)]))
+    bids = draw(st.lists(bid, min_size=n, max_size=n))
+    rule = draw(st.sampled_from(["vcg", "myerson", "discriminate"]))
+    if rule == "vcg":
+        return make, bids, rule, lambda i: {}
+    if rule == "myerson":
+        prior = UniformPrior(1.0, draw(st.sampled_from([8.0, 11.0])))
+        reserve = prior.reserve()
+        active = {j for j in range(n) if bids[j] >= reserve}
+
+        def myerson_args(i):
+            pts = [(prior.virtual_value(bids[j]) + prior.hi) / 2.0 for j in active if j != i]
+            return dict(priority_of=lambda j, b: prior.virtual_value(b), breakpoints=pts,
+                        active=active, eligible_from=reserve)
+
+        return make, bids, rule, myerson_args
+    favored = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    lift = 2.0 * max(bids) + 1.0
+
+    def discriminate_args(i):
+        same = [bids[k] for k in range(n) if k != i and (k in favored) == (i in favored)]
+        return dict(priority_of=lambda k, b: b + (lift if k in favored else 0.0), breakpoints=same)
+
+    return make, bids, rule, discriminate_args
+
+
+@given(payment_cases())
+@settings(max_examples=150, deadline=None)
+def test_threshold_payment_ranks_what_the_per_segment_sort_ranked(case):
+    # every agent's payment in turn on one oracle per side, so the memo
+    # carries across agents as it does inside an outcome; the logs hold
+    # each rank call's and each evaluation's subset in iteration order
+    make, bids, rule, args = case
+    got, want = recording(make()), recording(make())
+    for i in range(got.n):
+        p = archer_tardos_payment(got, bids, i, **args(i))
+        q = reference_threshold_payment(want, bids, i, **args(i))
+        assert repr(p) == repr(q), (rule, i)
+    assert got.log == want.log
+
+
+@pytest.mark.parametrize("i", [2, -1, 1.0, "1", None])
+def test_threshold_payment_rejects_an_agent_outside_the_ground_set(i):
+    with pytest.raises(DomainError, match=r"is not in the ground set$"):
+        archer_tardos_payment(WORKED, [10.0, 5.0], i)
+    # numpy ids are ids, as in `rank`
+    assert archer_tardos_payment(WORKED, [10.0, 5.0], np.int64(0)) == 5.0
 
 
 class _Counting:
@@ -338,6 +407,24 @@ def test_threshold_payments_do_less_rank_work(name):
     evals, calls = RERUN_RANK_WORK[name]
     assert count.evals <= evals
     assert count.calls < calls
+
+
+# (rank evaluations, rank calls) of `vcg_outcome` on each instance when
+# every segment of a threshold payment's curve sorted all n priorities
+PER_SEGMENT_SORT_RANK_WORK = {
+    "table": (21, 58),
+    "tree_cut": (9, 15),
+    "sp": (11, 27),
+    "maxflow": (9, 15),
+}
+
+
+@pytest.mark.parametrize("name", PER_SEGMENT_SORT_RANK_WORK)
+def test_one_opponent_order_keeps_the_rank_work(name):
+    oracle, bids = rank_work_instances()[name]
+    count = _Counting(oracle)
+    vcg_outcome(oracle, bids)
+    assert (count.evals, count.calls) == PER_SEGMENT_SORT_RANK_WORK[name]
 
 
 @given(seed=st.integers(0, 10_000))

@@ -1,5 +1,6 @@
 """Measurement layer: CoNC ratios, effect sizes, distributions, scaling."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,8 @@ from credmarket.metrics import (
     scaling_sweep,
 )
 from credmarket.polymatroid import verify_axioms
+
+from conftest import reference_staircase_rank
 
 PRIOR = UniformPrior(1.0, 11.0)
 
@@ -151,6 +154,37 @@ def test_staircase_closed_form():
     assert oracle.rank({0, 1}) == pytest.approx(1.0)  # both squeeze through node 1
     assert oracle.rank({0, 2}) == pytest.approx(2.0)  # staggered entries pass
     assert oracle.rank({0, 1, 2, 3}) == pytest.approx(2.0)  # node 2 caps at 2
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_staircase_rank_is_bitwise_the_node_loop(entries):
+    oracle = StaircaseOracle(entries)
+    for r in range(len(entries) + 1):
+        for subset in itertools.combinations(range(len(entries)), r):
+            got = oracle._rank(frozenset(subset))
+            want = reference_staircase_rank(entries, frozenset(subset))
+            assert type(got) is float and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", True, np.True_, 0, -3, None])
+def test_staircase_rejects_entries_that_are_not_node_numbers(bad):
+    with pytest.raises(ConfigError, match=r"^staircase entries must be integers >= 1"):
+        StaircaseOracle([1, bad, 2])
+    # numpy integers are integers
+    assert StaircaseOracle([np.int64(1), 2]).rank({0, 1}) == 2.0
+
+
+def test_series_sweep_is_pinned():
+    # pinned from the per-node staircase loop and the per-segment payment
+    # sort
+    assert scaling_sweep("series", [2, 4, 8, 16], seeds=(0, 1, 2)).to_json() == {
+        "class": "series",
+        "parameters": [2, 4, 8, 16],
+        "concabs": [0.5, 1.0, 2.0, 4.0],
+        "slope": 0.9999999999999998,
+        "slope_ci": [0.9999999999999998, 0.9999999999999998],
+    }
 
 
 def test_sweep_linear_classes_have_unit_slope():
