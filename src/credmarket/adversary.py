@@ -50,8 +50,8 @@ STRATEGY_KINDS = (
 )
 
 #: default phantom amplitude: the extraction target per round is
-#: epsilon_scale * (max realized value); the phantom's level itself is
-#: placed by the operator, see `apply_deviation` / `sim.best_ghost`.
+#: GHOST_EPSILON_SCALE * (max realized value); the phantom's level itself
+#: is placed by the operator, see `apply_deviation` / `sim.best_ghost`.
 GHOST_EPSILON_SCALE = 1.1
 
 MATCH_TOL = 1e-9
@@ -64,8 +64,7 @@ class DeviationStrategy:
     kind: str
     pair: tuple = None  # payment_perturb: (winner i, nudged loser j)
     delta: float = None  # payment_perturb: bid nudge, 0 < delta < window
-    epsilon_scale: float = GHOST_EPSILON_SCALE  # ghost_bid
-    level: float = None  # ghost_bid: explicit phantom bid (overrides scale)
+    level: float = None  # ghost_bid: phantom bid, GHOST_EPSILON_SCALE * max bid if None
     source: int = None  # ghost_bid: whose slot the phantom contests
     shrink_factor: float = None  # capacity_misreport
     markup: float = None  # posted_price_inflate
@@ -79,9 +78,6 @@ class DeviationStrategy:
                 raise ConfigError("payment_perturb needs a (winner, loser) pair")
             if self.delta is None or self.delta <= 0:
                 raise ConfigError("payment_perturb needs delta > 0")
-        if self.kind == "ghost_bid":
-            if self.epsilon_scale is None or self.epsilon_scale <= 0:
-                raise ConfigError("ghost_bid needs epsilon_scale > 0")
         if self.kind == "capacity_misreport":
             if not (self.shrink_factor and 0 < self.shrink_factor < 1):
                 raise ConfigError("capacity_misreport needs shrink_factor in (0, 1)")
@@ -375,7 +371,7 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
     """Execute an operator strategy; return both worlds plus certificates.
 
     Ghost bids insert one phantom (substitute clone of `source`, bidding
-    `level`, default epsilon_scale * max bid) and rerun the mechanism; real
+    `level`, default GHOST_EPSILON_SCALE * max bid) and rerun the mechanism; real
     agents are charged the resulting payments while the phantom's
     allocation goes undelivered. Payment perturbation recomputes the
     winner's threshold under the nudged counterfactual; the allocation is
@@ -440,7 +436,7 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
     elif strategy.kind == "ghost_bid":
         level = strategy.level
         if level is None:
-            level = strategy.epsilon_scale * max(bids)
+            level = GHOST_EPSILON_SCALE * max(bids)
         source = strategy.source
         if source is None:
             source = _auto_ghost_source(bids, level)

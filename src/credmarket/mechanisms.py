@@ -5,7 +5,8 @@ quantities (the polymatroid greedy, optimal for the welfare LP). Payment
 rules differ:
 
   vcg          threshold payments from the exact allocation-curve integral
-  myerson      same, after a virtual-value reparameterisation with a reserve
+  myerson      the same threshold auction with Myerson's reserve: under a
+               uniform prior the virtual-value order is the bid order
   first_price  pay-as-bid
   posted_price fixed unit price, seeded random arrival order
 
@@ -102,14 +103,17 @@ def _greedy(oracle, bids, priority, active):
     # `edmonds_greedy` on bids already checked by `_validate_bids`: the
     # counterfactual reruns of a threshold payment skip the re-check
     order = priority_order(bids, priority)
+    served = [i for i in order if bids[i] > 0.0 and (active is None or i in active)]
+    return _walk(oracle, served), order
+
+
+def _walk(oracle, served):
+    """Each agent of `served`, in that order, gets its marginal rank over
+    the agents before it; every other id gets 0."""
     alloc = dict.fromkeys(range(oracle.n), 0.0)
     taken = set()
     base = 0.0
-    for i in order:
-        if active is not None and i not in active:
-            continue
-        if bids[i] <= 0.0:
-            continue
+    for i in served:
         taken.add(i)
         new = oracle.rank(taken)
         gain = new - base
@@ -117,7 +121,7 @@ def _greedy(oracle, bids, priority, active):
             raise _negative_marginal(i, gain)
         alloc[i] = gain
         base = new
-    return alloc, order
+    return alloc
 
 
 def _negative_marginal(i, gain):
@@ -175,19 +179,13 @@ def _allocation_curve(share, i, top, breakpoints, lower=0.0):
 
     Breakpoints are the bid levels where agent i's priority crosses an
     opponent's. Returns (segment start, segment end, x on segment) triples
-    covering [lower, top], top = b_i; the curve is identically zero below
-    `lower`.
+    covering [lower, top], top = b_i > lower; the curve is identically zero
+    below `lower`.
     """
-    pts = sorted({p for p in breakpoints if p > lower})
-    cuts = [lower] + pts + [top]
-    cuts = sorted({c for c in cuts if lower <= c <= top})
-    if top not in cuts:
-        cuts.append(top)
+    cuts = sorted({lower, top, *(p for p in breakpoints if lower < p < top)})
     segments = []
     last_x = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 0:
-            continue
+    for lo, hi in zip(cuts, cuts[1:]):
         x = share((lo + hi) / 2.0)
         if last_x is not None and x < last_x - 1e-9:
             raise NonMonotoneAllocationError(
@@ -205,10 +203,10 @@ def archer_tardos_payment(
 
     The integrand is piecewise constant: x_i(z) only changes where agent i's
     priority crosses an opponent's level, so the integral is evaluated
-    exactly as a finite sum of segment areas (no quadrature). `eligible_from`
-    zeroes the curve below a participation threshold (reserve prices).
-    Every level of the curve, b_i included, is read off one greedy order of
-    the opponents (`_share`).
+    exactly as a finite sum of segment areas (no quadrature). `eligible_from`,
+    finite and nonnegative, zeroes the curve below a participation
+    threshold (a reserve price). Every level of the curve, b_i included, is
+    read off one greedy order of the opponents (`_share`).
     """
     bids = _validate_bids(oracle, bids)
     try:
@@ -218,6 +216,9 @@ def archer_tardos_payment(
     if not 0 <= agent < oracle.n:
         raise DomainError(f"agent id {i!r} is not in the ground set")
     i = agent
+    # NaN fails both comparisons: it would drop every cut and price no area
+    if not 0.0 <= eligible_from < math.inf:
+        raise DomainError(f"eligible_from must be finite and nonnegative, got {eligible_from!r}")
     if breakpoints is None:
         breakpoints = [bids[j] for j in range(len(bids)) if j != i]
     if bids[i] <= eligible_from:
@@ -248,10 +249,13 @@ def vcg_outcome(oracle, bids):
 
 
 def myerson_outcome(oracle, bids, prior):
-    """Virtual-welfare greedy with reserve; payments in bid space.
+    """Myerson's revenue-optimal auction for a bounded uniform prior: the
+    threshold auction with reserve r = max(lo, hi / 2).
 
-    Only bounded uniform priors are supported: their virtual value is
-    strictly increasing so no ironing is needed.
+    The virtual value phi(b) = 2b - hi is strictly increasing, so no
+    ironing is needed and ranking by virtual value is ranking by bid. The
+    agents bidding at least r are served in bid order, and each pays its
+    threshold, with the curve zero below r. Other priors are rejected.
     """
     if not isinstance(prior, UniformPrior):
         raise UnsupportedPriorError(
@@ -260,33 +264,13 @@ def myerson_outcome(oracle, bids, prior):
     bids = _validate_bids(oracle, bids)
     reserve = prior.reserve()
     active = {i for i in range(oracle.n) if bids[i] >= reserve}
-
-    def priority_of(j, b):
-        return prior.virtual_value(b)
-
-    prio = [priority_of(j, bids[j]) for j in range(oracle.n)]
-    alloc, order = edmonds_greedy(oracle, bids, priority=prio, active=active)
-
-    def pay(i):
-        if alloc[i] <= 0:
-            return 0.0
-        # bid levels where i's virtual value crosses an opponent's; the curve
-        # is zero below the reserve, where i itself is ineligible
-        pts = []
-        for j in range(oracle.n):
-            if j != i and j in active:
-                pts.append((prior.virtual_value(bids[j]) + prior.hi) / 2.0)
-        return archer_tardos_payment(
-            oracle,
-            bids,
-            i,
-            priority_of=priority_of,
-            breakpoints=pts,
-            active=active,
-            eligible_from=reserve,
-        )
-
-    payments = {i: pay(i) for i in range(oracle.n)}
+    alloc, order = _greedy(oracle, bids, None, active)
+    payments = {
+        i: archer_tardos_payment(oracle, bids, i, active=active, eligible_from=reserve)
+        if alloc[i] > 0
+        else 0.0
+        for i in range(oracle.n)
+    }
     return MarketOutcome(
         allocation=alloc,
         payments=payments,
@@ -298,7 +282,7 @@ def myerson_outcome(oracle, bids, prior):
 
 def first_price_outcome(oracle, bids):
     bids = _validate_bids(oracle, bids)
-    alloc, order = edmonds_greedy(oracle, bids)
+    alloc, order = _greedy(oracle, bids, None, None)
     pay = {i: bids[i] * alloc[i] for i in range(oracle.n)}
     return MarketOutcome(allocation=alloc, payments=pay, order=order, rule="first_price")
 
@@ -306,17 +290,7 @@ def first_price_outcome(oracle, bids):
 def _posted_pass(oracle, bids, posted_price, arrival):
     """Serve each agent with b_i >= posted price, in `arrival` order, its
     marginal rank over those served before it."""
-    alloc = {i: 0.0 for i in range(oracle.n)}
-    taken = set()
-    base = 0.0
-    for i in arrival:
-        if bids[i] < posted_price:
-            continue
-        taken.add(i)
-        new = oracle.rank(taken)
-        alloc[i] = new - base
-        base = new
-    return alloc
+    return _walk(oracle, [i for i in arrival if bids[i] >= posted_price])
 
 
 def posted_price_outcome(oracle, bids, posted_price, seed):

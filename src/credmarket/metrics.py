@@ -17,7 +17,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, UndefinedRatioError
 from .mechanisms import archer_tardos_payment, edmonds_greedy
 from .polymatroid import (
+    CapacityDag,
+    LaminarOracle,
     RankOracle,
+    TreeCutOracle,
     entangled_oracle,
     generate_topology,
     make_oracle,
@@ -234,39 +237,6 @@ class StaircaseOracle(RankOracle):
         return {"evaluator": self.evaluator, "entries": list(self.entries)}
 
 
-class NestedChainOracle(RankOracle):
-    """Laminar chain N_1 of capacity c inside N_2 of capacity c inside ... ;
-    flow aggregates inside-out. `level_of[i]` is the innermost set holding
-    agent i (1-based); level 0 means outside every capped set."""
-
-    evaluator = "nested_chain"
-
-    def __init__(self, demands, level_of, caps):
-        super().__init__(len(demands))
-        self.demands = np.asarray(demands, dtype=float)
-        self.level_of = np.asarray(level_of, dtype=int)
-        self.caps = np.asarray(caps, dtype=float)  # caps[v-1] for set N_v
-
-    def _rank(self, subset):
-        if not subset:
-            return 0.0
-        idx = np.fromiter(subset, dtype=int)
-        flow = 0.0
-        for v in range(1, len(self.caps) + 1):
-            flow += float(self.demands[idx[self.level_of[idx] == v]].sum())
-            flow = min(flow, float(self.caps[v - 1]))
-        flow += float(self.demands[idx[self.level_of[idx] == 0]].sum())
-        return flow
-
-    def describe(self):
-        return {
-            "evaluator": self.evaluator,
-            "demands": self.demands.tolist(),
-            "level_of": self.level_of.tolist(),
-            "caps": self.caps.tolist(),
-        }
-
-
 def _witness_series(d, rng):
     """d saturated chain nodes, one high/low pair entering per node. The
     final node is the shared bottleneck, so each of the d winners is priced
@@ -305,8 +275,6 @@ def _witness_parallel(m, rng):
             group_of.append(path)
             bids.append(1.0 + spacing[k + path])
             losers.append(len(bids) - 1)
-    from .polymatroid import LaminarOracle
-
     oracle = LaminarOracle(demands, group_of, [1.0] * k)
     return oracle, bids, losers
 
@@ -315,11 +283,17 @@ def _witness_tree(h, rng):
     """Binary tree, one saturated leaf-to-root path of depth h. The chosen
     agent wants h units; the sibling subtree joining at each level carries
     one unit rival, so every level contributes one threshold to the chosen
-    agent's payment."""
-    demands = [float(h)] + [1.0] * h
-    level_of = [1] + list(range(1, h + 1))
-    caps = [float(h)] * h
-    oracle = NestedChainOracle(demands, level_of, caps)
+    agent's payment. The path is a chain v1 -> ... -> vh of capacity h:
+    agent 0 and rival 1 enter it at v1, rival m at vm."""
+    leaves = {a: f"leaf{a}" for a in range(h + 1)}
+    chain = [f"v{m}" for m in range(1, h + 1)]
+    caps = dict.fromkeys(chain, float(h))
+    caps.update(dict.fromkeys(leaves.values(), 1.0))
+    caps["leaf0"] = float(h)
+    edges = [("leaf0", "v1")] + [(f"leaf{m}", f"v{m}") for m in range(1, h + 1)]
+    edges += list(zip(chain, chain[1:]))
+    dag = CapacityDag([*leaves.values(), *chain], caps, edges, leaves, chain[-1], "tree")
+    oracle = TreeCutOracle(dag)
     spacing = rng.uniform(1.0, 2.0, size=h)
     bids = [20.0] + list(1.0 + spacing.cumsum())
     losers = list(range(1, h + 1))

@@ -398,10 +398,13 @@ class RankOracle:
         rank = self.rank
         return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
 
-    def threshold_outcome(self, bids):
+    def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
         """(allocation, payments) over every id in closed form, equal to
         `mechanisms.vcg_outcome`'s generic route on the checked `bids`, or
-        None: the default has no closed form."""
+        None: the default has no closed form. `clone_of` and `clone_level`
+        add a substitute clone of that agent bidding that level under id n,
+        as `SubstituteCloneOracle` numbers it; `bids` then holds n + 1
+        bids, the clone's last."""
         return None
 
     def describe(self):
@@ -599,40 +602,38 @@ class LaminarOracle(RankOracle):
         self.group_of = group_of.astype(int, copy=False)
         self.group_caps = group_caps
         self.root_cap = root_cap
-        # plain-list copies for the drop-one pass and the group sweep, which
-        # touch few entries
+        # plain-list copies for the group-load pass and the group sweep,
+        # which touch few entries
         self._demand_list = self.demands.tolist()
         self._group_list = self.group_of.tolist()
         self._cap_list = self.group_caps.tolist()
         members = [[] for _ in self._cap_list]
-        loads = [0.0] * len(self._cap_list)
         for i, g in enumerate(self._group_list):
             members[g].append(i)
-            loads[g] += self._demand_list[i]
         #: each group's agents in ascending id order
         self.group_members = tuple(map(tuple, members))
         # when the whole ground set fits under the root, the root never
         # binds and f is the direct sum of its group terms
-        self._slack_root = sum(map(min, self._cap_list, loads)) <= root_cap
+        self._slack_root = sum(self._loads(range(self.n))[1]) <= root_cap
 
-    def _rank(self, subset):
-        if not subset:
-            return 0.0
-        idx = np.fromiter(subset, dtype=int)
-        loads = np.bincount(
-            self.group_of[idx], weights=self.demands[idx], minlength=len(self.group_caps)
-        )
-        return float(min(self.root_cap, np.minimum(loads, self.group_caps).sum()))
-
-    def _rank_without_each(self, ids):
-        # group loads once; dropping m changes only its group's term, so
-        # each drop-one value is O(1). Exact for integer-valued demands and
-        # caps; otherwise it can differ from `_rank` in the last bits
-        demand, group, caps = self._demand_list, self._group_list, self._cap_list
-        loads = [0.0] * len(caps)
+    def _loads(self, ids):
+        """(loads, served): each group's demand from `ids`, added in their
+        order, and the part of it its cap serves."""
+        demand, group = self._demand_list, self._group_list
+        loads = [0.0] * len(self._cap_list)
         for i in ids:
             loads[group[i]] += demand[i]
-        served = [min(c, x) for c, x in zip(caps, loads)]
+        return loads, [min(c, x) for c, x in zip(self._cap_list, loads)]
+
+    def _rank(self, subset):
+        return min(self.root_cap, sum(self._loads(subset)[1]))
+
+    def _rank_without_each(self, ids):
+        # dropping m changes only its group's term, so each drop-one value
+        # is O(1). Exact for integer-valued demands and caps; otherwise it
+        # can differ from `_rank` in the last bits
+        loads, served = self._loads(ids)
+        demand, group, caps = self._demand_list, self._group_list, self._cap_list
         inner = sum(served)
         root = self.root_cap
         drops = []
@@ -643,9 +644,8 @@ class LaminarOracle(RankOracle):
 
     def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
         """Settle each group alone, one `settle` row per group, when the
-        root is slack; None when it can bind. `clone_of` and `clone_level`
-        add a substitute clone of that agent under id n, as
-        `SubstituteCloneOracle` numbers it, in its source's row."""
+        root is slack; None when it can bind. A clone of member `clone_of`
+        bidding `clone_level` is priced in its source's row, under id n."""
         if not self._slack_root:
             return None
         n, (ids, slot, _, _) = self.n, self._slots
@@ -862,13 +862,11 @@ class SubstituteCloneOracle(RankOracle):
         full, drops = self.base._rank_without_each(real[:k] + [source] + real[k:])
         return full, drops[:k] + drops[k + 1 :] + [drops[k]]
 
-    def threshold_outcome(self, bids):
-        # a laminar base prices the clone inside its source's group
-        if isinstance(self.base, LaminarOracle):
-            return self.base.threshold_outcome(
-                bids, self.position_agent, bids[self.clone_id]
-            )
-        return None
+    def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
+        # the base prices the clone, if it can; a second clone it cannot
+        if clone_of is not None:
+            return None
+        return self.base.threshold_outcome(bids, self.position_agent, bids[self.clone_id])
 
     def describe(self):
         return {

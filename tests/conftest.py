@@ -21,8 +21,10 @@ import credmarket.adversary
 from credmarket.errors import NonMonotoneAllocationError
 from credmarket.mechanisms import (
     ClinchTranscript,
+    MarketOutcome,
     _negative_marginal,
     _validate_bids,
+    archer_tardos_payment,
     edmonds_greedy,
     priority_order,
 )
@@ -232,6 +234,41 @@ def reference_threshold_payment(
     prio = [priority_of(j, bids[j]) for j in range(len(bids))]
     integral = sum((hi - lo) * x for lo, hi, x in segments)
     return bids[i] * reference_share(oracle, bids, i, prio, active) - integral
+
+
+def reference_myerson_outcome(oracle, bids, prior):
+    """`myerson_outcome` as a virtual-welfare greedy: agents at or above
+    the reserve ranked by virtual value 2b - hi, and each payment
+    integrated in bid space over breakpoints mapped back from virtual
+    values, (phi(b_j) + hi) / 2."""
+    bids = _validate_bids(oracle, bids)
+    reserve = prior.reserve()
+    active = {i for i in range(oracle.n) if bids[i] >= reserve}
+
+    def priority_of(j, b):
+        return prior.virtual_value(b)
+
+    prio = [priority_of(j, bids[j]) for j in range(oracle.n)]
+    alloc, order = edmonds_greedy(oracle, bids, priority=prio, active=active)
+
+    def pay(i):
+        if alloc[i] <= 0:
+            return 0.0
+        pts = [
+            (prior.virtual_value(bids[j]) + prior.hi) / 2.0
+            for j in range(oracle.n)
+            if j != i and j in active
+        ]
+        return archer_tardos_payment(
+            oracle, bids, i, priority_of=priority_of, breakpoints=pts,
+            active=active, eligible_from=reserve,
+        )
+
+    payments = {i: pay(i) for i in range(oracle.n)}
+    return MarketOutcome(
+        allocation=alloc, payments=payments, order=order, rule="myerson",
+        meta={"reserve": reserve},
+    )
 
 
 def recording(oracle):

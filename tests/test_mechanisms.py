@@ -46,6 +46,7 @@ from conftest import (
     random_bids,
     random_table_oracle,
     recording,
+    reference_myerson_outcome,
     reference_threshold_payment,
     vcg_externality,
 )
@@ -197,6 +198,20 @@ def test_binding_root_takes_the_generic_route(market):
             )
 
 
+def test_a_second_clone_takes_the_generic_route():
+    # a clone hands its source to the base's hook; a clone of a clone has
+    # no closed form, nor has a clone whose base has none
+    once = SubstituteCloneOracle(LaminarOracle([2, 1, 3], [0, 0, 1], [2, 5]), 0)
+    twice = SubstituteCloneOracle(once, 1)
+    bids = [4.0, 2.5, 1.0, 3.0, 5.0]
+    assert once.threshold_outcome(bids[:4]) is not None
+    assert once.threshold_outcome(bids[:4], clone_of=0, clone_level=1.0) is None
+    assert twice.threshold_outcome(bids) is None
+    assert SubstituteCloneOracle(WORKED, 0).threshold_outcome([1.0, 2.0, 3.0]) is None
+    got, want = vcg_outcome(twice, bids), vcg_outcome(_GenericRoute(twice), bids)
+    assert got.allocation == want.allocation and got.payments == want.payments
+
+
 def _capped(dag, rng, floats=False):
     # random node capacities on a generated topology, in place
     for v in dag.nodes:
@@ -291,6 +306,12 @@ def test_non_monotone_oracle_fails_loudly():
     assert _share(NON_MONOTONE, bids, 1)(bids[1]) == 1.0
 
 
+def test_posted_pass_fails_loudly_on_a_non_monotone_oracle():
+    # whoever arrives last adds f(D) - f(pair) = 1 - 3 = -2
+    with pytest.raises(StructureError, match=r"^rank oracle is not monotone: agent \d's marginal rank is -2\.0$"):
+        posted_price_outcome(NON_MONOTONE, [9.0, 5.0, 1.0], 1.0, seed=0)
+
+
 @st.composite
 def payment_cases(draw):
     """A fresh-oracle builder (a table, a small float laminar market with a
@@ -354,6 +375,16 @@ def test_threshold_payment_rejects_an_agent_outside_the_ground_set(i):
         archer_tardos_payment(WORKED, [10.0, 5.0], i)
     # numpy ids are ids, as in `rank`
     assert archer_tardos_payment(WORKED, [10.0, 5.0], np.int64(0)) == 5.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_threshold_payment_rejects_a_bad_eligibility_threshold(bad):
+    # unchecked, -1.0 priced agent 0 at 4.0 (the segment below 0 at the
+    # share of bids above it) and nan at 20.0 (no cut, no area)
+    with pytest.raises(DomainError, match=r"^eligible_from must be finite and nonnegative"):
+        archer_tardos_payment(WORKED, [10.0, 5.0], 0, eligible_from=bad)
+    assert archer_tardos_payment(WORKED, [10.0, 5.0], 0) == 5.0
+    assert archer_tardos_payment(WORKED, [10.0, 5.0], 0, eligible_from=-0.0) == 5.0
 
 
 class _Counting:
@@ -492,6 +523,62 @@ def test_myerson_reserve_excludes_low_bids():
     assert out.allocation[0] == pytest.approx(2.0)
     # alone above reserve: pays the reserve on its whole quantity
     assert out.payments[0] == pytest.approx(5.5 * 2.0, abs=1e-9)
+
+
+@st.composite
+def myerson_cases(draw):
+    """A fresh-oracle builder (a table, a small float laminar market with a
+    slack or binding root, or a 40-agent one), a uniform prior, and bids
+    below, at and above its reserve, zeros and ties common. Bids reach hi,
+    where 2b - hi is exact by Sterbenz's lemma for every b >= hi / 2, or
+    3 hi for an integer hi, where it is exact as well."""
+    kind = draw(st.sampled_from(["table", "laminar", "laminar40"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "table":
+        make = _oracle_maker("table", seed)
+    else:
+        n = 40 if kind == "laminar40" else draw(st.integers(1, 9))
+        make = _laminar(np.random.default_rng(seed), n, draw(st.sampled_from(["slack", "binding"])))
+    n = make().n
+    prior = UniformPrior(draw(st.sampled_from([0.0, 1.0, 4.5])), draw(st.sampled_from([8.0, 11.0, 7.7, 10.3])))
+    r, hi = prior.reserve(), prior.hi
+    top = 3.0 * hi if hi.is_integer() else hi
+    grid = st.sampled_from([
+        0.0, r / 2.0, math.nextafter(r, 0.0), r, math.nextafter(r, math.inf), (r + hi) / 2.0, hi, top,
+    ])
+    bids = draw(st.lists(st.one_of(grid, st.floats(0.0, top)), min_size=n, max_size=n))
+    return make, prior, bids
+
+
+@given(myerson_cases())
+@settings(max_examples=150, deadline=None)
+def test_myerson_is_the_virtual_value_greedy(case):
+    # the threshold auction with a reserve against the virtual-welfare
+    # greedy with breakpoints mapped back from virtual values: the same
+    # allocation and payments, bit for bit, from the same rank calls
+    make, prior, bids = case
+    got, want = recording(make()), recording(make())
+    new, old = myerson_outcome(got, bids, prior), reference_myerson_outcome(want, bids, prior)
+    for i in range(got.n):
+        assert repr(new.allocation[i]) == repr(old.allocation[i]), i
+        assert repr(new.payments[i]) == repr(old.payments[i]), i
+    assert new.meta == old.meta
+    assert got.log == want.log
+
+
+def test_myerson_serves_a_rounding_tie_above_hi_in_bid_order():
+    # above hi, 2b - hi can round: these two adjacent bids share the
+    # virtual value 2b - hi = 39.986968873009175, so the virtual-value
+    # greedy breaks the tie by id and serves the lower bid first. Their
+    # exact virtual values differ, and Myerson serves the higher one first,
+    # as the bid order does
+    prior = UniformPrior(1.0, 10.3)
+    bids = [25.143484436504586, 25.14348443650459]
+    assert bids[0] < bids[1] and prior.virtual_value(bids[0]) == prior.virtual_value(bids[1])
+    assert reference_myerson_outcome(WORKED, bids, prior).allocation == {0: 2.0, 1: 1.0}
+    out = myerson_outcome(WORKED, bids, prior)
+    assert out.order == [1, 0] and out.allocation == {0: 1.0, 1: 2.0}
+    assert out.allocation == vcg_outcome(WORKED, bids).allocation
 
 
 def test_myerson_rejects_non_uniform_prior():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from credmarket.errors import ConfigError, DomainError, UndefinedRatioError
 from credmarket.mechanisms import UniformPrior
 from credmarket.metrics import (
-    NestedChainOracle,
     StaircaseOracle,
+    _witness_tree,
     bertrand_price,
     cliffs_delta,
     conc,
@@ -23,7 +23,7 @@ from credmarket.metrics import (
 )
 from credmarket.polymatroid import verify_axioms
 
-from conftest import reference_staircase_rank
+from conftest import bruteforce_cut_rank, reference_staircase_rank
 
 PRIOR = UniformPrior(1.0, 11.0)
 
@@ -145,7 +145,16 @@ def test_gamma_rejects_tiny_sample():
 
 def test_witness_oracles_are_polymatroids():
     assert verify_axioms(StaircaseOracle([1, 1, 2, 2])).ok
-    assert verify_axioms(NestedChainOracle([3.0] + [1.0] * 3, [1, 1, 2, 3], [3.0] * 3)).ok
+    assert verify_axioms(_witness_tree(3, np.random.default_rng(0))[0]).ok
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_tree_witness_ranks_its_minimum_cuts(h):
+    oracle, bids, losers = _witness_tree(h, np.random.default_rng(h))
+    assert oracle.n == len(bids) == h + 1 and losers == list(range(1, h + 1))
+    for r in range(h + 2):
+        for subset in itertools.combinations(range(h + 1), r):
+            assert oracle.rank(subset) == bruteforce_cut_rank(oracle.dag, subset)
 
 
 def test_staircase_closed_form():
@@ -184,6 +193,18 @@ def test_series_sweep_is_pinned():
         "concabs": [0.5, 1.0, 2.0, 4.0],
         "slope": 0.9999999999999998,
         "slope_ci": [0.9999999999999998, 0.9999999999999998],
+    }
+
+
+def test_tree_sweep_is_pinned():
+    # pinned from the nested-chain evaluator the tree witness had before it
+    # was ranked as a tree
+    assert scaling_sweep("tree", [1, 2, 3, 4], seeds=(0, 1, 2)).to_json() == {
+        "class": "tree",
+        "parameters": [1, 2, 3, 4],
+        "concabs": [0.25, 0.5000000000000023, 0.75, 1.0],
+        "slope": 0.9999999999999993,
+        "slope_ci": [0.9999999999999986, 0.9999999999999999],
     }
 
 

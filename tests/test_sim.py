@@ -18,7 +18,7 @@ from credmarket.credibility import (
 from credmarket.errors import ConfigError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
 from credmarket._stream import Stream, entropy_words, seed_states
-from credmarket.polymatroid import LaminarOracle, SubstituteCloneOracle
+from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
     POS_TOL,
@@ -447,6 +447,23 @@ def test_pool_never_outsizes_the_tasks(monkeypatch):
     assert sim._map_jobs(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert sim._map_jobs(abs, [-4], 8) == [4]
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("exp, ranks", [("exp1", False), ("r5", False), ("exp2", True)])
+def test_only_exp2_reaches_the_rank_oracle(exp, ranks, monkeypatch):
+    # exp1 and r5 settle in the pod-local engine and never call
+    # `RankOracle.rank`; exp2's clinching auction reads each demand f({i})
+    # from it. The benchmark's per-layer counts read the same split
+    calls = []
+    rank = RankOracle.rank
+
+    def spy(self, subset):
+        calls.append(self.n)
+        return rank(self, subset)
+
+    monkeypatch.setattr(RankOracle, "rank", spy)
+    run_experiment(exp, ScenarioConfig(rounds=2, seeds=(7,)))
+    assert bool(calls) == ranks
 
 
 #: summary digests of every experiment at rounds=4, seeds=(17, 42)
