@@ -21,6 +21,7 @@ not reveal how many opponents showed up, so rationalizing profiles are not
 confined to the original dimension.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,8 @@ class DeviationStrategy:
             if not (self.shrink_factor and 0 < self.shrink_factor < 1):
                 raise ConfigError("capacity_misreport needs shrink_factor in (0, 1)")
         if self.kind == "posted_price_inflate":
-            if self.markup is None or self.markup <= 0:
-                raise ConfigError("posted_price_inflate needs markup > 0")
+            if self.markup is None or not 0 < self.markup < math.inf:
+                raise ConfigError("posted_price_inflate needs a finite markup > 0")
         if self.kind == "discriminate":
             if not self.favored_set:
                 raise ConfigError("discriminate needs a nonempty favored set")

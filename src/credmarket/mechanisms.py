@@ -44,8 +44,9 @@ class UniformPrior:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ConfigError("uniform prior needs 0 <= lo < hi")
+        # an infinite hi puts the reserve at inf, where nobody is served
+        if not 0 <= self.lo < self.hi < math.inf:
+            raise ConfigError("uniform prior needs 0 <= lo < hi < inf")
 
     def virtual_value(self, v):
         # phi(v) = v - (hi - v) = 2v - hi for Uniform[lo, hi]
@@ -293,11 +294,16 @@ def _posted_pass(oracle, bids, posted_price, arrival):
     return _walk(oracle, [i for i in arrival if bids[i] >= posted_price])
 
 
+def _check_posted_price(posted_price):
+    # a NaN or infinite price serves nobody and charges NaN
+    if not 0 <= posted_price < math.inf:
+        raise ConfigError(f"posted price must be finite and nonnegative, got {posted_price!r}")
+
+
 def posted_price_outcome(oracle, bids, posted_price, seed):
     """Accept agents with b_i >= posted price in seeded random arrival order."""
     bids = _validate_bids(oracle, bids)
-    if posted_price < 0:
-        raise ConfigError("posted price must be nonnegative")
+    _check_posted_price(posted_price)
     rng = np.random.default_rng(seed)
     arrival = list(rng.permutation(oracle.n))
     alloc = _posted_pass(oracle, bids, posted_price, arrival)
@@ -324,8 +330,10 @@ class Mechanism:
             raise ConfigError(f"unknown payment rule {self.payment_rule!r}")
         if self.payment_rule == "myerson" and self.prior is None:
             raise ConfigError("myerson needs a prior")
-        if self.payment_rule == "posted_price" and self.posted_price is None:
-            raise ConfigError("posted_price needs a price level")
+        if self.payment_rule == "posted_price":
+            if self.posted_price is None:
+                raise ConfigError("posted_price needs a price level")
+            _check_posted_price(self.posted_price)
 
     def describe(self):
         return {

@@ -284,7 +284,9 @@ def _witness_tree(h, rng):
     agent wants h units; the sibling subtree joining at each level carries
     one unit rival, so every level contributes one threshold to the chosen
     agent's payment. The path is a chain v1 -> ... -> vh of capacity h:
-    agent 0 and rival 1 enter it at v1, rival m at vm."""
+    agent 0 and rival 1 enter it at v1, rival m at vm. Agent 0 bids 10
+    above the top rival, and at least 20, so it stays first in the greedy
+    order at every depth."""
     leaves = {a: f"leaf{a}" for a in range(h + 1)}
     chain = [f"v{m}" for m in range(1, h + 1)]
     caps = dict.fromkeys(chain, float(h))
@@ -295,7 +297,8 @@ def _witness_tree(h, rng):
     dag = CapacityDag([*leaves.values(), *chain], caps, edges, leaves, chain[-1], "tree")
     oracle = TreeCutOracle(dag)
     spacing = rng.uniform(1.0, 2.0, size=h)
-    bids = [20.0] + list(1.0 + spacing.cumsum())
+    rivals = list(1.0 + spacing.cumsum())
+    bids = [max(20.0, rivals[-1] + 10.0), *rivals]
     losers = list(range(1, h + 1))
     return oracle, bids, losers
 

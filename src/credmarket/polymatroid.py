@@ -1218,33 +1218,6 @@ class Level1Matroid:
         }
 
 
-def matroid_axiom_check(independent, ground):
-    """Exhaustive downward-closure + augmentation check of an independence predicate."""
-    ground = list(ground)
-    n = len(ground)
-    fams = []
-    for r in range(n + 1):
-        for s in itertools.combinations(ground, r):
-            if independent(frozenset(s)):
-                fams.append(frozenset(s))
-    fam = set(fams)
-    if frozenset() not in fam:
-        return False, {"kind": "empty-set", "witness": ()}
-    for s in fam:
-        for x in s:
-            if s - {x} not in fam:
-                return False, {"kind": "downward-closure", "witness": tuple(sorted(s))}
-    for a in fam:
-        for b in fam:
-            if len(a) < len(b):
-                if not any(a | {x} in fam for x in b - a):
-                    return False, {
-                        "kind": "augmentation",
-                        "witness": (tuple(sorted(a)), tuple(sorted(b))),
-                    }
-    return True, None
-
-
 def level1_matroid(capacities, eligibility, feasibility_oracle=None):
     """Build the token matroid; optionally verify it against true feasibility.
 

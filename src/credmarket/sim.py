@@ -17,7 +17,11 @@ stream in Python (`_stream`).
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
-worlds); its 13 conditions are pairs of those worlds.
+worlds), and a (topology, seed) task returns only those worlds. Its 13
+conditions are pairs of them: the parent builds each condition's rows,
+`conc` inputs and utility samples once, in task, round and condition
+order, whatever the number of jobs. Every runner's rows are plain dicts
+built by one helper from (revenue, welfare) pairs.
 """
 
 import csv
@@ -308,30 +312,34 @@ def settle_posted(profile, level, arrival, phantom=None):
     before its source in the arrival order; the clone's purchase is
     undelivered operator inventory and its spend is excluded (self-dealing).
     """
-    residual = {p: float(c) for p, c in enumerate(profile.pod_caps)}
-    alloc = {a: 0.0 for a in range(profile.n)}
+    bids, demands = profile.bids.tolist(), profile.demands.tolist()
+    pod_of, residual = profile.pod_of.tolist(), profile.pod_caps.tolist()
+    alloc = dict.fromkeys(range(len(bids)), 0.0)
     pressed = set()
     ghost_take = 0.0
     for a in arrival:
-        pod = int(profile.pod_of[a])
+        pod = pod_of[a]
         if phantom is not None and a == phantom[0] and phantom[1] >= level:
-            take = min(profile.demands[a], residual[pod])
+            take = min(demands[a], residual[pod])
             ghost_take = take
             residual[pod] -= take
             pressed.add(a)
-        if profile.bids[a] < level or a in pressed:
+        if bids[a] < level or a in pressed:
             continue
-        take = min(profile.demands[a], residual[pod])
+        take = min(demands[a], residual[pod])
         alloc[a] = take
         residual[pod] -= take
     pay = {a: level * x for a, x in alloc.items()}
     return alloc, pay, ghost_take
 
 
-def _totals(profile, alloc, pay):
-    welfare = sum(profile.bids[a] * x for a, x in alloc.items())
-    revenue = sum(pay.values())
-    return welfare, revenue
+def _world(profile, alloc, pay, detected=False):
+    """A settled world as the report reads it: ((revenue, welfare),
+    per-agent utilities, whether an agent can detect the deviation)."""
+    bids = profile.bids.tolist()
+    welfare = sum(bids[a] * x for a, x in alloc.items())
+    utilities = [bids[a] * alloc[a] - pay[a] for a in range(len(bids))]
+    return (sum(pay.values()), welfare), utilities, detected
 
 
 # --------------------------------------------------------------------------
@@ -487,34 +495,32 @@ def certify_ghost(profile, source, level, honest, deviated):
 
 
 # --------------------------------------------------------------------------
-# Round records
+# Report rows
 
 
-@dataclass
-class RoundResult:
-    round_index: int
-    seed: int
-    condition: str
-    honest: tuple  # (revenue, welfare, payments_total)
-    deviated: tuple
-    detected: bool
-
-    def row(self):
-        return {
-            "round": self.round_index,
-            "seed": self.seed,
-            "condition": self.condition,
-            "rev_honest": self.honest[0],
-            "rev_dev": self.deviated[0],
-            "welfare_honest": self.honest[1],
-            "welfare_dev": self.deviated[1],
-            "detected": int(self.detected),
-        }
+def _row(round_index, seed, condition, honest, deviated, detected=False):
+    """A report row from the (revenue, welfare) pairs of a round's honest
+    and deviated worlds."""
+    return {
+        "round": round_index,
+        "seed": seed,
+        "condition": condition,
+        "rev_honest": honest[0],
+        "rev_dev": deviated[0],
+        "welfare_honest": honest[1],
+        "welfare_dev": deviated[1],
+        "detected": int(detected),
+    }
 
 
-def _triple(revenue, welfare):
-    # direct settlement: the payment baseline coincides with revenue
-    return (revenue, welfare, revenue)
+def _conc(rows):
+    """`conc` over report rows. Every runner charges agents directly, with
+    no deposit or fee in between, so a world's agent payments total its
+    revenue: the payment baseline is the revenue."""
+    return conc(
+        [(r["rev_honest"], r["welfare_honest"], r["rev_honest"]) for r in rows],
+        [(r["rev_dev"], r["welfare_dev"], r["rev_dev"]) for r in rows],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -526,39 +532,35 @@ def _exp1_seed(config, seed):
     for r in range(config.rounds):
         profile = generate_round(config, seed, r)
         alloc_h, pay_h = settle_threshold(profile)
-        w_h, rev_h = _totals(profile, alloc_h, pay_h)
-        if w_h <= 0:
+        honest, _, _ = _world(profile, alloc_h, pay_h)
+        if honest[1] <= 0:
             continue
         pick = best_ghost(profile, alloc_h, pay_h)
         if pick is None:
-            rows.append(
-                RoundResult(r, seed, "vcg-ghost", _triple(rev_h, w_h), _triple(rev_h, w_h), False)
-            )
+            rows.append(_row(r, seed, "vcg-ghost", honest, honest))
             surplus_series.append(0.0)
             continue
         alloc_d, pay_d = ghost_settle(profile, pick.source, pick.level)
-        w_d, rev_d = _totals(profile, alloc_d, pay_d)
+        deviated, _, _ = _world(profile, alloc_d, pay_d)
         safe, _ = certify_ghost(
             profile, pick.source, pick.level, (alloc_h, pay_h), (alloc_d, pay_d)
         )
         certified.append(all(safe.values()))
-        surplus_series.append(rev_d - rev_h)
+        surplus_series.append(deviated[0] - honest[0])
         picks.append(
             {"seed": seed, "round": r, "source": pick.source, "level": pick.level}
         )
-        rows.append(
-            RoundResult(r, seed, "vcg-ghost", _triple(rev_h, w_h), _triple(rev_d, w_d), False)
-        )
+        rows.append(_row(r, seed, "vcg-ghost", honest, deviated))
     return rows, surplus_series, certified, picks
 
 
 def run_exp1(config, jobs=1):
     rows, surplus, certified, picks = _gather(_exp1_seed, config, jobs)
-    report = conc([r.honest for r in rows], [r.deviated for r in rows])
+    report = _conc(rows)
     positive = [s > POS_TOL for s in surplus]
     return {
         "experiment": "exp1",
-        "rows": [r.row() for r in rows],
+        "rows": rows,
         "summary": {
             "rounds": len(rows),
             "positive_rate": float(np.mean(positive)),
@@ -638,9 +640,9 @@ def _exp2_seed(config, seed):
                 nets.append(gain - penalty)
                 detections.append(detected)
         rows.append(
-            RoundResult(
+            _row(
                 r, seed, "clinch-ghost" if deviated else "clinch-honest",
-                _triple(rev_h, w_h), _triple(rev_d, w_d), detected,
+                (rev_h, w_h), (rev_d, w_d), detected,
             )
         )
         if not deviated:
@@ -660,7 +662,7 @@ def run_exp2(config, jobs=1):
         raise DomainError("no deviated rounds; the scenario never tempted the operator")
     return {
         "experiment": "exp2",
-        "rows": [r.row() for r in rows],
+        "rows": rows,
         "summary": {
             "rounds": len(rows),
             "deviated_rounds": len(detections),
@@ -703,12 +705,7 @@ def _exp3_seed(config, seed):
         exact.append(abs(surplus - strategy.delta * gamma) <= 1e-9)
         rev_h = result.honest.revenue
         w_h = result.honest.welfare(sub_bids)
-        rows.append(
-            RoundResult(
-                r, seed, "myerson-perturb",
-                _triple(rev_h, w_h), _triple(rev_h + surplus, w_h), False,
-            )
-        )
+        rows.append(_row(r, seed, "myerson-perturb", (rev_h, w_h), (rev_h + surplus, w_h)))
     return rows, exact, surpluses
 
 
@@ -718,7 +715,7 @@ def run_exp3(config, jobs=1):
         raise DomainError("no round offered a reserve-clearing contested pair")
     return {
         "experiment": "exp3",
-        "rows": [r.row() for r in rows],
+        "rows": rows,
         "summary": {
             "applied_rounds": len(surpluses),
             "all_exact": bool(all(exact)),
@@ -753,40 +750,29 @@ def _r5_conditions(topo):
     return conds
 
 
-def _agent_utilities(profile, alloc, pay):
-    return [profile.bids[a] * alloc[a] - pay[a] for a in range(profile.n)]
-
-
-def _world(profile, alloc, pay):
-    """A settled world no agent can tell from an honest one: (revenue,
-    welfare), per-agent utilities, and detected = False."""
-    welfare, revenue = _totals(profile, alloc, pay)
-    return (revenue, welfare), _agent_utilities(profile, alloc, pay), False
-
-
-def _r5_topo_seed(base_config, task):
+def _r5_worlds(base_config, task):
+    """Every settled world of one (topology, seed) task, as [(round,
+    {world key: world})] over the rounds with positive welfare."""
     topo, seed = task
     config = replace(
         base_config,
         topology_class=topo,
         tier_latencies_ms=CLASS_TIER_LATENCIES[topo],
     )
-    conditions = _r5_conditions(topo)
-    rows = []
-    util_samples = {}  # condition -> (honest list, deviated list)
+    settled = []
     for r in range(config.rounds):
         profile = generate_round(config, seed, r)
         alloc_t, pay_t = settle_threshold(profile)
-        w_t, rev_t = _totals(profile, alloc_t, pay_t)
-        if w_t <= 0:
+        vcg = _world(profile, alloc_t, pay_t)
+        if vcg[0][1] <= 0:
             continue
-        # every world of the round is settled once; conditions look them up
-        vcg = ((rev_t, w_t), _agent_utilities(profile, alloc_t, pay_t), False)
-        pay_f = {a: profile.bids[a] * alloc_t[a] for a in alloc_t}
+        bids = profile.bids.tolist()
         pick = best_ghost(profile, alloc_t, pay_t)
         worlds = {
             "vcg": vcg,
-            "first_price": _world(profile, alloc_t, pay_f),
+            "first_price": _world(
+                profile, alloc_t, {a: bids[a] * x for a, x in alloc_t.items()}
+            ),
             "ghost": vcg if pick is None else _world(
                 profile, *ghost_settle(profile, pick.source, pick.level)
             ),
@@ -794,8 +780,7 @@ def _r5_topo_seed(base_config, task):
         arrival = arrival_order(config, seed, r)
         for level in POSTED_LEVELS:
             alloc_p, pay_p, _ = settle_posted(profile, level, arrival)
-            posted = _world(profile, alloc_p, pay_p)
-            worlds["posted", level] = posted
+            posted = worlds["posted", level] = _world(profile, alloc_p, pay_p)
             if pick is None:
                 worlds["posted_ghost", level] = posted
             else:
@@ -805,58 +790,50 @@ def _r5_topo_seed(base_config, task):
             # receipt inflator: prices marked up, detectable by any buyer
             (rev_p, w_p), _, _ = posted
             inflated = {a: q * (1.0 + INFLATOR_MARKUP) for a, q in pay_p.items()}
+            _, utilities, detected = _world(
+                profile, alloc_p, inflated, any(x > POS_TOL for x in alloc_p.values())
+            )
             worlds["inflator", level] = (
-                (rev_p * (1.0 + INFLATOR_MARKUP), w_p),
-                _agent_utilities(profile, alloc_p, inflated),
-                any(x > POS_TOL for x in alloc_p.values()),
+                (rev_p * (1.0 + INFLATOR_MARKUP), w_p), utilities, detected
             )
-
-        for name, honest_key, dev_key in conditions:
-            honest, h_utils, _ = worlds[honest_key]
-            dev, d_utils, detected = worlds[dev_key]
-            rows.append(
-                RoundResult(r, seed, name, _triple(*honest), _triple(*dev), detected)
-            )
-            hu, du = util_samples.setdefault(name, ([], []))
-            hu += h_utils
-            du += d_utils
-    return rows, util_samples
+        settled.append((r, worlds))
+    return settled
 
 
 def run_r5(config, jobs=1):
     tasks = list(product(("tree", "sp", "entangled"), config.seeds))
-    parts = _map_jobs(partial(_r5_topo_seed, config), tasks, jobs)
-    rows = []
-    utils = {}
-    for part_rows, part_utils in parts:
-        rows += part_rows
-        for name, (hu, du) in part_utils.items():
-            slot = utils.setdefault(name, ([], []))
-            slot[0].extend(hu)
-            slot[1].extend(du)
+    parts = _map_jobs(partial(_r5_worlds, config), tasks, jobs)
+    # rows in task, round, condition order; utilities once per (topology,
+    # world key), in task and round order
+    rows, by_cond, utils, samples = [], {}, {}, {}
+    for (topo, seed), settled in zip(tasks, parts):
+        conds = _r5_conditions(topo)
+        for name, honest_key, dev_key in conds:
+            samples[name] = (topo, honest_key), (topo, dev_key)
+        for r, worlds in settled:
+            for key, (_, utilities, _) in worlds.items():
+                utils.setdefault((topo, key), []).extend(utilities)
+            for name, honest_key, dev_key in conds:
+                (honest, _, _), (dev, _, detected) = worlds[honest_key], worlds[dev_key]
+                row = _row(r, seed, name, honest, dev, detected)
+                rows.append(row)
+                by_cond.setdefault(name, []).append(row)
     conditions = {}
-    by_cond = {}
-    for row in rows:
-        by_cond.setdefault(row.condition, []).append(row)
     for name, crows in sorted(by_cond.items()):
         entry = {
             "rounds": len(crows),
-            "detection_rate": float(np.mean([r.detected for r in crows])),
+            "detection_rate": float(np.mean([r["detected"] for r in crows])),
         }
         try:
-            entry["conc"] = conc(
-                [r.honest for r in crows], [r.deviated for r in crows]
-            ).to_json()
+            entry["conc"] = _conc(crows).to_json()
         except CredmarketError as exc:  # zero baseline on a sparse condition
             entry["conc"] = {"error": str(exc)}
-        hu, du = utils[name]
-        entry["cliffs_delta_utility"] = (
-            cliffs_delta(hu, du) if hu and du else 0.0
-        )
+        honest_key, dev_key = samples[name]
+        entry["cliffs_delta_utility"] = cliffs_delta(utils[honest_key], utils[dev_key])
         conditions[name] = entry
     return {
         "experiment": "r5",
-        "rows": [r.row() for r in rows],
+        "rows": rows,
         "conditions": conditions,
         "summary": {
             "n_conditions": len(conditions),

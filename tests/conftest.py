@@ -118,6 +118,33 @@ def networkx_matroid_rank(capacities, eligibility, subset):
     return int(value)
 
 
+def matroid_axiom_check(independent, ground):
+    """Exhaustive downward-closure + augmentation check of an independence predicate."""
+    ground = list(ground)
+    n = len(ground)
+    fams = []
+    for r in range(n + 1):
+        for s in itertools.combinations(ground, r):
+            if independent(frozenset(s)):
+                fams.append(frozenset(s))
+    fam = set(fams)
+    if frozenset() not in fam:
+        return False, {"kind": "empty-set", "witness": ()}
+    for s in fam:
+        for x in s:
+            if s - {x} not in fam:
+                return False, {"kind": "downward-closure", "witness": tuple(sorted(s))}
+    for a in fam:
+        for b in fam:
+            if len(a) < len(b):
+                if not any(a | {x} in fam for x in b - a):
+                    return False, {
+                        "kind": "augmentation",
+                        "witness": (tuple(sorted(a)), tuple(sorted(b))),
+                    }
+    return True, None
+
+
 # --------------------------------------------------------------------------
 # Reference oracle 2: payment by dense-grid quadrature of the bid-axis
 # allocation curve (pointwise greedy reruns; no breakpoint integral)

@@ -1,5 +1,7 @@
 """Operator deviations: profitability, exactness, per-agent rationalizability."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -167,6 +169,13 @@ def test_posted_inflator_is_detectable():
     assert result.operator_surplus == pytest.approx(
         0.1 * result.honest.revenue, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("markup", [math.nan, math.inf, 0.0, -0.1])
+def test_inflator_markup_must_be_finite_and_positive(markup):
+    # a NaN (inf) markup would make every payment and the surplus NaN (inf)
+    with pytest.raises(ConfigError):
+        DeviationStrategy(kind="posted_price_inflate", markup=markup)
 
 
 def test_inflator_requires_posted_rule():

@@ -208,6 +208,13 @@ def test_tree_sweep_is_pinned():
     }
 
 
+def test_deep_tree_sweep_keeps_unit_slope():
+    # the chosen agent must stay above its rivals at every depth, or they
+    # outbid it and the fit flattens
+    fit = scaling_sweep("tree", [8, 16, 32, 64], seeds=(0, 1, 2))
+    assert fit.slope == pytest.approx(1.0, abs=0.05)
+
+
 def test_sweep_linear_classes_have_unit_slope():
     for cls in ("series", "parallel", "tree"):
         fit = scaling_sweep(cls, [2, 3, 4, 5], seeds=(0, 1))

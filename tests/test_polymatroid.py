@@ -27,7 +27,6 @@ from credmarket.polymatroid import (
     generate_topology,
     level1_matroid,
     make_oracle,
-    matroid_axiom_check,
     pair_gap,
     random_sp_instance,
     verify_axioms,
@@ -35,6 +34,7 @@ from credmarket.polymatroid import (
 
 from conftest import (
     bruteforce_cut_rank,
+    matroid_axiom_check,
     networkx_flow_rank,
     networkx_matroid_rank,
     random_table_oracle,

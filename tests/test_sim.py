@@ -631,6 +631,31 @@ def test_r5_settles_each_posted_world_once(monkeypatch):
     assert calls.count(True) <= runs
 
 
+def test_r5_rows_pair_the_worlds_of_their_round():
+    rows = run_r5(ScenarioConfig(rounds=3, seeds=(17, 42)))["rows"]
+    assert len(rows) == 234
+    by_key = {(r["seed"], r["round"], r["condition"]): r for r in rows}
+    seen = {"truthful": 0, "first_price-ghost": 0, "inflator": 0}
+    for row in rows:
+        topo, name = row["condition"].split(":")
+        if name.endswith("-truthful") or "-truthful@" in name:
+            assert row["rev_dev"] == row["rev_honest"]
+            assert row["welfare_dev"] == row["welfare_honest"]
+            assert row["detected"] == 0
+            seen["truthful"] += 1
+        elif name == "first_price-ghost":
+            vcg = by_key[row["seed"], row["round"], f"{topo}:vcg-ghost"]
+            assert {**row, "condition": vcg["condition"]} == vcg
+            seen[name] += 1
+        elif name.startswith("posted_price-inflator@"):
+            assert row["rev_dev"] == row["rev_honest"] * (1 + sim.INFLATOR_MARKUP)
+            assert row["welfare_dev"] == row["welfare_honest"]
+            assert row["detected"] == int(row["rev_honest"] > 0)
+            seen["inflator"] += 1
+    # 18 kept rounds: 5 truthful, 1 first-price ghost and 3 inflator rows each
+    assert seen == {"truthful": 90, "first_price-ghost": 18, "inflator": 54}
+
+
 def test_r5_ghost_surplus_is_rule_invariant():
     report = run_r5(ScenarioConfig(rounds=2, seeds=(17,)))
     conds = report["conditions"]
