@@ -34,6 +34,7 @@ from .errors import (
 )
 from .mechanisms import (
     MarketOutcome,
+    _is_real,
     _posted_pass,
     archer_tardos_payment,
     edmonds_greedy,
@@ -80,10 +81,10 @@ class DeviationStrategy:
             if self.delta is None or self.delta <= 0:
                 raise ConfigError("payment_perturb needs delta > 0")
         if self.kind == "capacity_misreport":
-            if not (self.shrink_factor and 0 < self.shrink_factor < 1):
+            if not (_is_real(self.shrink_factor) and 0 < self.shrink_factor < 1):
                 raise ConfigError("capacity_misreport needs shrink_factor in (0, 1)")
         if self.kind == "posted_price_inflate":
-            if self.markup is None or not 0 < self.markup < math.inf:
+            if not (_is_real(self.markup) and 0 < self.markup < math.inf):
                 raise ConfigError("posted_price_inflate needs a finite markup > 0")
         if self.kind == "discriminate":
             if not self.favored_set:

@@ -20,6 +20,7 @@ import bisect
 import hashlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -45,7 +46,7 @@ class UniformPrior:
 
     def __post_init__(self):
         # an infinite hi puts the reserve at inf, where nobody is served
-        if not 0 <= self.lo < self.hi < math.inf:
+        if not (_is_real(self.lo) and _is_real(self.hi) and 0 <= self.lo < self.hi < math.inf):
             raise ConfigError("uniform prior needs 0 <= lo < hi < inf")
 
     def virtual_value(self, v):
@@ -70,6 +71,12 @@ class MarketOutcome:
 
     def welfare(self, values):
         return sum(self.allocation[a] * values[a] for a in self.allocation)
+
+
+def _is_real(v):
+    # a bool is an int to Python, but no price, markup or bound; a string
+    # would fail the range checks with a bare TypeError
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _validate_bids(oracle, bids):
@@ -296,8 +303,10 @@ def _posted_pass(oracle, bids, posted_price, arrival):
 
 def _check_posted_price(posted_price):
     # a NaN or infinite price serves nobody and charges NaN
-    if not 0 <= posted_price < math.inf:
-        raise ConfigError(f"posted price must be finite and nonnegative, got {posted_price!r}")
+    if not (_is_real(posted_price) and 0 <= posted_price < math.inf):
+        raise ConfigError(
+            f"posted price must be a finite nonnegative number, got {posted_price!r}"
+        )
 
 
 def posted_price_outcome(oracle, bids, posted_price, seed):

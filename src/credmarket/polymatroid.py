@@ -32,7 +32,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -562,6 +562,30 @@ class MaxflowOracle(RankOracle):
         return {"evaluator": self.evaluator, "dag": dag_to_obj(self.dag)}
 
 
+@lru_cache(maxsize=64)
+def _group_layout(n, group_members):
+    """(ids, slot, spot, tri) of a `LaminarOracle` over ids 0..n-1 with
+    these groups, built once per layout and read-only. ids is an (S,
+    groups) array, S = M + 1 for the largest group M: column g holds
+    group g's members in id order, padded with id n, and its last row is
+    the clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
+    clone's. spot[a] = g * S + slot[a] for a's group g is a's place in
+    the (group, slot) rows flattened. tri[a, c] = c < a marks the slots
+    before a."""
+    size = max(map(len, group_members)) + 1
+    ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in group_members]).T
+    slot = [size - 1] * (n + 1)
+    spot = [0] * n
+    for g, members in enumerate(group_members):
+        for k, a in enumerate(members):
+            slot[a] = k
+            spot[a] = g * size + k
+    layout = ids, np.array(slot), np.array(spot), np.tri(size, k=-1, dtype=bool)[:, :, None]
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
 class LaminarOracle(RankOracle):
     """Two-level tree rank in closed form.
 
@@ -648,37 +672,38 @@ class LaminarOracle(RankOracle):
         bidding `clone_level` is priced in its source's row, under id n."""
         if not self._slack_root:
             return None
-        n, (ids, slot, _, _) = self.n, self._slots
-        size, groups = ids.shape
+        groups = len(self.group_members)
         sources, levels = np.full(groups, -1), np.zeros(groups)
-        # each id's place in the (group, slot) rows flattened, the clone's
-        # last in its source's row
-        picks = self.group_of * size + slot[:n]
         if clone_of is not None:
             home = self._group_list[clone_of]
             sources[home], levels[home] = clone_of, clone_level
-            picks = np.append(picks, home * size + size - 1)
-        alloc, pay = self.settle(bids[:n], np.arange(groups), sources, levels)
-        alloc, pay = np.stack((alloc, pay)).reshape(2, -1)[:, picks].tolist()
+        rows = self.settle(bids[: self.n], np.arange(groups), sources, levels)
+        return self.group_outcome(*rows, clone_of)
+
+    def group_outcome(self, alloc, pay, clone_of=None):
+        """(allocation, payments) dicts over every id, read off `settle`'s
+        (alloc, pay) when their first rows settle every group in group
+        order, as `threshold_outcome`'s call does; later rows are ignored.
+        A clone of member `clone_of` in its source's row is read under id
+        n. None when the root can bind: the rows are then each group on its
+        own cap, not the market's outcome."""
+        if not self._slack_root:
+            return None
+        ids, _, spot, _, _ = self._slots
+        size, groups = ids.shape
+        if clone_of is not None:
+            spot = np.append(spot, self._group_list[clone_of] * size + size - 1)
+        rows = np.stack((alloc[:groups], pay[:groups])).reshape(2, -1)
+        alloc, pay = rows[:, spot].tolist()
         return dict(enumerate(alloc)), dict(enumerate(pay))
 
     @cached_property
     def _slots(self):
-        """(ids, slot, demand, tri) for `settle`. ids is an (S, groups)
-        array, S = M + 1 for the largest group M: column g holds group g's
-        members in id order, padded with id n, and its last row is the
-        clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
-        clone's. demand holds the demands by id and 0.0 at id n, which id
-        -1 reads too; tri[a, c] = c < a marks the slots before a."""
-        n, groups = self.n, self.group_members
-        size = max(map(len, groups)) + 1
-        ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in groups]).T
-        slot = [size - 1] * (n + 1)
-        for members in groups:
-            for k, a in enumerate(members):
-                slot[a] = k
-        demand = np.append(self.demands, 0.0)
-        return ids, np.array(slot), demand, np.tri(size, k=-1, dtype=bool)[:, :, None]
+        """(ids, slot, spot, tri, demand) for `settle` and
+        `group_outcome`: the layout's arrays (`_group_layout`), shared by
+        every oracle with the same groups, then demand, the demands by id
+        and 0.0 at id n, which id -1 reads too."""
+        return (*_group_layout(self.n, self.group_members), np.append(self.demands, 0.0))
 
     def settle(self, bids, groups, sources, levels):
         """Greedy allocation and threshold payments of groups settled
@@ -728,7 +753,7 @@ class LaminarOracle(RankOracle):
         sources = np.asarray(sources, dtype=int)
         levels = np.asarray(levels, dtype=float)
         n, rows = self.n, len(groups)
-        ids, slot, pad, tri = self._slots
+        ids, slot, _, tri, pad = self._slots
         if bids.shape not in ((n,), (rows, n)) or not (
             groups.shape == sources.shape == levels.shape == (rows,)
         ):

@@ -7,13 +7,15 @@ with service latency and expires past a deadline; the round bid is the
 best unexpired value and the round demand is the arrived unit count.
 
 The root never binds, so a round's `LaminarOracle` (pods as groups)
-settles in closed form through `mechanisms.vcg_outcome`, and the ghost
-world through a `SubstituteCloneOracle` over it. One engine,
-`LaminarOracle.settle`, prices every pod in an array pass: a row per pod
-behind those closed forms, a row per phantom placement in the ghost
-scan's one call a round, and two rows, the lifted and the walled replay,
-for each certificate. Each agent's draws replay numpy's seeded PCG64
-stream in Python (`_stream`).
+settles in closed form, as `mechanisms.vcg_outcome` would, and the ghost
+world as it would on a `SubstituteCloneOracle` over it. One engine,
+`LaminarOracle.settle`, prices every pod in an array pass, and a round
+makes one call to it (`RoundProfile.settlement`): a row per pod for the
+honest world, then a row per phantom placement for the ghost scan. The
+operator's pick is read off its placement row, and each certificate adds
+one more call of two rows, the lifted and the walled replay. Each agent's
+draws replay numpy's seeded PCG64 stream in Python (`_stream`), and a
+runner hashes all of a seed's streams at once (`seed_rounds`).
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -31,7 +33,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, product
 
@@ -73,6 +75,10 @@ CLASS_TIER_LATENCIES = {
 #: largest accepted mean task arrivals per agent and round: tasks are drawn
 #: one at a time, so a round's generation grows linearly with the rate
 MAX_ARRIVAL_RATE = 1e3
+
+#: most rounds whose seed states one `seed_states` pass hashes: a pass
+#: holds a few (rounds x agents) uint64 arrays, so long runs hash in blocks
+HASH_BLOCK_ROUNDS = 128
 
 SCENARIO_SCHEMA_VERSION = 1
 POS_TOL = 1e-9
@@ -213,7 +219,9 @@ class ScenarioConfig:
 
 @dataclass
 class RoundProfile:
-    """One round's realized market: bids, unit demands, pod structure."""
+    """One round's realized market: bids, unit demands, pod structure.
+    Its oracle and its settlement are built once, on first use, so the
+    arrays are not to change afterwards."""
 
     bids: np.ndarray
     demands: np.ndarray
@@ -232,6 +240,42 @@ class RoundProfile:
             self.demands, self.pod_of, self.pod_caps, root_cap=self.root_cap
         )
 
+    @cached_property
+    def settlement(self):
+        """The round's one `LaminarOracle.settle` call, as (alloc, pay,
+        placements): its first rows settle each pod honestly, in pod
+        order, and row pods + w the phantom placement w = (pod, source,
+        level, covered). Placements are listed before the honest
+        allocation is known; `covered` says whether the source's pod
+        opponents' demand covers the pod cap, and `ghost_candidates`
+        drops the live winners without that cover."""
+        oracle = self.oracle
+        bids, demands = self.bids.tolist(), self.demands.tolist()
+        if not all(0.0 <= b < math.inf for b in bids):
+            raise DomainError("bids must be finite and nonnegative")
+        caps = self.pod_caps.tolist()
+        placements = []
+        for p, members in enumerate(oracle.group_members):
+            levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
+            if not levels:
+                continue
+            total = sum(demands[m] for m in members)
+            for source in members:
+                if demands[source] <= 0:
+                    continue
+                covered = total - demands[source] >= caps[p] - POS_TOL
+                tops = [lv for lv in levels if lv > bids[source]]
+                for w in range(len(tops)):
+                    lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
+                    hi = tops[w]
+                    if hi - lo <= 1e-6:
+                        continue
+                    placements.append((p, source, lo + 0.9 * (hi - lo), covered))
+        # (pod, source, level) rows: the honest pods have no clone
+        rows = [(p, -1, 0.0) for p in range(len(caps))] + [x[:3] for x in placements]
+        alloc, pay = oracle.settle(bids, *zip(*rows))
+        return alloc, pay, placements
+
 
 def generate_round(config, seed, round_index):
     """Realize one round deterministically from (seed, round, agent).
@@ -244,20 +288,56 @@ def generate_round(config, seed, round_index):
 
     The substream is numpy 2.4's PCG64 `Generator` seeded with the triple
     through numpy's seed-sequence hashing, replayed bit for bit by
-    `_stream`: the hashing runs once per round over all agents as uint64
-    columns, and each agent's PCG64 state and draws run on Python ints.
-    The digests therefore do not depend on the installed numpy;
-    `tests/test_sim.py` compares the streams with numpy's own and flags a
-    release whose streams differ.
+    `_stream`: the hashing runs over every (round, agent) row of a call
+    as uint64 columns, and each agent's PCG64 state and draws run on
+    Python ints. This is the one-round case of `seed_rounds`, which the
+    runners iterate to hash a seed's rounds once. The digests do not
+    depend on the installed numpy; `tests/test_sim.py` compares the
+    streams with numpy's own and flags a release whose streams differ.
     """
+    return next(_realize(config, seed, round_index, 1))
+
+
+def seed_rounds(config, seed):
+    """Every round of `seed` in round order, each as `generate_round`
+    realizes it, with one seed-sequence hash for all of the seed's
+    (round, agent) substreams (in blocks of HASH_BLOCK_ROUNDS rounds)."""
+    return _realize(config, seed, 0, config.rounds)
+
+
+def _realize(config, seed, start, count):
+    """Profiles of the `count` rounds of `seed` from round `start`, in
+    order. A block's [seed words, round words, agent] rows hash in one
+    `seed_states` pass, whose rows share a width: a block ends where the
+    round index gains an entropy word. Every agent id is below 2**32, one
+    entropy word."""
+    if not (_is_int(seed) and _is_int(start) and 0 <= min(seed, start)):
+        raise ConfigError(f"seed and round must be nonnegative integers, got {seed!r}, {start!r}")
     pods = config.pods()
+    n = config.n_agents
+    head = entropy_words(seed)
+    stop = start + count
+    while start < stop:
+        words = len(entropy_words(start))
+        end = min(stop, start + HASH_BLOCK_ROUNDS, 1 << 32 * words)
+        rows = np.empty((end - start, n, len(head) + words + 1), dtype=np.uint64)
+        rows[..., : len(head)] = head
+        rows[..., len(head) : -1] = np.array(
+            [entropy_words(r) for r in range(start, end)], dtype=np.uint64
+        )[:, None]
+        rows[..., -1] = np.arange(n)
+        states = seed_states(rows.reshape(-1, rows.shape[-1]))
+        for k in range(0, len(states), n):
+            yield _draw_round(config, pods, states[k : k + n].tolist())
+        start = end
+
+
+def _draw_round(config, pods, states):
+    """One round's profile from its agents' seed states, in agent order."""
     lam = config.value_decay_per_ms
     rate = config.arrival_rate
     deadlines = config.deadlines_ms
     n_deadlines = len(deadlines)
-    # every agent id is below 2**32 (one entropy word), so the rows align
-    prefix = entropy_words(seed) + entropy_words(round_index)
-    states = seed_states([prefix + [a] for a in range(config.n_agents)]).tolist()
     bids, demands, pod_of = [], [], []
     agent = 0
     for pid, pod in enumerate(pods):
@@ -300,9 +380,16 @@ def arrival_order(config, seed, round_index):
 
 
 def settle_threshold(profile):
-    """Honest greedy + threshold payments on the round's oracle."""
-    out = vcg_outcome(profile.oracle, profile.bids.tolist())
-    return out.allocation, out.payments
+    """Honest greedy + threshold payments on the round's oracle,
+    `vcg_outcome(profile.oracle, bids)` bitwise: read off the pod rows of
+    the round's one settle call (`RoundProfile.settlement`), or, should
+    the root bind, taken from `vcg_outcome` itself."""
+    alloc, pay, _ = profile.settlement
+    honest = profile.oracle.group_outcome(alloc, pay)
+    if honest is None:
+        out = vcg_outcome(profile.oracle, profile.bids.tolist())
+        honest = out.allocation, out.payments
+    return honest
 
 
 def settle_posted(profile, level, arrival, phantom=None):
@@ -353,6 +440,8 @@ class GhostCandidate:
     source: int
     level: float
     pod: int
+    #: the placement's row in its round's settle call (`RoundProfile.settlement`)
+    row: int = field(default=None, repr=False, compare=False)
 
 
 def ghost_candidates(profile, alloc=None, pay=None):
@@ -364,44 +453,30 @@ def ghost_candidates(profile, alloc=None, pay=None):
     field); sleepers and already-displaced members carry no such burden.
     Candidate levels sit inside each bid window above the source.
 
-    The round's placements settle in one `LaminarOracle.settle` array
-    pass, a row per placement; surplus and damage then add up over each
-    pod's members in id order, from 0.0, as a running sum would.
+    Every placement is a row of the round's one `LaminarOracle.settle`
+    call (`RoundProfile.settlement`), after the pods' honest rows; the
+    cover test against `alloc` drops rows here. Surplus and damage then
+    add up over each pod's members in id order, from 0.0, as a running sum
+    would.
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
-    oracle = profile.oracle
-    bids, demands = profile.bids.tolist(), profile.demands.tolist()
-    caps = profile.pod_caps.tolist()
-    placements = []
-    for p, members in enumerate(oracle.group_members):
-        cap = caps[p]
-        levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
-        if not levels:
-            continue
-        total = sum(demands[m] for m in members)
-        for source in members:
-            if demands[source] <= 0:
-                continue
-            if bids[source] > 0 and alloc.get(source, 0.0) > POS_TOL:
-                if total - demands[source] < cap - POS_TOL:
-                    continue
-            tops = [lv for lv in levels if lv > bids[source]]
-            for w in range(len(tops)):
-                lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
-                hi = tops[w]
-                if hi - lo <= 1e-6:
-                    continue
-                placements.append((p, source, lo + 0.9 * (hi - lo)))
-    if not placements:
+    rows_alloc, rows_pay, placements = profile.settlement
+    bids = profile.bids.tolist()
+    first = len(profile.pod_caps)
+    kept = [
+        (first + w, p, source, level)
+        for w, (p, source, level, covered) in enumerate(placements)
+        if covered or not (bids[source] > 0 and alloc.get(source, 0.0) > POS_TOL)
+    ]
+    if not kept:
         return []
-    pods, sources, levels = zip(*placements)
+    rows, pods, sources, levels = map(list, zip(*kept))
     # the members' columns: the phantom's payment is no one's surplus
-    dev_alloc, dev_pay = (
-        x[:, :-1] for x in oracle.settle(bids, pods, sources, levels)
-    )
+    dev_alloc, dev_pay = rows_alloc[rows, :-1], rows_pay[rows, :-1]
     # each placement's pod members, padded with id n as the settlement pads
     # its rows, and their honest allocation, payment and bid
+    oracle = profile.oracle
     n, width = profile.n, dev_alloc.shape[1]
     padded = [[*m, *[n] * (width - len(m))] for m in oracle.group_members]
     honest = np.array([
@@ -409,14 +484,16 @@ def ghost_candidates(profile, alloc=None, pay=None):
         [*(pay.get(a, 0.0) for a in range(n)), 0.0],
         [*bids, 0.0],
     ])
-    alloc_h, pay_h, bid = honest[:, np.array(padded)[list(pods)]]
+    alloc_h, pay_h, bid = honest[:, np.array(padded)[pods]]
     # running sums from 0.0 in member order: a leading zero, then cumsum
-    zero = np.zeros((len(placements), 1))
+    zero = np.zeros((len(kept), 1))
     surplus = np.cumsum(np.hstack((zero, dev_pay - pay_h)), axis=1)[:, -1]
     damage = np.cumsum(np.hstack((zero, (alloc_h - dev_alloc) * bid)), axis=1)[:, -1]
     return [
-        GhostCandidate(s, d, source, level, p)
-        for s, d, (p, source, level) in zip(surplus.tolist(), damage.tolist(), placements)
+        GhostCandidate(s, d, source, level, p, row)
+        for s, d, row, p, source, level in zip(
+            surplus.tolist(), damage.tolist(), rows, pods, sources, levels
+        )
         if s > POS_TOL
     ]
 
@@ -429,11 +506,24 @@ def best_ghost(profile, alloc=None, pay=None):
 
 def ghost_settle(profile, source, level):
     """Deviated allocation and threshold payments of the real agents, with
-    the phantom folded in."""
+    the phantom folded in: the generic clone route (`vcg_outcome` on a
+    `SubstituteCloneOracle`), which the runners' scan-row read equals."""
     plus = SubstituteCloneOracle(profile.oracle, source)
     out = vcg_outcome(plus, [*profile.bids.tolist(), level])
     real = range(profile.n)
     return {a: out.allocation[a] for a in real}, {a: out.payments[a] for a in real}
+
+
+def _ghost_world(profile, pick, honest):
+    """`ghost_settle(profile, pick.source, pick.level)` without a settle
+    call: the pick's pod members from its scan row, every other agent from
+    the honest world (allocation, payments)."""
+    alloc_rows, pay_rows, _ = profile.settlement
+    members = profile.oracle.group_members[pick.pod]
+    alloc, pay = (dict(x) for x in honest)
+    alloc.update(zip(members, alloc_rows[pick.row, : len(members)].tolist()))
+    pay.update(zip(members, pay_rows[pick.row, : len(members)].tolist()))
+    return alloc, pay
 
 
 def certify_ghost(profile, source, level, honest, deviated):
@@ -529,8 +619,7 @@ def _conc(rows):
 
 def _exp1_seed(config, seed):
     rows, surplus_series, certified, picks = [], [], [], []
-    for r in range(config.rounds):
-        profile = generate_round(config, seed, r)
+    for r, profile in enumerate(seed_rounds(config, seed)):
         alloc_h, pay_h = settle_threshold(profile)
         honest, _, _ = _world(profile, alloc_h, pay_h)
         if honest[1] <= 0:
@@ -540,7 +629,7 @@ def _exp1_seed(config, seed):
             rows.append(_row(r, seed, "vcg-ghost", honest, honest))
             surplus_series.append(0.0)
             continue
-        alloc_d, pay_d = ghost_settle(profile, pick.source, pick.level)
+        alloc_d, pay_d = _ghost_world(profile, pick, (alloc_h, pay_h))
         deviated, _, _ = _world(profile, alloc_d, pay_d)
         safe, _ = certify_ghost(
             profile, pick.source, pick.level, (alloc_h, pay_h), (alloc_d, pay_d)
@@ -606,8 +695,7 @@ class _SybilTranscript(ClinchTranscript):
 
 def _exp2_seed(config, seed):
     rows, detections, nets = [], [], []
-    for r in range(config.rounds):
-        profile = generate_round(config, seed, r)
+    for r, profile in enumerate(seed_rounds(config, seed)):
         oracle = profile.oracle
         root = make_commitment(oracle, "clinching", "clinch_pay")
         honest_t = ClinchTranscript(commitment_root=root)
@@ -682,8 +770,7 @@ def _exp3_seed(config, seed):
     reserve = prior.reserve()
     mech = Mechanism(payment_rule="myerson", prior=prior)
     rows, exact, surpluses = [], [], []
-    for r in range(config.rounds):
-        profile = generate_round(config, seed, r)
+    for r, profile in enumerate(seed_rounds(config, seed)):
         # the first pod whose top pair shares capacity inside an open
         # window, with the nudged runner-up clearing the reserve
         for p, members in enumerate(profile.oracle.group_members):
@@ -760,8 +847,7 @@ def _r5_worlds(base_config, task):
         tier_latencies_ms=CLASS_TIER_LATENCIES[topo],
     )
     settled = []
-    for r in range(config.rounds):
-        profile = generate_round(config, seed, r)
+    for r, profile in enumerate(seed_rounds(config, seed)):
         alloc_t, pay_t = settle_threshold(profile)
         vcg = _world(profile, alloc_t, pay_t)
         if vcg[0][1] <= 0:
@@ -774,7 +860,7 @@ def _r5_worlds(base_config, task):
                 profile, alloc_t, {a: bids[a] * x for a, x in alloc_t.items()}
             ),
             "ghost": vcg if pick is None else _world(
-                profile, *ghost_settle(profile, pick.source, pick.level)
+                profile, *_ghost_world(profile, pick, (alloc_t, pay_t))
             ),
         }
         arrival = arrival_order(config, seed, r)

@@ -171,7 +171,7 @@ def test_posted_inflator_is_detectable():
     )
 
 
-@pytest.mark.parametrize("markup", [math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("markup", [math.nan, math.inf, 0.0, -0.1, "0.1", True])
 def test_inflator_markup_must_be_finite_and_positive(markup):
     # a NaN (inf) markup would make every payment and the surplus NaN (inf)
     with pytest.raises(ConfigError):
@@ -339,5 +339,7 @@ def test_strategy_validation():
         DeviationStrategy(kind="payment_perturb", pair=(0, 1), delta=0.0)
     with pytest.raises(ConfigError):
         DeviationStrategy(kind="capacity_misreport", shrink_factor=1.5)
+    with pytest.raises(ConfigError):
+        DeviationStrategy(kind="capacity_misreport", shrink_factor="0.5")
     with pytest.raises(ConfigError):
         DeviationStrategy(kind="discriminate", favored_set=frozenset())

@@ -599,16 +599,20 @@ def test_mechanism_validation():
         UniformPrior(5.0, 5.0)
 
 
-@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf, -1.0, "4", True])
 def test_posted_price_must_be_finite_and_nonnegative(price):
-    # a NaN or infinite price would serve nobody and charge NaN
+    # a NaN or infinite price would serve nobody and charge NaN; a string
+    # or a bool is no price
     with pytest.raises(ConfigError):
         Mechanism(payment_rule="posted_price", posted_price=price)
     with pytest.raises(ConfigError):
         posted_price_outcome(WORKED, [10.0, 5.0], price, seed=0)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 11.0), (1.0, math.nan)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, math.inf), (math.nan, 11.0), (1.0, math.nan), ("1", "11"), (False, 11.0), (0.0, True)],
+)
 def test_uniform_prior_needs_a_bounded_support(lo, hi):
     # an infinite hi would put the reserve at inf, where nobody is served
     with pytest.raises(ConfigError):

@@ -706,3 +706,17 @@ def test_series_parallel_recognition_accepts_without_grammar():
         CapacityDag(
             built.nodes, built.node_capacity, built.edges, built.leaves, built.sink, "sp"
         )
+
+
+def test_laminar_layout_is_shared_and_read_only():
+    # the member layout depends on the groups alone: oracles with the same
+    # groups share its arrays, and only the demand pad is their own
+    a = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
+    b = LaminarOracle([1, 2, 3, 4], [0, 0, 0, 1], [8, 6])
+    *layout, pad = a._slots
+    for mine, theirs in zip(layout, b._slots):
+        assert mine is theirs
+        with pytest.raises(ValueError):
+            mine[...] = 0
+    assert pad.tolist() == [4.0, 4.0, 3.0, 5.0, 0.0]
+    assert b._slots[-1].tolist() == [1.0, 2.0, 3.0, 4.0, 0.0]

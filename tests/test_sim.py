@@ -15,7 +15,7 @@ from credmarket.credibility import (
     tamper_inflate_clinch,
     verify_transcript,
 )
-from credmarket.errors import ConfigError
+from credmarket.errors import ConfigError, DomainError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
 from credmarket._stream import Stream, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
@@ -177,13 +177,56 @@ STREAM_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
 def test_round_stream_is_numpys(rate, deadlines):
     # Poisson by multiplication below rate 10 and by PTRS from 10 up; one
     # deadline draws no integer at all
-    config = ScenarioConfig(arrival_rate=rate, deadlines_ms=deadlines)
+    config = ScenarioConfig(arrival_rate=rate, deadlines_ms=deadlines, rounds=4)
     for seed in STREAM_SEEDS:
+        per_seed = list(sim.seed_rounds(config, seed))
         for r in (0, 3):
-            got = generate_round(config, seed, r)
             want = reference_generate_round(config, seed, r)
-            assert got.bids.tobytes() == want.bids.tobytes()
-            assert got.demands.tobytes() == want.demands.tobytes()
+            for got in (generate_round(config, seed, r), per_seed[r]):
+                assert got.bids.tobytes() == want.bids.tobytes()
+                assert got.demands.tobytes() == want.demands.tobytes()
+
+
+def _same_profile(a, b):
+    return all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("bids", "demands", "pod_of", "pod_caps")
+    ) and a.root_cap == b.root_cap
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**32 + 5])
+def test_seed_rounds_are_generate_round(seed, monkeypatch):
+    # one seed-sequence pass per block of rounds, each row of a pass one
+    # width wide, and the rounds as `generate_round` realizes them one by one
+    widths, states = [], sim.seed_states
+
+    def spy(rows):
+        widths.append(np.asarray(rows).shape)
+        return states(rows)
+
+    monkeypatch.setattr(sim, "seed_states", spy)
+    config = ScenarioConfig(rounds=7, seeds=(seed,))
+    profiles = list(sim.seed_rounds(config, seed))
+    assert widths == [(7 * config.n_agents, len(entropy_words(seed)) + 2)]
+    assert len(profiles) == config.rounds
+    for r, profile in enumerate(profiles):
+        assert _same_profile(profile, generate_round(config, seed, r))
+    # blocks end at HASH_BLOCK_ROUNDS and where a round index gains a word
+    monkeypatch.setattr(sim, "HASH_BLOCK_ROUNDS", 3)
+    widths.clear()
+    start = 2**32 - 4
+    blocks = list(sim._realize(config, seed, start, 7))
+    word = len(entropy_words(seed))
+    assert [w for _, w in widths] == [word + 2, word + 2, word + 3]
+    for k, profile in enumerate(blocks):
+        assert _same_profile(profile, reference_generate_round(config, seed, start + k))
+
+
+@pytest.mark.parametrize("seed, r", [(-1, 0), (17, -1), (17, 1.0), (17, "1"), (True, 0)])
+def test_generate_round_rejects_bad_indices(seed, r):
+    # a negative index has no entropy words: it used to loop forever
+    with pytest.raises(ConfigError):
+        generate_round(TINY, seed, r)
 
 
 @pytest.mark.parametrize(
@@ -286,17 +329,16 @@ def _count_settlements(monkeypatch):
 
 def test_ghost_scan_settles_no_single_window(monkeypatch):
     config = ScenarioConfig(rounds=10, seeds=(17,))
-    rounds = [generate_round(config, 17, r) for r in range(config.rounds)]
-    honest = [settle_threshold(profile) for profile in rounds]
     calls = _count_settlements(monkeypatch)
     found = 0
-    for profile, pair in zip(rounds, honest):
+    for profile in sim.seed_rounds(config, 17):
         calls.clear()
-        cands = ghost_candidates(profile, *pair)
-        # one call a round, a row per placement, and none without one
-        assert len(calls) <= 1
-        if cands:
-            assert calls and calls[0] >= len(cands)
+        honest = settle_threshold(profile)
+        cands = ghost_candidates(profile, *honest)
+        # one call a round for the honest world and every placement: a row
+        # per pod, then a row per placement
+        assert len(calls) == 1 and calls[0] >= len(profile.pod_caps) + len(cands)
+        assert len(set(c.row for c in cands)) == len(cands)
         found += len(cands)
     assert found > 0
 
@@ -305,18 +347,85 @@ def test_every_settlement_is_one_engine_call(monkeypatch):
     profile, honest, pick = _first_ghost_round(ScenarioConfig(rounds=60, seeds=(17,)), 17)
     calls = _count_settlements(monkeypatch)
     pods = len(profile.pod_caps)
-    settle_threshold(profile)
+    # the round's call was made by the scan; reading it again makes none
+    assert settle_threshold(profile) == honest
+    deviated = sim._ghost_world(profile, pick, honest)
+    assert calls == []
+    # the generic clone route, the runners' reference, is one call too
+    assert ghost_settle(profile, pick.source, pick.level) == deviated
     assert calls == [pods]
-    deviated = ghost_settle(profile, pick.source, pick.level)
-    assert calls == [pods, pods]
     # a slack laminar oracle built by hand takes the same single call
     oracle = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
     vcg_outcome(oracle, [5.0, 5.0, 0.0, 2.5])
     vcg_outcome(SubstituteCloneOracle(oracle, 2), [5.0, 5.0, 0.0, 2.5, 4.75])
-    assert calls == [pods, pods, 2, 2]
+    assert calls == [pods, 2, 2]
     # both certificate replays, lifted and walled, as two rows of one call
     certify_ghost(profile, pick.source, pick.level, honest, deviated)
-    assert calls == [pods, pods, 2, 2, 2]
+    assert calls == [pods, 2, 2, 2]
+
+
+def _rounds_settled(report):
+    # rounds the runner generated: every round of every seed (and, in r5,
+    # of every topology)
+    config = report["config"]
+    tasks = 3 if report["experiment"] == "r5" else 1
+    return config["rounds"] * len(config["seeds"]) * tasks
+
+
+@pytest.mark.parametrize("exp", ["exp1", "exp2", "r5"])
+def test_each_round_settles_in_one_call(monkeypatch, exp):
+    # r5 and exp2's `best_ghost` settle a round once; exp1 settles it once
+    # and certifies each pick in one more call
+    config = ScenarioConfig(rounds=12, seeds=(17, 42))
+    calls = _count_settlements(monkeypatch)
+    report = run_experiment(exp, config)
+    picks = len(report.get("picks", ()))
+    assert len(calls) == _rounds_settled(report) + picks
+    assert exp != "exp1" or picks > 0
+    assert min(calls) >= 2
+
+
+@pytest.mark.parametrize(
+    "exp, config",
+    [
+        ("exp1", ScenarioConfig(rounds=100, seeds=(17, 42))),
+        ("r5", ScenarioConfig(rounds=4, seeds=(17, 42))),
+    ],
+    ids=["exp1", "r5_small"],
+)
+def test_round_settlement_is_the_generic_route_bitwise(monkeypatch, exp, config):
+    # every round of the run: the honest world read off the pod rows, the
+    # scan read off the placement rows and the pick's world read off its
+    # row, each repr-equal to the route it replaced
+    settle, scan, world = sim.settle_threshold, sim.ghost_candidates, sim._ghost_world
+    seen = {"honest": 0, "scan": 0, "world": 0}
+
+    def honest(profile):
+        got = settle(profile)
+        want = vcg_outcome(profile.oracle, profile.bids.tolist())
+        assert repr(got) == repr((want.allocation, want.payments))
+        seen["honest"] += 1
+        return got
+
+    def candidates(profile, alloc=None, pay=None):
+        got = scan(profile, alloc, pay)
+        assert repr(got) == repr(reference_ghost_candidates(profile, alloc, pay))
+        seen["scan"] += 1
+        return got
+
+    def deviated(profile, pick, honest_world):
+        got = world(profile, pick, honest_world)
+        assert repr(got) == repr(ghost_settle(profile, pick.source, pick.level))
+        seen["world"] += 1
+        return got
+
+    monkeypatch.setattr(sim, "settle_threshold", honest)
+    monkeypatch.setattr(sim, "ghost_candidates", candidates)
+    monkeypatch.setattr(sim, "_ghost_world", deviated)
+    report = run_experiment(exp, config)
+    assert seen["honest"] == _rounds_settled(report)
+    assert seen["scan"] >= len(report["rows"]) // (13 if exp == "r5" else 1)
+    assert seen["world"] > 0
 
 
 def test_ghost_surplus_and_damage_are_exact():
@@ -350,6 +459,29 @@ def test_profitable_phantom_round_is_fully_certified():
     assert set(safe) == set(range(profile.n))
     assert all(safe.values())
     assert len(certs) == profile.n
+
+
+def test_round_settlement_checks_bids_and_falls_back_on_a_binding_root():
+    # a profile built by hand: a root below the pods' total binds, and the
+    # honest world then takes the generic route, as `vcg_outcome` does
+    bound = RoundProfile(
+        bids=np.array([6.0, 4.0, 3.0, 5.0]),
+        demands=np.array([8.0, 5.0, 4.0, 6.0]),
+        pod_of=np.array([0, 0, 0, 1]),
+        pod_caps=np.array([10.0, 6.0]),
+        root_cap=12.0,
+    )
+    want = vcg_outcome(bound.oracle, bound.bids.tolist())
+    assert repr(settle_threshold(bound)) == repr((want.allocation, want.payments))
+    bad = RoundProfile(
+        bids=np.array([6.0, np.nan, 3.0]),
+        demands=np.array([8.0, 5.0, 4.0]),
+        pod_of=np.array([0, 0, 0]),
+        pod_caps=np.array([10.0]),
+        root_cap=500.0,
+    )
+    with pytest.raises(DomainError):
+        settle_threshold(bad)
 
 
 # --------------------------------------------------------------------------
