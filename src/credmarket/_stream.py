@@ -1,17 +1,25 @@
-"""numpy's seeded PCG64 draws, replayed in Python ints.
+"""numpy's seeded PCG64 draws, replayed lane-parallel in uint64 arrays.
 
-`sim.generate_round` draws each agent's tasks from the stream that
+`sim` draws each (round, agent) lane's tasks from the stream that
 `np.random.default_rng(np.random.SeedSequence([seed, round, agent]))`
-would give, without building either object. Three parts reproduce numpy
-2.4 bit for bit:
+would give, without building either object, and draws all of a block's
+lanes at once: every lane has its own generator state, so the lanes step
+together as columns of uint64 arrays (the lane-parallel layout of Salmon
+et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011). Three
+parts reproduce numpy 2.4 bit for bit:
 
 - `seed_states`: `SeedSequence`'s pool hashing (O'Neill's `seed_seq`
   design) and `generate_state(4, np.uint64)`, vectorised over many entropy
   rows of one length in masked uint64 arrays;
-- `Stream`: `PCG64` seeding (two LCG steps around the seed) and its
-  XSL-RR output (O'Neill, "PCG", 2014) on 128-bit Python ints;
-- `Stream`'s draws: `Generator.poisson`, `uniform` and `integers` with
-  numpy's consumption rules (below).
+- `Lanes`: `PCG64` seeding (two LCG steps around the seed) and its
+  XSL-RR output (O'Neill, "PCG", 2014), each lane's 128-bit state a
+  (hi, lo) pair of uint64 words;
+- `Lanes`' draws: `Generator.poisson`, `uniform` and `integers` with
+  numpy's consumption rules (below), on the lanes a draw names; a
+  rejection loop redraws only the lanes that reject. `math.exp`,
+  `math.log` and `_loggam` stay scalar, mapped over the lanes that reach
+  them, since numpy's SIMD exp and log need not round as libm does;
+  every other step is plain IEEE arithmetic or exact integer arithmetic.
 
 `tests/test_sim.py` compares the streams with numpy's own objects, so a
 numpy release that changes them fails there.
@@ -23,7 +31,6 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # SeedSequence's hash constants
 _POOL_SIZE = 4
@@ -37,8 +44,15 @@ _OTHERS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_PO
 #: numpy's largest Poisson mean, int64 max less ten standard deviations
 _POISSON_LAM_MAX = 9.223372006484771e18
 
-#: PCG64's 128-bit LCG multiplier
+#: PCG64's 128-bit LCG multiplier, as uint64 (hi, lo) words and the low
+#: word's 32-bit limbs
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO1, _MULT_LO0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)
+
+# every lane constant is a uint64, so no mixed-kind op promotes to float64
+_U1, _U11, _U58, _U63, _U64 = (np.uint64(s) for s in (1, 11, 58, 63, 64))
+_U32, _U32_SHIFT = np.uint64(_MASK32), np.uint64(32)
 
 #: numpy's `random_loggam` series coefficients
 _LOGGAM_A = (
@@ -136,99 +150,160 @@ def _loggam(x):
     return gl
 
 
-class Stream:
-    """One `np.random.Generator(PCG64)` stream, for the draws `sim` makes.
+class Lanes:
+    """Many `np.random.Generator(PCG64)` streams, one per lane, stepped
+    together, for the draws `sim` makes.
 
-    `words` are the four uint64 seed words of `seed_states`: the first two
-    form the 128-bit initial state, the last two the stream selector.
+    `words` is a (lanes, 4) array of `seed_states` rows: per lane, the
+    first two words form the 128-bit initial state, the last two the
+    stream selector. Each lane's 128-bit state and increment are (hi, lo)
+    pairs of uint64 arrays, so one array op steps every lane it is given;
+    a draw takes the index array of the lanes that draw and steps only
+    those, so each lane reads its own stream exactly as numpy would.
     """
 
-    __slots__ = ("state", "inc", "stash")
-
     def __init__(self, words):
-        w0, w1, w2, w3 = (int(w) for w in words)
-        self.inc = (((w2 << 64 | w3) << 1) | 1) & _MASK128
-        # from a zero state: step, add the initial state, step
-        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
-        #: the high half of the last 64-bit output a 32-bit draw split, if unused
-        self.stash = None
+        w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).T
+        inc_hi = (w2 << _U1) | (w3 >> _U63)
+        inc_lo = (w3 << _U1) | _U1
+        # from a zero state: step (to inc), add the initial state, step
+        lo = inc_lo + w1
+        hi = inc_hi + w0 + (lo < w1)
+        #: rows: state hi, state lo, increment hi, increment lo
+        self._pcg = np.stack((*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo))
+        #: the high half of the last 64-bit output a 32-bit draw split,
+        #: where `_stashed`
+        self._stash = np.zeros(len(w0), dtype=np.uint64)
+        self._stashed = np.zeros(len(w0), dtype=bool)
 
-    def next64(self):
-        """Step the LCG, then the XSL-RR output of the new state."""
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+    def __len__(self):
+        return len(self._stash)
 
-    def next32(self):
-        """The low half of a fresh 64-bit output, stashing the high half
-        for the next call."""
-        if self.stash is not None:
-            out, self.stash = self.stash, None
-            return out
-        x = self.next64()
-        self.stash = x >> 32
-        return x & _MASK32
+    def next64(self, idx):
+        """Step lanes `idx` once; the XSL-RR output of each new state."""
+        hi, lo = _step(*self._pcg[:, idx])
+        self._pcg[0, idx] = hi
+        self._pcg[1, idx] = lo
+        return _output(hi, lo)
 
-    def random(self):
-        """A double in [0, 1) from the top 53 bits of one output."""
-        return (self.next64() >> 11) * 2.0**-53
+    def random(self, idx):
+        """A double in [0, 1) per lane, from the top 53 bits of one output."""
+        return _double(self.next64(idx))
 
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.random()
+    def uniform(self, lo, hi, idx):
+        """`lo + (hi - lo) * random`, numpy's uniform; `lo` and `hi` are
+        scalars or arrays aligned with `idx`."""
+        return lo + (hi - lo) * self.random(idx)
 
-    def integers(self, n):
-        """An int in [0, n) for 1 <= n <= 2**32 - 1: none drawn for n = 1,
-        else Lemire's multiply-and-reject on 32-bit draws."""
-        rng = n - 1
-        if rng == 0:
-            return 0
-        m = self.next32() * n
-        leftover = m & _MASK32
-        if leftover < n:
-            threshold = (_MASK32 - rng) % n
-            while leftover < threshold:
-                m = self.next32() * n
-                leftover = m & _MASK32
-        return m >> 32
+    def _next32(self, idx):
+        """Per lane, the stashed high half of an earlier output if there is
+        one, else the low half of a fresh output, whose high half is
+        stashed. Double draws leave the stash alone."""
+        stashed = self._stashed[idx]
+        out = self._stash[idx]
+        fresh = idx[~stashed]
+        x = self.next64(fresh)
+        out[~stashed] = x & _U32
+        self._stash[fresh] = x >> _U32_SHIFT
+        self._stashed[idx] = ~stashed
+        return out
+
+    def integers(self, n, idx):
+        """An int in [0, n) per lane, for 1 <= n <= 2**32 - 1, as a uint64
+        array: none drawn for n = 1, else Lemire's multiply-and-reject on
+        32-bit draws, redrawing only the lanes that reject."""
+        if n == 1:
+            return np.zeros(len(idx), dtype=np.uint64)
+        threshold = np.uint64((_MASK32 + 1 - n) % n)
+        n = np.uint64(n)
+        m = self._next32(idx) * n
+        redo = np.flatnonzero((m & _U32) < threshold)
+        while redo.size:
+            m[redo] = self._next32(idx[redo]) * n
+            redo = redo[(m[redo] & _U32) < threshold]
+        return m >> _U32_SHIFT
 
     def poisson(self, lam):
-        """numpy's Poisson draw for lam > 0: multiplication below 10, PTRS
-        (Hörmann's transformed rejection) from 10 up. A mean past numpy's
-        limit raises numpy's ValueError."""
+        """numpy's Poisson draw for lam > 0 on every lane, as an int64
+        array: multiplication below 10, PTRS (Hörmann's transformed
+        rejection) from 10 up. A mean past numpy's limit raises numpy's
+        ValueError."""
         if lam > _POISSON_LAM_MAX:
             raise ValueError("lam value too large")
-        if lam < 10:
-            enlam = math.exp(-lam)
-            x, prod = 0, 1.0
-            while True:
-                prod *= self.random()
-                if prod > enlam:
-                    x += 1
-                else:
-                    return x
+        return self._poisson_mult(lam) if lam < 10 else self._poisson_ptrs(lam)
+
+    def _poisson_mult(self, lam):
+        # each pending lane multiplies its running product by one more
+        # double; the count is the number of products above e^-lam
+        enlam = math.exp(-lam)
+        counts = np.zeros(len(self), dtype=np.int64)
+        prod = np.ones(len(self))
+        idx = np.arange(len(self))
+        while idx.size:
+            p = prod[idx] * self.random(idx)
+            prod[idx] = p
+            idx = idx[p > enlam]
+            counts[idx] += 1
+        return counts
+
+    def _poisson_ptrs(self, lam):
+        # two doubles per pending lane and try; `math.log` and `_loggam`
+        # run only on the lanes that reach the log test
         slam = math.sqrt(lam)
         loglam = math.log(lam)
         b = 0.931 + 2.53 * slam
         a = -0.059 + 0.02483 * b
         invalpha = 1.1239 + 1.1328 / (b - 3.4)
         vr = 0.9277 - 3.6224 / (b - 2)
-        while True:
-            u = self.random() - 0.5
-            v = self.random()
-            us = 0.5 - abs(u)
-            if us == 0.0:
-                # numpy divides by zero here, floors -inf to a negative k
-                # and rejects
-                continue
-            k = math.floor((2 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= vr:
-                return k
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            # log(0) is -inf in C, which always accepts
-            if v == 0.0 or (
-                math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
-                <= -lam + k * loglam - _loggam(k + 1.0)
-            ):
-                return k
+        counts = np.zeros(len(self), dtype=np.int64)
+        idx = np.arange(len(self))
+        while idx.size:
+            u = self.random(idx) - 0.5
+            v = self.random(idx)
+            us = 0.5 - np.abs(u)
+            # us == 0 only for u = -0.5: numpy divides by zero there, and
+            # k = -inf rejects below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.floor((2 * a / us + b) * u + lam + 0.43)
+            done = (us >= 0.07) & (v <= vr)
+            test = np.flatnonzero(~done & (k >= 0) & ~((us < 0.013) & (v > us)))
+            for j, kj, uj, vj in zip(test, k[test].tolist(), us[test].tolist(), v[test].tolist()):
+                # log(0) is -inf in C, which always accepts
+                done[j] = vj == 0.0 or (
+                    math.log(vj) + math.log(invalpha) - math.log(a / (uj * uj) + b)
+                    <= -lam + kj * loglam - _loggam(kj + 1.0)
+                )
+            counts[idx[done]] = k[done]
+            idx = idx[~done]
+        return counts
+
+
+def _mulhi(a):
+    """The high 64 bits of a * the LCG multiplier's low word, from 32-bit
+    limbs (Warren, "Hacker's Delight", mulhu): every partial product and
+    partial sum fits a uint64."""
+    a0, a1 = a & _U32, a >> _U32_SHIFT
+    t = a1 * _MULT_LO0 + ((a0 * _MULT_LO0) >> _U32_SHIFT)
+    u = (t & _U32) + a0 * _MULT_LO1
+    return a1 * _MULT_LO1 + (t >> _U32_SHIFT) + (u >> _U32_SHIFT)
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) of state * _PCG_MULT + inc mod 2**128; uint64 products and
+    sums wrap mod 2**64, and the low sum's carry goes into the high half."""
+    new_lo = lo * _MULT_LO + inc_lo
+    carry = new_lo < inc_lo
+    return hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo) + inc_hi + carry, new_lo
+
+
+def _output(hi, lo):
+    """PCG64's XSL-RR output of the states (hi, lo): their xor, rotated
+    right by the top six bits of hi."""
+    x = hi ^ lo
+    rot = hi >> _U58
+    return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+
+def _double(words):
+    """numpy's `next_double`: the top 53 bits of each word, times 2**-53."""
+    return (words >> _U11) * 2.0**-53

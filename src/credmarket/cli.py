@@ -16,7 +16,7 @@ from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
 from .errors import CredmarketError
 from .mechanisms import Mechanism, UniformPrior
-from .metrics import gamma_distribution, scaling_sweep
+from .metrics import MAX_GRID_VALUE, gamma_distribution, scaling_sweep
 from .polymatroid import LaminarOracle, TableOracle, pair_gap, verify_axioms
 from .sim import ScenarioConfig, report_json, rows_to_csv, run_experiment
 
@@ -70,7 +70,8 @@ def build_parser():
     p_sweep.add_argument("--class", dest="topology_class", required=True,
                          choices=SWEEP_CLASSES)
     p_sweep.add_argument("--grid", required=True,
-                         help="comma-separated increasing parameter values")
+                         help="comma-separated increasing parameter values, "
+                              f"each from 1 to {MAX_GRID_VALUE}")
     p_sweep.add_argument("--seed", type=int, help="single seed (default three)")
     p_sweep.add_argument("--out", help="write the fit JSON here instead of stdout")
 

@@ -175,6 +175,20 @@ def _replay_round(ev, r, demands, clinched, oracle, violations):
     return cleared
 
 
+def _missing_openings(demands, oracle):
+    """A `missing_rank` violation for each of `oracle`'s agents without an
+    opening demand line in `demands`; none without an oracle. Only an int
+    id opens an agent's line, as only an int id matches an active set."""
+    if oracle is None:
+        return []
+    opened = {a for a in demands if type(a) is int}
+    return [
+        {"kind": "missing_rank", "round": 0, "agent": i, "note": "no opening demand line"}
+        for i in range(oracle.n)
+        if i not in opened
+    ]
+
+
 def verify_transcript(transcript, commitment_root, oracle=None):
     """Replay a clinching log against the commitment; list every mismatch.
 
@@ -187,9 +201,12 @@ def verify_transcript(transcript, commitment_root, oracle=None):
     `oracle`, one `rank_without_each` pass per round also checks every
     announced value against the committed rank function (`wrong_rank`).
     A log whose last round neither clears the market nor leaves the active
-    set empty is unfinished (`missing_rank`). The chain catches a round
-    edited, reordered or dropped after broadcast; an operator that chains
-    a lie from the start is caught only by the replay.
+    set empty is unfinished (`missing_rank`). The oracle fixes the ground
+    set, so with it every agent 0..n-1 needs an opening demand line, one
+    before the first round (else `missing_rank`): an empty log is not a
+    clean one. The chain catches a round edited, reordered or dropped
+    after broadcast; an operator that chains a lie from the start is
+    caught only by the replay.
     """
     events = _coerce_transcript(transcript)
     violations = []
@@ -222,6 +239,8 @@ def verify_transcript(transcript, commitment_root, oracle=None):
                 demands[ev["agent"]] = d
             elif kind == "round":
                 _require(ev, *_ROUND_FIELDS)
+                if not rounds:
+                    violations += _missing_openings(demands, oracle)
                 body = dict(ev)
                 tag = body.pop("tag")
                 if not isinstance(tag, str):
@@ -240,6 +259,8 @@ def verify_transcript(transcript, commitment_root, oracle=None):
                 )
             else:
                 raise StructureError(f"unknown event kind {kind!r}")
+        if not rounds:
+            violations += _missing_openings(demands, oracle)
         if not cleared and any(d > CLINCH_TOL for d in demands.values()):
             violations.append(
                 {

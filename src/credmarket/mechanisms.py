@@ -493,14 +493,15 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     A round takes f(D) and every f(D - i) from one
     `oracle.rank_without_each` pass over the sorted active set, O(|D|)
     for a laminar oracle instead of |D| + 1 rank evaluations, and logs
-    them with the round's clinches as one `round` event.
+    them with the round's clinches as one `round` event. The flat demands
+    are the oracle's `singleton_ranks`, ranked once per oracle.
     """
     n = oracle.n
     values = _validate_bids(oracle, values)
     # NaN fails both comparisons; an infinite step would price at 0 * inf
     if not 0.0 < step < math.inf:
         raise ConfigError("clock step must be positive and finite")
-    demand = {i: oracle.rank({i}) for i in range(n)}
+    demand = oracle.singleton_ranks
     if transcript is not None:
         for i in range(n):
             # opening report is the demand at price 0: zero-value agents

@@ -37,6 +37,11 @@ VALUE_DECAY_PER_MS = 0.005
 #: aggregation means more hops before the sink
 CLASS_LATENCY_MS = {"tree": 70.0, "sp": 20.0, "entangled": 5.0, "modular": 20.0}
 
+#: largest accepted scaling-sweep grid value: a witness point's cost grows
+#: steeply with its parameter (a series point takes about 0.3 s at 64 and
+#: 2.2 s at 128, some 7x per doubling)
+MAX_GRID_VALUE = 64
+
 
 # --------------------------------------------------------------------------
 # CoNC ratios
@@ -375,6 +380,8 @@ def scaling_sweep(topology_class, parameter_grid, seeds, delta=0.25):
         raise ConfigError("grid values must be strictly increasing")
     if grid[0] <= 0:
         raise ConfigError(f"grid values must be positive, got {grid[0]}")
+    if grid[-1] > MAX_GRID_VALUE:
+        raise ConfigError(f"grid values must be at most {MAX_GRID_VALUE}, got {grid[-1]}")
     if topology_class not in _WITNESSES:
         raise ConfigError(f"no scaling witness for class {topology_class!r}")
     build = _WITNESSES[topology_class]

@@ -374,6 +374,12 @@ class RankOracle:
     def _rank(self, subset):
         raise NotImplementedError
 
+    @cached_property
+    def singleton_ranks(self):
+        """(f({0}), ..., f({n - 1})): every agent's rank alone, ranked once
+        per oracle (the flat demands of `mechanisms.clinching_auction`)."""
+        return tuple(self.rank({i}) for i in range(self.n))
+
     def rank_without_each(self, members):
         """(f(S), [f(S - {m}) for m in members]) for S = members, a list of
         distinct agent ids in ascending order; a bad id raises DomainError
@@ -869,6 +875,12 @@ class SubstituteCloneOracle(RankOracle):
         if self.clone_id in subset:
             real.add(self.position_agent)
         return self.base.rank(real)
+
+    @cached_property
+    def singleton_ranks(self):
+        # the base's, then the clone's: its source's rank alone
+        base = self.base.singleton_ranks
+        return (*base, base[self.position_agent])
 
     def _rank_without_each(self, ids):
         # the clone id is the largest, so it can only be the last member

@@ -14,8 +14,11 @@ makes one call to it (`RoundProfile.settlement`): a row per pod for the
 honest world, then a row per phantom placement for the ghost scan. The
 operator's pick is read off its placement row, and each certificate adds
 one more call of two rows, the lifted and the walled replay. Each agent's
-draws replay numpy's seeded PCG64 stream in Python (`_stream`), and a
-runner hashes all of a seed's streams at once (`seed_rounds`).
+draws replay numpy's seeded PCG64 stream (`_stream`). A runner iterates
+a seed's rounds (`seed_rounds`): a block of rounds hashes all of its
+(round, agent) streams in one pass and draws every stream's tasks in one
+lane-parallel array pass, and each round's bids and demands are a row of
+the block's arrays.
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -39,7 +42,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from ._stream import Stream, entropy_words, seed_states
+from ._stream import Lanes, entropy_words, seed_states
 from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
 from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
@@ -76,8 +79,9 @@ CLASS_TIER_LATENCIES = {
 #: one at a time, so a round's generation grows linearly with the rate
 MAX_ARRIVAL_RATE = 1e3
 
-#: most rounds whose seed states one `seed_states` pass hashes: a pass
-#: holds a few (rounds x agents) uint64 arrays, so long runs hash in blocks
+#: most rounds whose streams one `seed_states` pass hashes and one lane
+#: pass draws: a pass holds a few (rounds x agents) uint64 and float
+#: arrays, so long runs draw in blocks
 HASH_BLOCK_ROUNDS = 128
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -289,19 +293,22 @@ def generate_round(config, seed, round_index):
     The substream is numpy 2.4's PCG64 `Generator` seeded with the triple
     through numpy's seed-sequence hashing, replayed bit for bit by
     `_stream`: the hashing runs over every (round, agent) row of a call
-    as uint64 columns, and each agent's PCG64 state and draws run on
-    Python ints. This is the one-round case of `seed_rounds`, which the
-    runners iterate to hash a seed's rounds once. The digests do not
-    depend on the installed numpy; `tests/test_sim.py` compares the
-    streams with numpy's own and flags a release whose streams differ.
+    as uint64 columns, and every row's PCG64 stream steps as one lane of
+    uint64 arrays (`_stream.Lanes`), with the task draws made lane-parallel
+    by `_draw_tasks`. This is the one-round case of that same pass in
+    `seed_rounds`, which the runners iterate to draw a seed's rounds in
+    blocks. The digests do not depend on the installed numpy;
+    `tests/test_sim.py` compares the streams with numpy's own and flags a
+    release whose streams differ.
     """
     return next(_realize(config, seed, round_index, 1))
 
 
 def seed_rounds(config, seed):
     """Every round of `seed` in round order, each as `generate_round`
-    realizes it, with one seed-sequence hash for all of the seed's
-    (round, agent) substreams (in blocks of HASH_BLOCK_ROUNDS rounds)."""
+    realizes it, with one seed-sequence hash and one lane-parallel draw
+    for all of a block's (round, agent) substreams, in blocks of at most
+    HASH_BLOCK_ROUNDS rounds."""
     return _realize(config, seed, 0, config.rounds)
 
 
@@ -310,11 +317,18 @@ def _realize(config, seed, start, count):
     order. A block's [seed words, round words, agent] rows hash in one
     `seed_states` pass, whose rows share a width: a block ends where the
     round index gains an entropy word. Every agent id is below 2**32, one
-    entropy word."""
+    entropy word. The block's (round, agent) lanes then draw in one
+    `_draw_tasks` pass, and each round's bids and demands are a row of
+    the block's arrays; the pod arrays every round shares are read-only."""
     if not (_is_int(seed) and _is_int(start) and 0 <= min(seed, start)):
         raise ConfigError(f"seed and round must be nonnegative integers, got {seed!r}, {start!r}")
     pods = config.pods()
     n = config.n_agents
+    tier = np.array([pod.tier for pod in pods for _ in pod.units])
+    units = np.array([u for pod in pods for u in pod.units])
+    pod_of = np.repeat(np.arange(len(pods)), [len(pod.units) for pod in pods])
+    pod_caps = np.array([pod.capacity for pod in pods])
+    pod_of.flags.writeable = pod_caps.flags.writeable = False
     head = entropy_words(seed)
     stop = start + count
     while start < stop:
@@ -326,44 +340,40 @@ def _realize(config, seed, start, count):
             [entropy_words(r) for r in range(start, end)], dtype=np.uint64
         )[:, None]
         rows[..., -1] = np.arange(n)
-        states = seed_states(rows.reshape(-1, rows.shape[-1]))
-        for k in range(0, len(states), n):
-            yield _draw_round(config, pods, states[k : k + n].tolist())
+        lanes = Lanes(seed_states(rows.reshape(-1, rows.shape[-1])))
+        bids, counts = _draw_tasks(config, lanes, np.tile(tier, end - start))
+        demands = (counts.reshape(-1, n) * units).astype(float)
+        for b, d in zip(bids.reshape(-1, n), demands):
+            yield RoundProfile(
+                bids=b, demands=d, pod_of=pod_of, pod_caps=pod_caps,
+                root_cap=config.tier_capacities[-1],
+            )
         start = end
 
 
-def _draw_round(config, pods, states):
-    """One round's profile from its agents' seed states, in agent order."""
-    lam = config.value_decay_per_ms
-    rate = config.arrival_rate
-    deadlines = config.deadlines_ms
-    n_deadlines = len(deadlines)
-    bids, demands, pod_of = [], [], []
-    agent = 0
-    for pid, pod in enumerate(pods):
-        base_lat = config.tier_latencies_ms[pod.tier]
-        jit_hi = TIER_JITTER_HI[pod.tier]
-        for units in pod.units:
-            rng = Stream(states[agent])
-            k = rng.poisson(rate)
-            best = 0.0
-            for _ in range(k):
-                latency = base_lat * rng.uniform(0.5, jit_hi)
-                deadline = deadlines[rng.integers(n_deadlines)]
-                if latency <= deadline:
-                    value = rng.uniform(VALUE_LO, VALUE_HI) * math.exp(-lam * latency)
-                    best = max(best, value)
-            bids.append(best)
-            demands.append(float(units * k))
-            pod_of.append(pid)
-            agent += 1
-    return RoundProfile(
-        bids=np.array(bids),
-        demands=np.array(demands),
-        pod_of=np.array(pod_of),
-        pod_caps=np.array([p.capacity for p in pods]),
-        root_cap=config.tier_capacities[-1],
-    )
+def _draw_tasks(config, lanes, tier):
+    """(bids, task counts) of every lane, whose agent sits in tier
+    `tier[lane]`: a Poisson task count, then per task t, on the lanes with
+    more than t tasks, a latency double and a deadline index, and a value
+    double on the lanes whose latency meets the deadline. The bid is the
+    best decayed value. `math.exp` runs on each value drawn, so the decay
+    rounds as in a scalar draw."""
+    base_lat = np.array(config.tier_latencies_ms)[tier]
+    jit_hi = np.array(TIER_JITTER_HI)[tier]
+    counts = lanes.poisson(config.arrival_rate)
+    bids = np.zeros(len(counts))
+    deadlines = np.array(config.deadlines_ms)
+    decay = -config.value_decay_per_ms
+    for t in range(counts.max(initial=0)):
+        idx = np.flatnonzero(counts > t)
+        latency = base_lat[idx] * lanes.uniform(0.5, jit_hi[idx], idx)
+        meet = latency <= deadlines[lanes.integers(len(deadlines), idx)]
+        idx, latency = idx[meet], latency[meet]
+        value = lanes.uniform(VALUE_LO, VALUE_HI, idx) * np.array(
+            [math.exp(x) for x in (decay * latency).tolist()]
+        )
+        bids[idx] = np.maximum(bids[idx], value)
+    return bids, counts
 
 
 def arrival_order(config, seed, round_index):

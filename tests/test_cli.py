@@ -414,6 +414,10 @@ def test_sweep_rejects_bad_grid(capsys):
     assert dispatch(["sweep", "--class", "series", "--grid", "2,x,4"]) == EXIT_CONFIG
     assert dispatch(["sweep", "--class", "series", "--grid", "2,3,4"]) == EXIT_CONFIG
     capsys.readouterr()
+    # a huge point would run for hours: it is refused before any point runs
+    assert dispatch(["sweep", "--class", "series", "--grid", "2,4,8,100000"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at most" in err and "Traceback" not in err
 
 
 def test_gamma_modular_mean_zero(tmp_path, capsys):

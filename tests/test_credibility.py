@@ -148,6 +148,31 @@ def test_retagged_forgery_needs_the_oracle():
     assert kinds == {"wrong_rank", "wrong_clinch"}
 
 
+def test_oracle_needs_an_opening_demand_line_per_agent():
+    # the committed oracle fixes the ground set: an empty log, or one that
+    # withholds an agent's opening line, does not verify clean with it
+    root, t, _ = run_with_transcript(WORKED, [10.0, 5.0])
+    empty = ClinchTranscript(commitment_root=root)
+    assert verify_transcript(empty, root).consistent
+    verdict = verify_transcript(empty, root, oracle=WORKED)
+    assert [(v["kind"], v["agent"]) for v in verdict.violations] == [
+        ("missing_rank", 0),
+        ("missing_rank", 1),
+    ]
+    first = next(k for k, e in enumerate(t.events) if e["event"] == "demand" and e["agent"] == 1)
+    withheld = ClinchTranscript(commitment_root=root, events=t.events[:first] + t.events[first + 1 :])
+    missing = [
+        v for v in verify_transcript(withheld, root, oracle=WORKED).violations
+        if v.get("note") == "no opening demand line"
+    ]
+    assert [v["agent"] for v in missing] == [1]
+    # a line that arrives only after the first round does not open the agent
+    late = ClinchTranscript(commitment_root=root, events=[*withheld.events, t.events[first]])
+    kinds = [v.get("agent") for v in verify_transcript(late, root, oracle=WORKED).violations
+             if v.get("note") == "no opening demand line"]
+    assert kinds == [1]
+
+
 def test_replay_sells_the_clearing_rest():
     # under these chained values no supply covers a demand, yet the demands
     # fit f(D): the clinching rule sells each rest at the clock price. An

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from credmarket.errors import ConfigError, DomainError, UndefinedRatioError
 from credmarket.mechanisms import UniformPrior
 from credmarket.metrics import (
+    MAX_GRID_VALUE,
     StaircaseOracle,
     _witness_tree,
     bertrand_price,
@@ -238,6 +239,9 @@ def test_sweep_validates_grid():
     for grid, seeds in (([-1, 2, 3, 4], (0,)), ([0, 1, 2, 3], (0,)), ([2, 4, 8, 16], (-2,))):
         with pytest.raises(ConfigError):
             scaling_sweep("series", grid, seeds=seeds)
+    # a point's cost grows about 7x per doubling: past the cap, no point runs
+    with pytest.raises(ConfigError, match="at most"):
+        scaling_sweep("series", [2, 4, 8, MAX_GRID_VALUE + 1], seeds=(0,))
 
 
 def test_sweep_increments_are_exact_multiples():

@@ -3,6 +3,7 @@ routes, ghost scan, and the experiment runners."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from credmarket.credibility import (
 )
 from credmarket.errors import ConfigError, DomainError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
-from credmarket._stream import Stream, entropy_words, seed_states
+from credmarket._stream import Lanes, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
 from credmarket.sim import (
     CSV_FIELDS,
@@ -222,6 +223,21 @@ def test_seed_rounds_are_generate_round(seed, monkeypatch):
         assert _same_profile(profile, reference_generate_round(config, seed, start + k))
 
 
+def test_seed_rounds_draw_in_bounded_memory():
+    # a block's hash and draw arrays are (rounds x agents) wide, so the
+    # block size bounds what a long run holds at once
+    config = ScenarioConfig(rounds=128)
+    list(sim.seed_rounds(config, 17))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        for _ in sim.seed_rounds(config, 17):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 @pytest.mark.parametrize("seed, r", [(-1, 0), (17, -1), (17, 1.0), (17, "1"), (True, 0)])
 def test_generate_round_rejects_bad_indices(seed, r):
     # a negative index has no entropy words: it used to loop forever
@@ -252,20 +268,25 @@ def test_seed_hashing_is_numpys(prefix):
 
 
 def test_stream_draws_are_numpys():
-    # the stashed high half of a 32-bit draw survives the double draws
-    # between two integer draws, and PTRS runs far past the model's rates
-    for agent in range(30):
-        entropy = [2**32 + agent, 11, agent]
-        stream = Stream(seed_states([sum(map(entropy_words, entropy), [])])[0])
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        for lam in (0.3, 9.99, 10.0, 37.5, 1e3, 1e5):
-            for _ in range(40):
-                assert stream.poisson(lam) == rng.poisson(lam)
-                assert stream.integers(3) == rng.integers(3)
-                assert stream.uniform(0.5, 6.0) == rng.uniform(0.5, 6.0)
-                assert stream.integers(7) == rng.integers(7)
+    # one lane per agent stream: the stashed high half of a 32-bit draw
+    # survives the double draws between two integer draws, a bound past
+    # 2**31 rejects about half its 32-bit draws, and PTRS runs far past the
+    # model's rates
+    agents = range(30)
+    every = np.arange(len(agents))
+    entropy = [[2**32 + agent, 11, agent] for agent in agents]
+    lanes = Lanes(seed_states([sum(map(entropy_words, row), []) for row in entropy]))
+    rngs = [np.random.default_rng(np.random.SeedSequence(row)) for row in entropy]
+    for lam in (0.3, 9.99, 10.0, 37.5, 1e3, 1e5):
+        for _ in range(40):
+            assert lanes.poisson(lam).tolist() == [rng.poisson(lam) for rng in rngs]
+            assert lanes.integers(3, every).tolist() == [rng.integers(3) for rng in rngs]
+            got = lanes.uniform(0.5, 6.0, every).tolist()
+            assert got == [rng.uniform(0.5, 6.0) for rng in rngs]
+            for n in (7, 2**31 + 1):
+                assert lanes.integers(n, every).tolist() == [rng.integers(n) for rng in rngs]
     # past numpy's largest mean both refuse
-    for draw in (stream.poisson, rng.poisson):
+    for draw in (lanes.poisson, rngs[0].poisson):
         with pytest.raises(ValueError, match="lam value too large"):
             draw(1e19)
 
