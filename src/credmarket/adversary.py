@@ -11,7 +11,10 @@ allocation, and payment. That information gap is what this module probes:
   payment climbs by exactly delta * gamma_ij.
 * ``apply_deviation`` executes a strategy against a bid profile and returns
   both worlds plus, per agent, a counterfactual bid profile ("certificate")
-  under which honest execution reproduces what that agent saw.
+  under which honest execution reproduces what that agent saw. Every
+  certificate it returns has been replayed: each strategy proposes
+  certificate worlds, and one pass keeps the first whose honest run
+  matches.
 * ``check_safe_deviation`` is the agent-side tool: given only one agent's
   observation, decide whether ANY legitimate opponent profile explains it.
 
@@ -40,7 +43,7 @@ from .mechanisms import (
     edmonds_greedy,
     run_mechanism,
 )
-from .polymatroid import RANK_TOL, RankOracle, SubstituteCloneOracle, pair_gap
+from .polymatroid import RANK_TOL, RankOracle, SubstituteCloneOracle, agent_id, pair_gap
 
 STRATEGY_KINDS = (
     "identity",
@@ -75,11 +78,16 @@ class DeviationStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown deviation kind {self.kind!r}")
+        # agent ids (pair, source, favored_set) are checked against the
+        # ground set when the strategy is applied, with a DomainError
         if self.kind == "payment_perturb":
-            if self.pair is None or len(self.pair) != 2:
+            if not (isinstance(self.pair, (tuple, list)) and len(self.pair) == 2):
                 raise ConfigError("payment_perturb needs a (winner, loser) pair")
-            if self.delta is None or self.delta <= 0:
-                raise ConfigError("payment_perturb needs delta > 0")
+            if not (_is_real(self.delta) and self.delta > 0):
+                raise ConfigError(f"payment_perturb needs a number delta > 0, got {self.delta!r}")
+        if self.kind == "ghost_bid" and self.level is not None:
+            if not (_is_real(self.level) and 0 <= self.level < math.inf):
+                raise ConfigError(f"ghost_bid needs a finite level >= 0, got {self.level!r}")
         if self.kind == "capacity_misreport":
             if not (_is_real(self.shrink_factor) and 0 < self.shrink_factor < 1):
                 raise ConfigError("capacity_misreport needs shrink_factor in (0, 1)")
@@ -87,9 +95,12 @@ class DeviationStrategy:
             if not (_is_real(self.markup) and 0 < self.markup < math.inf):
                 raise ConfigError("posted_price_inflate needs a finite markup > 0")
         if self.kind == "discriminate":
+            try:
+                self.favored_set = frozenset(self.favored_set)
+            except TypeError:  # not a collection of hashable ids
+                self.favored_set = None
             if not self.favored_set:
                 raise ConfigError("discriminate needs a nonempty favored set")
-            self.favored_set = frozenset(self.favored_set)
 
 
 @dataclass
@@ -203,7 +214,7 @@ def walrasian_gap(bids, pair):
     NoWindowError when the profile sits on a boundary (ties) or the pair
     is not strictly ordered above the field.
     """
-    i, j = pair
+    i, j = (agent_id(k, len(bids)) for k in pair)
     if i == j:
         raise DomainError("pair must name two distinct agents")
     b_i, b_j = float(bids[i]), float(bids[j])
@@ -282,31 +293,6 @@ def _auto_ghost_source(bids, level):
     return max(live, key=lambda k: (bids[k], -k))
 
 
-def _ghost_posted_outcomes(oracle, bids, mechanism, seed, source, level):
-    """Posted-price world with the phantom arriving just ahead of its source."""
-    n = oracle.n
-    rng = np.random.default_rng(seed)
-    arrival = list(rng.permutation(n))  # same stream as the honest run
-    plus = SubstituteCloneOracle(oracle, source)
-    clone_id = plus.clone_id
-    dev_arrival = []
-    for i in arrival:
-        if i == source:
-            dev_arrival.append(clone_id)
-        dev_arrival.append(i)
-    bids_plus = list(bids) + [level]
-    alloc = _posted_pass(plus, bids_plus, mechanism.posted_price, dev_arrival)
-    pay = {i: mechanism.posted_price * alloc[i] for i in range(n)}
-    out = MarketOutcome(
-        allocation={i: alloc[i] for i in range(n)},
-        payments=pay,
-        order=[i for i in dev_arrival if i != clone_id],
-        rule="posted_price",
-        meta={"posted_price": mechanism.posted_price},
-    )
-    return out, alloc[clone_id]
-
-
 def _unchanged(honest, deviated, i, tol=MATCH_TOL):
     return (
         abs(honest.allocation[i] - deviated.allocation[i]) <= tol
@@ -314,59 +300,37 @@ def _unchanged(honest, deviated, i, tol=MATCH_TOL):
     )
 
 
-def _first_match(candidates, deviated, bids, mechanism, oracle, seed, outcomes):
-    """The first candidate certificate whose honest replay reproduces what
-    its agent saw in `deviated`, else None; `outcomes` is the world cache
-    of `Certificate.replay`."""
-    for cert in candidates:
-        obs = AgentObservation.from_outcome(deviated, bids, cert.agent)
-        if cert.matches(obs, mechanism, oracle, seed=seed, outcomes=outcomes):
-            return cert
-    return None
+def _phantom_world(oracle, bids, mechanism, seed, honest, source, level):
+    """The rule run on `SubstituteCloneOracle(oracle, source)` with the
+    phantom bidding `level`: (outcome over the real agents, the phantom's
+    undelivered quantity). Under a posted price the phantom arrives just
+    ahead of its source in the honest arrival order."""
+    plus = SubstituteCloneOracle(oracle, source)
+    bids_plus = bids + [level]
+    if mechanism.payment_rule == "posted_price":
+        price = mechanism.posted_price
+        arrival = [k for i in honest.order for k in ((plus.clone_id, i) if i == source else (i,))]
+        alloc = _posted_pass(plus, bids_plus, price, arrival)
+        pay = {i: price * x for i, x in alloc.items()}
+        out = MarketOutcome(allocation=alloc, payments=pay, order=arrival, rule="posted_price")
+    else:
+        out = run_mechanism(plus, bids_plus, mechanism, seed=seed)
+    meta = {"ghost_level": level, "ghost_source": source}
+    return _restated(out, meta, oracle.n), out.allocation[plus.clone_id]
 
 
-def _checked_certificates(deviated, bids, mechanism, oracle, seed):
-    """Run the agent-side checker on every agent's view of `deviated`."""
-    certs = {}
-    for i in range(len(bids)):
-        obs = AgentObservation.from_outcome(deviated, bids, i)
-        ok, cert = check_safe_deviation(
-            obs, mechanism, oracle, prior=None, search_budget=64, seed=seed
-        )
-        certs[i] = cert if ok else None
-    return certs
-
-
-def _ghost_certificates(oracle, bids, mechanism, seed, honest, deviated, source, level, outcomes):
-    """Per-agent rationalizations of a ghost world.
-
-    For everyone except the source, the deviated world is literally the
-    honest run of the profile with the source's bid raised to the phantom
-    level (the substitute clone presses the same capacity slot). The source
-    itself, when displaced, is explained either by opponents filling its
-    slot (fixed ground set) or by a substitute entrant outbidding it.
-    """
-    n = len(bids)
-    raised = list(bids)
-    raised[source] = level
-    certs = {}
-    for i in range(n):
-        if _unchanged(honest, deviated, i):
-            candidates = [Certificate(agent=i, profile=list(bids))]
-        elif i != source:
-            candidates = [Certificate(agent=i, profile=raised)]
-        else:
-            top = max(max(bids), level)
-            fill = [top if k != source else bids[source] for k in range(n)]
-            candidates = [Certificate(agent=source, profile=fill)]
-            if level > bids[source]:
-                candidates.append(Certificate(
-                    agent=source,
-                    profile=list(bids),
-                    entrant={"source": source, "level": level},
-                ))
-        certs[i] = _first_match(candidates, deviated, bids, mechanism, oracle, seed, outcomes)
-    return certs
+def _restated(base, meta, n, payments=None):
+    """`base` over agents 0..n-1 with new `meta`: copied allocation,
+    payments (`payments` when given) and order, so editing the copy leaves
+    `base` as it is."""
+    payments = base.payments if payments is None else payments
+    return MarketOutcome(
+        allocation={i: base.allocation[i] for i in range(n)},
+        payments={i: payments[i] for i in range(n)},
+        order=[i for i in base.order if i < n],
+        rule=base.rule,
+        meta=meta,
+    )
 
 
 def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
@@ -378,8 +342,15 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
     allocation goes undelivered. Payment perturbation recomputes the
     winner's threshold under the nudged counterfactual; the allocation is
     untouched. Misreports scale the oracle; markups scale posted payments;
-    discrimination reorders priority. An agent cannot detect the deviation
-    exactly when it holds a certificate.
+    discrimination reorders priority.
+
+    An agent cannot detect the deviation exactly when it holds a
+    certificate, and every certificate returned has been replayed against
+    that agent's view of the deviated world. Each strategy proposes its
+    agents' certificates in order, and the first whose honest replay
+    matches is kept; a strategy with no proposals (capacity misreport,
+    discrimination) runs the agent-side checker instead. All replays of
+    one call share one run per world.
     """
     bids = [float(b) for b in bids]
     n = oracle.n
@@ -398,42 +369,37 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
     agents = range(n)
     ghost = None
 
+    def honest_profile(i):
+        return [Certificate(agent=i, profile=list(bids))]
+
     if strategy.kind == "identity":
         deviated = honest
-        certs = {i: Certificate(agent=i, profile=list(bids)) for i in agents}
+        candidates = honest_profile
 
     elif strategy.kind == "payment_perturb":
-        i, j = strategy.pair
-        gap = walrasian_gap(bids, (i, j))
+        winner, loser = strategy.pair
+        gap = walrasian_gap(bids, strategy.pair)  # DomainError on a bad id
         if not strategy.delta < gap:
             raise DomainError(
                 f"delta {strategy.delta} is outside the open window (0, {gap})"
             )
         perturbed = list(bids)
-        perturbed[j] += strategy.delta
+        perturbed[loser] += strategy.delta
         shadow = outcomes[_world(perturbed)] = run_mechanism(
             oracle, perturbed, mechanism, seed=seed
         )
-        if abs(shadow.allocation[i] - honest.allocation[i]) > 1e-9:
+        if abs(shadow.allocation[winner] - honest.allocation[winner]) > 1e-9:
             raise DomainError(
                 "perturbation moved the winner's allocation; window logic is off"
             )
         payments = dict(honest.payments)
-        payments[i] = shadow.payments[i]
-        deviated = MarketOutcome(
-            allocation=dict(honest.allocation),
-            payments=payments,
-            order=list(honest.order),
-            rule=honest.rule,
-            meta={"perturbed_agent": j, "delta": strategy.delta},
+        payments[winner] = shadow.payments[winner]
+        deviated = _restated(
+            honest, {"perturbed_agent": loser, "delta": strategy.delta}, n, payments
         )
-        certs = {
-            k: _first_match(
-                [Certificate(agent=k, profile=list(perturbed if k == i else bids))],
-                deviated, bids, mechanism, oracle, seed, outcomes,
-            )
-            for k in agents
-        }
+
+        def candidates(k):
+            return [Certificate(agent=k, profile=list(perturbed if k == winner else bids))]
 
     elif strategy.kind == "ghost_bid":
         level = strategy.level
@@ -442,64 +408,51 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
         source = strategy.source
         if source is None:
             source = _auto_ghost_source(bids, level)
-        if not 0 <= source < n:
-            raise DomainError(f"ghost source {source} is not in the ground set")
-        if rule == "posted_price":
-            deviated, undelivered = _ghost_posted_outcomes(
-                oracle, bids, mechanism, seed, source, level
-            )
-        else:
-            plus = SubstituteCloneOracle(oracle, source)
-            out_plus = run_mechanism(
-                plus, list(bids) + [level], mechanism, seed=seed
-            )
-            deviated = MarketOutcome(
-                allocation={i: out_plus.allocation[i] for i in agents},
-                payments={i: out_plus.payments[i] for i in agents},
-                order=[i for i in out_plus.order if i != plus.clone_id],
-                rule=out_plus.rule,
-                meta={"ghost_level": level, "ghost_source": source},
-            )
-            undelivered = out_plus.allocation[plus.clone_id]
-        certs = _ghost_certificates(
-            oracle, bids, mechanism, seed, honest, deviated, source, level, outcomes
+        source = agent_id(source, n)
+        deviated, undelivered = _phantom_world(
+            oracle, bids, mechanism, seed, honest, source, level
         )
         ghost = {"source": source, "level": level, "undelivered": undelivered}
+        # everyone but the source sees the honest run of the profile with
+        # the source raised to the phantom level (the clone presses the
+        # same capacity slot); a displaced source is explained by
+        # opponents filling its slot, or by a substitute entrant above it
+        raised = list(bids)
+        raised[source] = level
+
+        def candidates(i):
+            if _unchanged(honest, deviated, i):
+                return honest_profile(i)
+            if i != source:
+                return [Certificate(agent=i, profile=raised)]
+            top = max(max(bids), level)
+            fill = [top if k != source else bids[source] for k in agents]
+            proposals = [Certificate(agent=source, profile=fill)]
+            if level > bids[source]:
+                entrant = {"source": source, "level": level}
+                proposals.append(Certificate(agent=source, profile=list(bids), entrant=entrant))
+            return proposals
 
     elif strategy.kind == "capacity_misreport":
         shrunk = _ScaledOracle(oracle, strategy.shrink_factor)
-        dev = run_mechanism(shrunk, bids, mechanism, seed=seed)
-        deviated = MarketOutcome(
-            allocation=dict(dev.allocation),
-            payments=dict(dev.payments),
-            order=list(dev.order),
-            rule=dev.rule,
-            meta={"shrink_factor": strategy.shrink_factor},
+        deviated = _restated(
+            run_mechanism(shrunk, bids, mechanism, seed=seed),
+            {"shrink_factor": strategy.shrink_factor},
+            n,
         )
-        certs = _checked_certificates(deviated, bids, mechanism, oracle, seed)
+        candidates = None
 
     elif strategy.kind == "posted_price_inflate":
         factor = 1.0 + strategy.markup
         payments = {i: honest.payments[i] * factor for i in agents}
-        deviated = MarketOutcome(
-            allocation=dict(honest.allocation),
-            payments=payments,
-            order=list(honest.order),
-            rule=honest.rule,
-            meta={"markup": strategy.markup},
-        )
-        # charged agents see a unit price above the posted one; no honest
-        # execution can produce that
-        certs = {
-            i: Certificate(agent=i, profile=list(bids))
-            if deviated.allocation[i] <= 0
-            else None
-            for i in agents
-        }
+        # a charged agent sees a unit price above the posted one, which
+        # the honest replay does not reproduce; at a price of 0 it does
+        deviated = _restated(honest, {"markup": strategy.markup}, n, payments)
+        candidates = honest_profile
 
     else:
         # discriminate: favored agents outrank everyone regardless of bid
-        favored = strategy.favored_set
+        favored = frozenset(agent_id(k, n) for k in strategy.favored_set)
         lift = 2.0 * max(bids) + 1.0
         prio = [bids[k] + (lift if k in favored else 0.0) for k in agents]
         alloc, order = edmonds_greedy(oracle, bids, priority=prio)
@@ -526,7 +479,21 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             rule=rule,
             meta={"favored": sorted(favored)},
         )
-        certs = _checked_certificates(deviated, bids, mechanism, oracle, seed)
+        candidates = None
+
+    certs = dict.fromkeys(agents)
+    for i in agents:
+        obs = AgentObservation.from_outcome(deviated, bids, i)
+        if candidates is None:
+            ok, cert = check_safe_deviation(
+                obs, mechanism, oracle, prior=None, search_budget=64, seed=seed
+            )
+            certs[i] = cert if ok else None
+            continue
+        for cert in candidates(i):
+            if cert.matches(obs, mechanism, oracle, seed=seed, outcomes=outcomes):
+                certs[i] = cert
+                break
 
     return DeviationResult(
         strategy=strategy,

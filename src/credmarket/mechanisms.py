@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     StructureError,
     UnsupportedPriorError,
 )
-from .polymatroid import RANK_TOL
+from .polymatroid import RANK_TOL, agent_id
 
 PAYMENT_RULES = ("vcg", "myerson", "first_price", "posted_price")
 CLOCK_STEP = 0.01
@@ -217,13 +216,7 @@ def archer_tardos_payment(
     read off one greedy order of the opponents (`_share`).
     """
     bids = _validate_bids(oracle, bids)
-    try:
-        agent = operator.index(i)
-    except TypeError:
-        agent = -1
-    if not 0 <= agent < oracle.n:
-        raise DomainError(f"agent id {i!r} is not in the ground set")
-    i = agent
+    i = agent_id(i, oracle.n)
     # NaN fails both comparisons: it would drop every cut and price no area
     if not 0.0 <= eligible_from < math.inf:
         raise DomainError(f"eligible_from must be finite and nonnegative, got {eligible_from!r}")

@@ -48,6 +48,18 @@ RANK_TOL = 1e-9  # float comparison tolerance for rank values
 MEMO_MAX_AGENTS = 32  # bitmask memoisation only below this ground-set size
 
 
+def agent_id(a, n):
+    """`a` as an exact Python int in range(n), else DomainError. The hot
+    loops of `RankOracle.rank` and `rank_without_each` inline this check."""
+    try:
+        i = operator.index(a)
+    except TypeError:
+        i = -1
+    if not 0 <= i < n:
+        raise DomainError(f"agent id {a!r} is not in the ground set")
+    return i
+
+
 # --------------------------------------------------------------------------
 # Capacity DAG
 # --------------------------------------------------------------------------
@@ -862,10 +874,8 @@ class SubstituteCloneOracle(RankOracle):
     """
 
     def __init__(self, base, position_agent):
-        if not 0 <= position_agent < base.n:
-            raise DomainError(f"agent id {position_agent} is not in the ground set")
         self.base = base
-        self.position_agent = position_agent
+        self.position_agent = agent_id(position_agent, base.n)
         self.clone_id = base.n
         self.evaluator = base.evaluator
         super().__init__(base.n + 1)

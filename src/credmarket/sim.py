@@ -369,8 +369,11 @@ def _draw_tasks(config, lanes, tier):
         latency = base_lat[idx] * lanes.uniform(0.5, jit_hi[idx], idx)
         meet = latency <= deadlines[lanes.integers(len(deadlines), idx)]
         idx, latency = idx[meet], latency[meet]
+        # a decay too steep for a double overflows to -inf: the value is 0
+        with np.errstate(over="ignore"):
+            exponents = (decay * latency).tolist()
         value = lanes.uniform(VALUE_LO, VALUE_HI, idx) * np.array(
-            [math.exp(x) for x in (decay * latency).tolist()]
+            [math.exp(x) for x in exponents]
         )
         bids[idx] = np.maximum(bids[idx], value)
     return bids, counts
@@ -613,6 +616,16 @@ def _row(round_index, seed, condition, honest, deviated, detected=False):
     }
 
 
+def _require_rows(rows):
+    # a run holds a row for each round with positive welfare; a run with
+    # none has no market to deviate from, and nothing to compare
+    if not rows:
+        raise DomainError(
+            "no round has positive welfare: every bid decayed to 0 or no task "
+            "arrived, so there is no market to deviate from"
+        )
+
+
 def _conc(rows):
     """`conc` over report rows. Every runner charges agents directly, with
     no deposit or fee in between, so a world's agent payments total its
@@ -655,6 +668,7 @@ def _exp1_seed(config, seed):
 
 def run_exp1(config, jobs=1):
     rows, surplus, certified, picks = _gather(_exp1_seed, config, jobs)
+    _require_rows(rows)
     report = _conc(rows)
     positive = [s > POS_TOL for s in surplus]
     return {
@@ -914,6 +928,7 @@ def run_r5(config, jobs=1):
                 row = _row(r, seed, name, honest, dev, detected)
                 rows.append(row)
                 by_cond.setdefault(name, []).append(row)
+    _require_rows(rows)
     conditions = {}
     for name, crows in sorted(by_cond.items()):
         entry = {

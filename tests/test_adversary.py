@@ -171,6 +171,17 @@ def test_posted_inflator_is_detectable():
     )
 
 
+def test_inflator_at_price_zero_is_undetectable():
+    # a markup on a price of 0 charges 0: every served agent sees the
+    # honest payment, and its certificate replays to what it saw
+    mech = Mechanism(payment_rule="posted_price", posted_price=0.0)
+    strategy = DeviationStrategy(kind="posted_price_inflate", markup=0.1)
+    result = apply_deviation(strategy, [10.0, 5.0], mech, WORKED)
+    assert [i for i, x in result.deviated.allocation.items() if x > 0] == [0, 1]
+    assert all(result.undetectable.values())
+    assert all(result.verify_certificates(mech, WORKED).values())
+
+
 @pytest.mark.parametrize("markup", [math.nan, math.inf, 0.0, -0.1, "0.1", True])
 def test_inflator_markup_must_be_finite_and_positive(markup):
     # a NaN (inf) markup would make every payment and the surplus NaN (inf)
@@ -233,18 +244,20 @@ def test_checker_uses_hint_for_ghost_world():
 
 
 POSTED = Mechanism(payment_rule="posted_price", posted_price=4.0)
+FREE = Mechanism(payment_rule="posted_price", posted_price=0.0)
 EVERY_KIND = [
     (DeviationStrategy(kind="identity"), VCG),
     (DeviationStrategy(kind="ghost_bid", source=1, level=7.0), VCG),
     (DeviationStrategy(kind="payment_perturb", pair=(0, 1), delta=1.0), VCG),
     (DeviationStrategy(kind="capacity_misreport", shrink_factor=0.5), VCG),
     (DeviationStrategy(kind="posted_price_inflate", markup=0.1), POSTED),
+    (DeviationStrategy(kind="posted_price_inflate", markup=0.1), FREE),
     (DeviationStrategy(kind="discriminate", favored_set={2}), VCG),
 ]
 
 
 @pytest.mark.parametrize(
-    "strategy, mechanism", EVERY_KIND, ids=[s.kind for s, _ in EVERY_KIND]
+    "strategy, mechanism", EVERY_KIND, ids=[s.kind + ("@0" if m is FREE else "") for s, m in EVERY_KIND]
 )
 def test_undetectable_iff_certified(strategy, mechanism):
     oracle = LaminarOracle([1.0, 1.0, 1.0], [0, 0, 0], [2.0])
@@ -252,6 +265,20 @@ def test_undetectable_iff_certified(strategy, mechanism):
     assert set(result.undetectable) == set(result.certificates) == {0, 1, 2}
     for i, cert in result.certificates.items():
         assert result.undetectable[i] == (cert is not None)
+        # every certificate returned has been replayed: it reproduces
+        # what its agent saw
+        if cert is not None:
+            assert cert.agent == i
+            assert cert.matches(result.observation(i), mechanism, oracle)
+        # an agent that sees just what honest execution shows it holds the
+        # honest profile as a certificate
+        if _sees_honest(result, i):
+            assert result.undetectable[i]
+
+
+def _sees_honest(result, i):
+    honest, seen = result.honest, result.deviated
+    return (honest.allocation[i], honest.payments[i]) == (seen.allocation[i], seen.payments[i])
 
 
 @given(seed=st.integers(0, 5_000))
@@ -343,3 +370,51 @@ def test_strategy_validation():
         DeviationStrategy(kind="capacity_misreport", shrink_factor="0.5")
     with pytest.raises(ConfigError):
         DeviationStrategy(kind="discriminate", favored_set=frozenset())
+
+
+# --------------------------------------------------------------------------
+# Bad agent ids fail with DomainError, bad fields with ConfigError
+
+FOUR = LaminarOracle([1.0] * 4, [0] * 4, [2.0])
+FOUR_BIDS = [10.0, 5.0, 3.0, 1.0]
+
+
+@pytest.mark.parametrize("pair", [(0, 7), (0, 1.5), (-1, 0)])
+def test_perturb_pair_off_the_ground_set(pair):
+    strategy = DeviationStrategy(kind="payment_perturb", pair=pair, delta=0.5)
+    with pytest.raises(DomainError, match="ground set"):
+        apply_deviation(strategy, FOUR_BIDS, VCG, FOUR)
+
+
+def test_walrasian_gap_pair_off_the_ground_set():
+    with pytest.raises(DomainError, match="ground set"):
+        walrasian_gap(FOUR_BIDS, (0, 5))
+
+
+@pytest.mark.parametrize("favored", [{9}, {-1}, {1.5}])
+def test_discriminate_favored_off_the_ground_set(favored):
+    strategy = DeviationStrategy(kind="discriminate", favored_set=favored)
+    with pytest.raises(DomainError, match="ground set"):
+        apply_deviation(strategy, FOUR_BIDS, VCG, FOUR)
+
+
+@pytest.mark.parametrize("source", [4, -1, 1.5, "1"])
+def test_ghost_source_off_the_ground_set(source):
+    strategy = DeviationStrategy(kind="ghost_bid", source=source, level=7.0)
+    with pytest.raises(DomainError, match="ground set"):
+        apply_deviation(strategy, FOUR_BIDS, VCG, FOUR)
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "payment_perturb", "pair": (0, 1), "delta": "1"},
+    {"kind": "payment_perturb", "pair": (0, 1), "delta": math.nan},
+    {"kind": "payment_perturb", "pair": 5, "delta": 1.0},
+    {"kind": "ghost_bid", "level": "7"},
+    {"kind": "ghost_bid", "level": math.inf},
+    {"kind": "ghost_bid", "level": -1.0},
+    {"kind": "discriminate", "favored_set": 2},
+    {"kind": "discriminate", "favored_set": [[1]]},
+])
+def test_malformed_strategy_fields_are_config_errors(fields):
+    with pytest.raises(ConfigError):
+        DeviationStrategy(**fields)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import credmarket
 from credmarket.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATIONS, dispatch
@@ -447,3 +449,108 @@ def test_missing_subcommand_is_config_error(capsys):
 def test_unknown_flag_is_config_error(capsys):
     assert dispatch(["run", "--exp", "exp1", "--frobnicate"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------
+# fuzzing every file input and flag in-process
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _near(draw, value):
+    """`value` with about one part in `odds` swapped for arbitrary JSON
+    or, in an object, dropped."""
+    odds = draw(st.sampled_from([1000, 40, 10, 3]))
+
+    def walk(v):
+        if draw(st.integers(0, odds)) == 0:
+            return draw(_JSON)
+        if isinstance(v, dict):
+            return {k: walk(x) for k, x in v.items() if draw(st.integers(0, odds)) != 0}
+        if isinstance(v, list):
+            return [walk(x) for x in v]
+        return v
+
+    return walk(value)
+
+
+def _file_text(value):
+    """JSON text near `value`, or one time in four text that is not JSON."""
+    near = _near(value).map(json.dumps)
+    return st.one_of(near, near, near, st.text(max_size=8))
+
+
+def _small_run(config):
+    # at most two rounds of one seed keep an example fast
+    if isinstance(config, dict):
+        if isinstance(config.get("rounds"), int) and config["rounds"] > 2:
+            config["rounds"] = 2
+        if isinstance(config.get("seeds"), list):
+            config["seeds"] = config["seeds"][:1]
+    return json.dumps(config)
+
+
+LAMINAR_SPEC = {
+    "kind": "laminar", "demands": [1, 2, 1], "group_of": [0, 0, 1],
+    "group_caps": [2, 1], "root_cap": 3,
+}
+_ORACLE_TEXT = _file_text(WORKED_ORACLE) | _file_text(LAMINAR_SPEC)
+_SEED_FLAG = st.just([]) | st.integers(-2, 2**70).map(lambda s: ["--seed", str(s)])
+
+
+def _cli_inputs():
+    honest = _worked_transcript()
+    transcripts = [json.loads(t.to_json()) for t in (honest, tamper_inflate_clinch(honest))]
+    config = {**ScenarioConfig(rounds=2, seeds=(17,)).to_dict(), "value_decay_per_ms": 0.05}
+    perturb = _file_text({"bids": [10.0, 5.0], "oracle": WORKED_ORACLE, "epsilon_target": 1.0})
+    perturb |= _file_text({"bids": [10.0, 5.0, 3.0], "oracle": LAMINAR_SPEC})
+    # valid grids stay small (a series point near 64 takes about 0.3 s a
+    # seed); the unsorted lists reach past the cap of 64
+    grid = st.lists(st.integers(1, 24), min_size=4, max_size=5, unique=True).map(sorted)
+    grid = (grid | st.lists(st.integers(-1, 65), max_size=5)).map(lambda g: ",".join(map(str, g)))
+    return st.one_of(
+        st.tuples(st.just("perturb"), perturb).map(lambda t: ([t[0], "--bids"], {"in": t[1]})),
+        st.tuples(st.sampled_from(transcripts).flatmap(_file_text), st.none() | _ORACLE_TEXT).map(
+            lambda t: (["verify", "--transcript"], {"in": t[0], "oracle": t[1]})
+        ),
+        st.tuples(st.sampled_from(["exp1", "exp2", "exp3", "r5"]), _near(config).map(_small_run)).map(
+            lambda t: (["run", "--exp", t[0], "--config"], {"in": t[1]})
+        ),
+        st.tuples(st.sampled_from(["series", "parallel", "tree", "entangled", "ring"]),
+                  grid | st.text(max_size=6), _SEED_FLAG).map(
+            lambda t: (["sweep", "--class", t[0], "--grid", t[1], *t[2]], {})
+        ),
+        st.tuples(st.sampled_from(["tree", "sp", "entangled", "modular", "ring"]),
+                  _SEED_FLAG).map(lambda t: (["gamma", "--class", t[0], *t[1]], {})),
+    )
+
+
+@given(case=_cli_inputs())
+@settings(
+    max_examples=1500, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys, case):
+    argv, files = case
+    if "in" in files:
+        path = tmp_path / "in.json"
+        path.write_text(files["in"])
+        argv = argv + [str(path)]
+    if files.get("oracle") is not None:
+        path = tmp_path / "oracle.json"
+        path.write_text(files["oracle"])
+        argv = argv + ["--oracle", str(path)]
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATIONS)
+    assert "Traceback" not in err

@@ -544,6 +544,14 @@ def test_substitute_clone_semantics(rng):
     assert verify_axioms(plus).ok
 
 
+@pytest.mark.parametrize("source", [1.5, "1", 4, -1, None])
+def test_substitute_clone_source_must_be_an_agent_id(source):
+    # a float source used to pass and fail later as a bare TypeError
+    base = LaminarOracle([1.0] * 4, [0] * 4, [2.0])
+    with pytest.raises(DomainError, match="ground set"):
+        SubstituteCloneOracle(base, source)
+
+
 # --------------------------------------------------------------------------
 # Token matroid
 

@@ -4,6 +4,7 @@ routes, ghost scan, and the experiment runners."""
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from credmarket.credibility import (
     verify_transcript,
 )
 from credmarket.errors import ConfigError, DomainError
-from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
+from credmarket.mechanisms import ClinchTranscript, _posted_pass, clinching_auction, vcg_outcome
 from credmarket._stream import Lanes, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
 from credmarket.sim import (
@@ -542,8 +543,52 @@ def test_posted_phantom_below_level_is_inert():
     assert ghosted == base
 
 
+def test_settle_posted_is_the_generic_posted_pass():
+    # the pod-local posted loop against `_posted_pass` on the round's
+    # oracle, honest and with the phantom placed as r5 places it: the clone
+    # arrives just ahead of its source, and its take is the ghost take
+    config = ScenarioConfig(rounds=40, seeds=(17, 42))
+    phantoms = 0
+    for seed in config.seeds:
+        for r, profile in enumerate(sim.seed_rounds(config, seed)):
+            bids = profile.bids.tolist()
+            arrival = arrival_order(config, seed, r)
+            pick = best_ghost(profile)
+            for level in sim.POSTED_LEVELS:
+                alloc, pay, ghost = settle_posted(profile, level, arrival)
+                assert ghost == 0.0
+                assert repr(alloc) == repr(_posted_pass(profile.oracle, bids, level, arrival))
+                assert repr(pay) == repr({a: level * x for a, x in alloc.items()})
+                if pick is None:
+                    continue
+                phantom = (pick.source, max(pick.level, level))
+                alloc, pay, ghost = settle_posted(profile, level, arrival, phantom=phantom)
+                plus = SubstituteCloneOracle(profile.oracle, pick.source)
+                spliced = []
+                for a in arrival:
+                    if a == pick.source:
+                        spliced.append(plus.clone_id)
+                    spliced.append(a)
+                want = _posted_pass(plus, bids + [phantom[1]], level, spliced)
+                assert repr(ghost) == repr(want.pop(plus.clone_id))
+                assert repr(alloc) == repr(want)
+                phantoms += 1
+    assert phantoms >= 100
+
+
 # --------------------------------------------------------------------------
 # Experiment plumbing
+
+
+@pytest.mark.parametrize("exp", ["exp1", "r5"])
+def test_a_run_without_positive_welfare_names_the_cause(exp):
+    # every value decays to 0: no round has a market to deviate from, and
+    # the steep decay overflows to a value of 0 without a numpy warning
+    config = ScenarioConfig.from_dict({"rounds": 2, "seeds": [1], "value_decay_per_ms": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="no round has positive welfare"):
+            run_experiment(exp, config)
 
 
 def test_run_experiment_reports_are_reproducible():
