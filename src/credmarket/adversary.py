@@ -301,21 +301,20 @@ def _unchanged(honest, deviated, i, tol=MATCH_TOL):
 
 
 def _phantom_world(oracle, bids, mechanism, seed, honest, source, level):
-    """The rule run on `SubstituteCloneOracle(oracle, source)` with the
-    phantom bidding `level`: (outcome over the real agents, the phantom's
-    undelivered quantity). Under a posted price the phantom arrives just
-    ahead of its source in the honest arrival order."""
-    plus = SubstituteCloneOracle(oracle, source)
-    bids_plus = bids + [level]
+    """The rule run with a phantom, a substitute clone of `source` bidding
+    `level`: (outcome over the real agents, the phantom's undelivered
+    quantity). Under a posted price the phantom arrives just ahead of its
+    source in the honest arrival order, which `_posted_pass` settles on
+    `oracle` itself with the source lifted to the phantom's level; a
+    sealed-bid rule runs on `SubstituteCloneOracle(oracle, source)`."""
+    meta = {"ghost_level": level, "ghost_source": source}
     if mechanism.payment_rule == "posted_price":
         price = mechanism.posted_price
-        arrival = [k for i in honest.order for k in ((plus.clone_id, i) if i == source else (i,))]
-        alloc = _posted_pass(plus, bids_plus, price, arrival)
+        alloc, take = _posted_pass(oracle, bids, price, honest.order, (source, level))
         pay = {i: price * x for i, x in alloc.items()}
-        out = MarketOutcome(allocation=alloc, payments=pay, order=arrival, rule="posted_price")
-    else:
-        out = run_mechanism(plus, bids_plus, mechanism, seed=seed)
-    meta = {"ghost_level": level, "ghost_source": source}
+        return MarketOutcome(alloc, pay, list(honest.order), "posted_price", meta), take
+    plus = SubstituteCloneOracle(oracle, source)
+    out = run_mechanism(plus, bids + [level], mechanism, seed=seed)
     return _restated(out, meta, oracle.n), out.allocation[plus.clone_id]
 
 
@@ -610,18 +609,9 @@ def check_safe_deviation(
         for above, ent in shades:
             if spent >= budget:
                 break
-            if ent is not None:
-                _, src = ent
-                ghost_rank = SubstituteCloneOracle(oracle, src)
-                x_top = max(
-                    0.0,
-                    ghost_rank.rank({ghost_rank.clone_id, i})
-                    - ghost_rank.rank({ghost_rank.clone_id}),
-                )
-            elif above is None:
-                x_top = marginal_after(())
-            else:
-                x_top = marginal_after(above)
+            # an entrant holds its source's footprint, so it leaves i what
+            # its source parked above would
+            x_top = marginal_after(above or ())
             if abs(x_top - x) > tol:
                 continue
             base_profile = list(zeros)

@@ -116,15 +116,13 @@ def _greedy(oracle, bids, priority, active):
 
 def _walk(oracle, served):
     """Each agent of `served`, in that order, gets its marginal rank over
-    the agents before it; every other id gets 0."""
+    the agents before it, read off one `rank_prefixes` pass; every other
+    id gets 0."""
     alloc = dict.fromkeys(range(oracle.n), 0.0)
-    taken = set()
-    base = 0.0
-    for i in served:
-        taken.add(i)
-        new = oracle.rank(taken)
+    base, floor = 0.0, -RANK_TOL
+    for i, new in zip(served, oracle.rank_prefixes(served)):
         gain = new - base
-        if gain < -RANK_TOL:
+        if gain < floor:
             raise _negative_marginal(i, gain)
         alloc[i] = gain
         base = new
@@ -149,9 +147,10 @@ def _share(oracle, bids, i, priority_of=None, active=None):
     those whose priority is higher, or equal with a lower id, as in
     `priority_order`; a bisect finds that prefix P, and the share is
     f(P + i) - f(P). P is built as a set in the greedy's own order, so both
-    sets iterate as the greedy's do and meet the same memo and `_rank`:
-    x_i(z) is bitwise `_greedy(oracle, bids with b_i = z, ...)[0][i]`, and
-    no subset is ranked that the greedy would not.
+    sets iterate as the default `rank_prefixes` builds them and meet the
+    same memo and `_rank` (a laminar oracle's running pass is exact where
+    it runs): x_i(z) is bitwise `_greedy(oracle, bids with b_i = z,
+    ...)[0][i]`, and no subset is ranked that the greedy would not.
     """
     if active is not None and i not in active:
         return lambda z: 0.0
@@ -288,10 +287,26 @@ def first_price_outcome(oracle, bids):
     return MarketOutcome(allocation=alloc, payments=pay, order=order, rule="first_price")
 
 
-def _posted_pass(oracle, bids, posted_price, arrival):
-    """Serve each agent with b_i >= posted price, in `arrival` order, its
-    marginal rank over those served before it."""
-    return _walk(oracle, [i for i in arrival if bids[i] >= posted_price])
+def _posted_pass(oracle, bids, posted_price, arrival, phantom=None):
+    """(allocation, phantom's take): serve each agent with b_i >= posted
+    price, in `arrival` order, its marginal rank over those served before
+    it.
+
+    `phantom` = (source, level) adds a substitute clone of the source
+    that arrives just ahead of it. Below the price it buys nothing. At or
+    above the price it takes the source's place: the clone and its
+    source hold one footprint (`SubstituteCloneOracle`), so the pass runs
+    with the source lifted to the phantom's level, and the source's take
+    becomes the phantom's undelivered take while the source, arriving on
+    a drained slot, gets nothing. That ranks exactly the sets the clone
+    run ranks, with no clone oracle and no spliced arrival.
+    """
+    source = phantom[0] if phantom is not None and phantom[1] >= posted_price else None
+    alloc = _walk(oracle, [i for i in arrival if bids[i] >= posted_price or i == source])
+    if source is None:
+        return alloc, 0.0
+    take, alloc[source] = alloc[source], 0.0
+    return alloc, take
 
 
 def _check_posted_price(posted_price):
@@ -308,7 +323,7 @@ def posted_price_outcome(oracle, bids, posted_price, seed):
     _check_posted_price(posted_price)
     rng = np.random.default_rng(seed)
     arrival = list(rng.permutation(oracle.n))
-    alloc = _posted_pass(oracle, bids, posted_price, arrival)
+    alloc, _ = _posted_pass(oracle, bids, posted_price, arrival)
     pay = {i: posted_price * alloc[i] for i in range(oracle.n)}
     return MarketOutcome(
         allocation=alloc,

@@ -416,6 +416,20 @@ class RankOracle:
         rank = self.rank
         return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
 
+    def rank_prefixes(self, order):
+        """[f(order[:1]), ..., f(order)] for `order`, distinct agent ids in
+        any order; a bad or repeated id raises DomainError. The default
+        ranks one growing set, so every prefix meets the memo; evaluators
+        with a running form override this."""
+        taken, ranks = set(), []
+        for a in order:
+            # `rank` checks a plain int; a repeat leaves the set as it was
+            taken.add(a if type(a) is int else agent_id(a, self.n))
+            ranks.append(self.rank(taken))
+        if len(taken) < len(ranks):
+            raise DomainError("agent ids repeat in the order")
+        return ranks
+
     def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
         """(allocation, payments) over every id in closed form, equal to
         `mechanisms.vcg_outcome`'s generic route on the checked `bids`, or
@@ -683,6 +697,37 @@ class LaminarOracle(RankOracle):
             g = group[i]
             drops.append(min(root, inner - served[g] + min(caps[g], loads[g] - demand[i])))
         return min(root, inner), drops
+
+    @cached_property
+    def _integral(self):
+        # integer loads below 2**53 add up exactly in any order
+        amounts = self._demand_list + self._cap_list
+        return all(map(float.is_integer, amounts)) and sum(self._demand_list) <= 2**53
+
+    def rank_prefixes(self, order):
+        # one running group-load pass: adding i changes only its group's
+        # term, and only while that group is under its cap. On integer
+        # loads every step is exact, so the pass is bitwise `_rank`; other
+        # data ranks each prefix, as the default does
+        if not self._integral:
+            return super().rank_prefixes(order)
+        n, root = self.n, self.root_cap
+        demand, group, caps = self._demand_list, self._group_list, self._cap_list
+        loads = [0.0] * len(caps)
+        inner, ranks, seen = 0.0, [], set()
+        for a in order:
+            # a plain int in range skips `agent_id`'s call
+            i = a if type(a) is int and 0 <= a < n else agent_id(a, n)
+            if i in seen:
+                raise DomainError(f"agent id {a!r} repeats in the order")
+            seen.add(i)
+            g = group[i]
+            old, cap = loads[g], caps[g]
+            new = loads[g] = old + demand[i]
+            if old < cap:
+                inner += (new if new < cap else cap) - old
+            ranks.append(inner if inner < root else root)
+        return ranks
 
     def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
         """Settle each group alone, one `settle` row per group, when the

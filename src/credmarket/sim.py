@@ -22,7 +22,11 @@ the block's arrays.
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
-worlds), and a (topology, seed) task returns only those worlds. Its 13
+worlds), and a (topology, seed) task returns only those worlds. Its
+posted and posted-ghost worlds are the generic posted-price pass,
+`mechanisms._posted_pass`, on the round's oracle: the phantom takes its
+source's place at or above the price, so that pass lifts the source to
+the phantom's level, and does nothing below it. Its 13
 conditions are pairs of them: the parent builds each condition's rows,
 `conc` inputs and utility samples once, in task, round and condition
 order, whatever the number of jobs. Every runner's rows are plain dicts
@@ -46,7 +50,9 @@ from ._stream import Lanes, entropy_words, seed_states
 from .adversary import apply_deviation, construct_perturbation
 from .credibility import make_commitment, verify_transcript
 from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
-from .mechanisms import ClinchTranscript, Mechanism, UniformPrior, clinching_auction, vcg_outcome
+from .mechanisms import (
+    ClinchTranscript, Mechanism, UniformPrior, _posted_pass, clinching_auction, vcg_outcome,
+)
 from .metrics import cliffs_delta, conc
 from .polymatroid import LaminarOracle, SubstituteCloneOracle, pair_gap
 
@@ -406,31 +412,17 @@ def settle_threshold(profile):
 
 
 def settle_posted(profile, level, arrival, phantom=None):
-    """First-come service at a posted unit price.
+    """First-come service at a posted unit price: (alloc, pay, ghost take)
+    from one `mechanisms._posted_pass` over the round's oracle.
 
     `phantom` = (source, level) inserts a substitute clone immediately
-    before its source in the arrival order; the clone's purchase is
-    undelivered operator inventory and its spend is excluded (self-dealing).
+    before its source in the arrival order; at or above the price it takes
+    its source's place, its purchase is undelivered operator inventory and
+    its spend is excluded (self-dealing).
     """
-    bids, demands = profile.bids.tolist(), profile.demands.tolist()
-    pod_of, residual = profile.pod_of.tolist(), profile.pod_caps.tolist()
-    alloc = dict.fromkeys(range(len(bids)), 0.0)
-    pressed = set()
-    ghost_take = 0.0
-    for a in arrival:
-        pod = pod_of[a]
-        if phantom is not None and a == phantom[0] and phantom[1] >= level:
-            take = min(demands[a], residual[pod])
-            ghost_take = take
-            residual[pod] -= take
-            pressed.add(a)
-        if bids[a] < level or a in pressed:
-            continue
-        take = min(demands[a], residual[pod])
-        alloc[a] = take
-        residual[pod] -= take
+    alloc, take = _posted_pass(profile.oracle, profile.bids.tolist(), level, arrival, phantom)
     pay = {a: level * x for a, x in alloc.items()}
-    return alloc, pay, ghost_take
+    return alloc, pay, take
 
 
 def _world(profile, alloc, pay, detected=False):
@@ -616,10 +608,10 @@ def _row(round_index, seed, condition, honest, deviated, detected=False):
     }
 
 
-def _require_rows(rows):
-    # a run holds a row for each round with positive welfare; a run with
-    # none has no market to deviate from, and nothing to compare
-    if not rows:
+def _require_welfare(welfares):
+    # a run with no round of positive honest welfare has no market to
+    # deviate from, and nothing to compare
+    if not any(w > 0 for w in welfares):
         raise DomainError(
             "no round has positive welfare: every bid decayed to 0 or no task "
             "arrived, so there is no market to deviate from"
@@ -668,7 +660,7 @@ def _exp1_seed(config, seed):
 
 def run_exp1(config, jobs=1):
     rows, surplus, certified, picks = _gather(_exp1_seed, config, jobs)
-    _require_rows(rows)
+    _require_welfare(r["welfare_honest"] for r in rows)
     report = _conc(rows)
     positive = [s > POS_TOL for s in surplus]
     return {
@@ -770,6 +762,7 @@ def _exp2_seed(config, seed):
 
 def run_exp2(config, jobs=1):
     rows, detections, nets = _gather(_exp2_seed, config, jobs)
+    _require_welfare(r["welfare_honest"] for r in rows)
     if not detections:
         raise DomainError("no deviated rounds; the scenario never tempted the operator")
     return {
@@ -793,8 +786,11 @@ def _exp3_seed(config, seed):
     prior = UniformPrior(VALUE_LO, VALUE_HI)
     reserve = prior.reserve()
     mech = Mechanism(payment_rule="myerson", prior=prior)
-    rows, exact, surpluses = [], [], []
+    rows, exact, surpluses, live = [], [], [], []
     for r, profile in enumerate(seed_rounds(config, seed)):
+        # every pod cap is positive, so the greedy serves some agent, and
+        # the round has positive welfare, once one bids with demand
+        live.append(bool((profile.bids * profile.demands).any()))
         # the first pod whose top pair shares capacity inside an open
         # window, with the nudged runner-up clearing the reserve
         for p, members in enumerate(profile.oracle.group_members):
@@ -817,11 +813,12 @@ def _exp3_seed(config, seed):
         rev_h = result.honest.revenue
         w_h = result.honest.welfare(sub_bids)
         rows.append(_row(r, seed, "myerson-perturb", (rev_h, w_h), (rev_h + surplus, w_h)))
-    return rows, exact, surpluses
+    return rows, exact, surpluses, live
 
 
 def run_exp3(config, jobs=1):
-    rows, exact, surpluses = _gather(_exp3_seed, config, jobs)
+    rows, exact, surpluses, live = _gather(_exp3_seed, config, jobs)
+    _require_welfare(live)
     if not surpluses:
         raise DomainError("no round offered a reserve-clearing contested pair")
     return {
@@ -911,6 +908,13 @@ def _r5_worlds(base_config, task):
 
 
 def run_r5(config, jobs=1):
+    # each class draws at its own latencies, so a report recording others
+    # would name a run that never happened
+    if config.tier_latencies_ms != ScenarioConfig.tier_latencies_ms:
+        raise ConfigError(
+            f"r5 runs each topology class at its own tier latencies, {CLASS_TIER_LATENCIES}; "
+            f"tier_latencies_ms must stay at {list(ScenarioConfig.tier_latencies_ms)}"
+        )
     tasks = list(product(("tree", "sp", "entangled"), config.seeds))
     parts = _map_jobs(partial(_r5_worlds, config), tasks, jobs)
     # rows in task, round, condition order; utilities once per (topology,
@@ -928,7 +932,7 @@ def run_r5(config, jobs=1):
                 row = _row(r, seed, name, honest, dev, detected)
                 rows.append(row)
                 by_cond.setdefault(name, []).append(row)
-    _require_rows(rows)
+    _require_welfare(r["welfare_honest"] for r in rows)
     conditions = {}
     for name, crows in sorted(by_cond.items()):
         entry = {

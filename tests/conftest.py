@@ -23,6 +23,7 @@ from credmarket.mechanisms import (
     ClinchTranscript,
     MarketOutcome,
     _negative_marginal,
+    _posted_pass,
     _validate_bids,
     archer_tardos_payment,
     edmonds_greedy,
@@ -345,6 +346,17 @@ def unshared_worlds():
         yield
     finally:
         credmarket.adversary._world = shared
+
+
+def clone_splice_posted(oracle, bids, price, arrival, source, level):
+    """The posted pass with a phantom as a clone run: `_posted_pass` on
+    `SubstituteCloneOracle(oracle, source)`, the clone bidding `level` and
+    arriving just ahead of its source. Returns (allocation over the real
+    agents, the clone's take)."""
+    plus = SubstituteCloneOracle(oracle, source)
+    spliced = [k for a in arrival for k in ((plus.clone_id, a) if a == source else (a,))]
+    alloc, _ = _posted_pass(plus, list(bids) + [level], price, spliced)
+    return alloc, alloc.pop(plus.clone_id)
 
 
 # --------------------------------------------------------------------------

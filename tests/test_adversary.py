@@ -27,7 +27,7 @@ from credmarket.errors import (
 from credmarket.mechanisms import Mechanism, UniformPrior
 from credmarket.polymatroid import LaminarOracle, TableOracle, pair_gap
 
-from conftest import random_bids, random_table_oracle, unshared_worlds
+from conftest import clone_splice_posted, random_bids, random_table_oracle, unshared_worlds
 
 WORKED = TableOracle(2, {(): 0.0, (0,): 2.0, (1,): 2.0, (0, 1): 3.0})
 VCG = Mechanism(payment_rule="vcg")
@@ -153,6 +153,32 @@ def test_posted_ghost_leaves_zero_bidders_served():
     assert result.undetectable[0]
     assert result.deviated.allocation[1] == 0.0
     assert result.ghost["undelivered"] == 1.0
+
+
+@pytest.mark.parametrize("phantom_level", [6.5, 2.0], ids=["above-price", "below-price"])
+def test_posted_ghost_is_the_clone_splice(rng, phantom_level):
+    # the phantom's posted world is one pass with its source lifted; the
+    # reference runs the clone on `SubstituteCloneOracle`, arriving just
+    # ahead of its source in the honest arrival order
+    mech = Mechanism(payment_rule="posted_price", posted_price=4.0)
+    takes = 0.0
+    for trial in range(30):
+        n = int(rng.integers(2, 7))
+        demands = rng.integers(0, 5, size=n).astype(float)
+        group_of = rng.integers(0, 2, size=n)
+        oracle = LaminarOracle(demands, group_of, rng.integers(1, 8, size=2).astype(float))
+        bids = [float(b) for b in rng.choice([0.0, 2.0, 4.0, 5.5, 9.0], size=n)]
+        source = int(rng.integers(0, n))
+        strategy = DeviationStrategy(kind="ghost_bid", source=source, level=phantom_level)
+        result = apply_deviation(strategy, bids, mech, oracle, seed=trial)
+        alloc, take = clone_splice_posted(oracle, bids, 4.0, result.honest.order, source, phantom_level)
+        assert repr(result.deviated.allocation) == repr(alloc)
+        assert repr(result.deviated.payments) == repr({i: 4.0 * x for i, x in alloc.items()})
+        assert repr(result.ghost["undelivered"]) == repr(take)
+        assert result.deviated.order == result.honest.order
+        takes += take
+    # the phantom buys above the price and never below it
+    assert (takes > 0) == (phantom_level >= 4.0)
 
 
 # --------------------------------------------------------------------------

@@ -120,6 +120,14 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_r5_rejects_tier_latencies_it_would_not_use(tmp_path, capsys):
+    config = tmp_path / "r5.json"
+    config.write_text(json.dumps({"rounds": 2, "seeds": [17], "tier_latencies_ms": [1e308] * 3}))
+    code = dispatch(["run", "--exp", "r5", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "tier latencies" in capsys.readouterr().err
+
+
 def test_run_rejects_zero_jobs(tmp_path, capsys):
     code = dispatch(["run", "--exp", "exp1", "--jobs", "0", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credmarket.adversary import _ScaledOracle
 from credmarket.errors import (
     ConfigError,
     DomainError,
@@ -15,8 +16,10 @@ from credmarket.errors import (
     MatroidBoundaryError,
     StructureError,
 )
+from credmarket.metrics import StaircaseOracle
 from credmarket.polymatroid import (
     EXHAUSTIVE_AXIOM_LIMIT,
+    RANK_TOL,
     CapacityDag,
     LaminarOracle,
     Level1Matroid,
@@ -38,6 +41,7 @@ from conftest import (
     networkx_flow_rank,
     networkx_matroid_rank,
     random_table_oracle,
+    recording,
     reference_settle_group,
 )
 
@@ -370,6 +374,99 @@ def test_drop_one_pass_edges_and_bad_ids():
         for unsorted in ([1, 0], [0, 0], [0, 1, 1]):
             with pytest.raises(DomainError):
                 oracle.rank_without_each(unsorted)
+
+
+# --------------------------------------------------------------------------
+# Prefix pass: rank_prefixes(order) = [f(order[:1]), ..., f(order)]
+
+
+def _rank_each_prefix(oracle, order):
+    return [oracle.rank(order[: k + 1]) for k in range(len(order))]
+
+
+def _twin_laminar(oracle):
+    return LaminarOracle(oracle.demands, oracle.group_of, oracle.group_caps, oracle.root_cap)
+
+
+@st.composite
+def prefix_oracles(draw):
+    """(kind, oracle, twin, exact): one evaluator of a kind, an equal oracle
+    with a memo of its own to rank the prefixes on, and whether both must
+    agree bitwise (exact-float ranks) or within RANK_TOL."""
+    kind = draw(st.sampled_from((
+        "table", "tree_cut", "sp", "maxflow", "laminar", "laminar_float",
+        "clone", "entangled", "staircase", "scaled",
+    )))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "table":
+        build = lambda: random_table_oracle(np.random.default_rng(seed), n)
+    elif kind == "tree_cut":
+        dag = draw(st.sampled_from(CUT_DAGS[:3]))()
+        build = lambda: make_oracle(dag, "tree_cut")
+    elif kind == "sp":
+        build = lambda: make_oracle(random_sp_instance(n, seed))
+    elif kind == "maxflow":
+        dag = draw(flow_dags(integer=True))
+        build = lambda: MaxflowOracle(dag)
+    elif kind in ("laminar", "laminar_float"):
+        # a slack or a binding root, as `laminar_instances` draws it
+        laminar, _ = draw(laminar_instances(integer=kind == "laminar"))
+        return kind, laminar, _twin_laminar(laminar), kind == "laminar"
+    elif kind == "clone":
+        laminar, _ = draw(laminar_instances(integer=True))
+        source = draw(st.integers(0, laminar.n - 1))
+        clone = SubstituteCloneOracle(laminar, source)
+        return kind, clone, SubstituteCloneOracle(_twin_laminar(laminar), source), True
+    elif kind == "entangled":
+        build = lambda: entangled_oracle(n)
+    elif kind == "staircase":
+        entries = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        build = lambda: StaircaseOracle(entries)
+    else:
+        factor = draw(st.sampled_from((0.5, 0.3)))
+        build = lambda: _ScaledOracle(random_table_oracle(np.random.default_rng(seed), n), factor)
+    return kind, build(), build(), True
+
+
+@given(prefix_oracles(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_prefixes_is_a_rank_per_prefix(case, data):
+    kind, oracle, twin, exact = case
+    order = data.draw(st.permutations(range(oracle.n)))
+    order = order[: data.draw(st.integers(0, oracle.n))]
+    if kind == "laminar":
+        # integer loads: one running pass over them, no `rank` call
+        oracle = recording(oracle)
+    got = oracle.rank_prefixes(order)
+    want = _rank_each_prefix(twin, order)
+    if exact:
+        assert [repr(v) for v in got] == [repr(v) for v in want], kind
+    else:
+        assert got == pytest.approx(want, rel=0.0, abs=RANK_TOL), kind
+    if kind == "laminar":
+        assert oracle.log == []
+
+
+def test_rank_prefixes_rejects_bad_and_repeated_ids():
+    table = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})
+    laminar = LaminarOracle([1, 2, 3], [0, 0, 1], [2, 5])
+    wide = LaminarOracle(np.ones(40), np.zeros(40, dtype=int), [100.0])
+    oracles = (
+        table, laminar, wide, SubstituteCloneOracle(laminar, 1), entangled_oracle(3),
+        StaircaseOracle([1, 2, 2]), _ScaledOracle(table, 0.5),
+    )
+    for oracle in oracles:
+        assert oracle.rank_prefixes([]) == []
+        assert oracle.rank_prefixes([np.int64(1), 0]) == _rank_each_prefix(oracle, [1, 0])
+        n = oracle.n
+        for bad in (-1, n, 1.0, 0.5, np.float64(0.0), np.int64(100), "0", None, [0]):
+            for order in ([bad], [0, bad]):
+                with pytest.raises(DomainError):
+                    oracle.rank_prefixes(order)
+        for repeated in ([0, 0], [1, 0, 1], [0, np.int64(0)]):
+            with pytest.raises(DomainError):
+                oracle.rank_prefixes(repeated)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from credmarket.credibility import (
     verify_transcript,
 )
 from credmarket.errors import ConfigError, DomainError
-from credmarket.mechanisms import ClinchTranscript, _posted_pass, clinching_auction, vcg_outcome
+from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
 from credmarket._stream import Lanes, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
 from credmarket.sim import (
@@ -44,6 +44,7 @@ from credmarket.sim import (
 )
 
 from conftest import (
+    clone_splice_posted,
     rechain,
     reference_generate_round,
     reference_ghost_candidates,
@@ -544,9 +545,11 @@ def test_posted_phantom_below_level_is_inert():
 
 
 def test_settle_posted_is_the_generic_posted_pass():
-    # the pod-local posted loop against `_posted_pass` on the round's
-    # oracle, honest and with the phantom placed as r5 places it: the clone
-    # arrives just ahead of its source, and its take is the ghost take
+    # `settle_posted` is one `_posted_pass` on the round's oracle, the
+    # phantom settled by lifting its source to the phantom's level; the
+    # reference runs the clone itself on `SubstituteCloneOracle`, arriving
+    # just ahead of its source, and its take is the ghost take. Honest
+    # worlds meet the reference through an inert clone below the price
     config = ScenarioConfig(rounds=40, seeds=(17, 42))
     phantoms = 0
     for seed in config.seeds:
@@ -556,31 +559,24 @@ def test_settle_posted_is_the_generic_posted_pass():
             pick = best_ghost(profile)
             for level in sim.POSTED_LEVELS:
                 alloc, pay, ghost = settle_posted(profile, level, arrival)
-                assert ghost == 0.0
-                assert repr(alloc) == repr(_posted_pass(profile.oracle, bids, level, arrival))
+                want = clone_splice_posted(profile.oracle, bids, level, arrival, 0, 0.0)
+                assert repr((alloc, ghost)) == repr(want)
                 assert repr(pay) == repr({a: level * x for a, x in alloc.items()})
                 if pick is None:
                     continue
-                phantom = (pick.source, max(pick.level, level))
-                alloc, pay, ghost = settle_posted(profile, level, arrival, phantom=phantom)
-                plus = SubstituteCloneOracle(profile.oracle, pick.source)
-                spliced = []
-                for a in arrival:
-                    if a == pick.source:
-                        spliced.append(plus.clone_id)
-                    spliced.append(a)
-                want = _posted_pass(plus, bids + [phantom[1]], level, spliced)
-                assert repr(ghost) == repr(want.pop(plus.clone_id))
-                assert repr(alloc) == repr(want)
-                phantoms += 1
-    assert phantoms >= 100
+                for phantom in ((pick.source, max(pick.level, level)), (pick.source, level / 2)):
+                    alloc, pay, ghost = settle_posted(profile, level, arrival, phantom=phantom)
+                    want = clone_splice_posted(profile.oracle, bids, level, arrival, *phantom)
+                    assert repr((alloc, ghost)) == repr(want)
+                    phantoms += 1
+    assert phantoms >= 200
 
 
 # --------------------------------------------------------------------------
 # Experiment plumbing
 
 
-@pytest.mark.parametrize("exp", ["exp1", "r5"])
+@pytest.mark.parametrize("exp", ["exp1", "exp2", "exp3", "r5"])
 def test_a_run_without_positive_welfare_names_the_cause(exp):
     # every value decays to 0: no round has a market to deviate from, and
     # the steep decay overflows to a value of 0 without a numpy warning
@@ -809,6 +805,19 @@ def test_r5_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(sim, "conc", broken)
     with pytest.raises(TypeError):
         run_r5(ScenarioConfig(rounds=1, seeds=(17,)))
+
+
+@pytest.mark.parametrize("latencies", [[1e308, 1e308, 1e308], [6.0, 18.0, 55.0]])
+def test_r5_rejects_tier_latencies_it_would_not_use(latencies):
+    # each class draws at `CLASS_TIER_LATENCIES`, so other latencies in the
+    # config would be recorded in the report for a run that never used them
+    config = ScenarioConfig.from_dict({"rounds": 2, "seeds": [17], "tier_latencies_ms": latencies})
+    with pytest.raises(ConfigError, match="its own tier latencies"):
+        run_experiment("r5", config)
+    # the default, given as integers or floats, runs
+    for default in ([5, 15, 50], [5.0, 15.0, 50.0]):
+        config = ScenarioConfig.from_dict({"rounds": 1, "seeds": [17], "tier_latencies_ms": default})
+        assert run_experiment("r5", config)["config"]["tier_latencies_ms"] == default
 
 
 def test_r5_settles_each_posted_world_once(monkeypatch):
