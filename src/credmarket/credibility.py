@@ -5,7 +5,7 @@
    commitment root; `verify_transcript` checks the chain, the active sets
    and (given the committed oracle) the rank values, replays the clinching
    run and flags any clinch the announced quantities do not justify, at
-   one hash and one `rank_without_each` pass per round.
+   one hash per round and one `rank_without_each_many` call per log.
 2. Deposit-backed recomputation (token-matroid markets only): the operator
    commits to the rule, executes, and any per-agent mismatch against the
    committed rule's recomputation slashes the whole deposit.
@@ -93,15 +93,42 @@ def _coerce_transcript(transcript):
     raise StructureError(f"cannot read a transcript from {type(transcript).__name__}")
 
 
-def _replay_round(ev, r, demands, clinched, oracle, violations):
+def _active(demands):
+    return sorted(i for i, d in demands.items() if d > CLINCH_TOL)
+
+
+def _round_truths(events, oracle):
+    """The committed (f(D), [f(D - i)]) of each round's demand-replayed
+    active set D, in round order, from one `rank_without_each_many` call;
+    None for a round whose set fails the id checks. The replay is
+    `verify_transcript`'s own, so its sets are the rounds' own. It stops at
+    the first event it cannot read: `verify_transcript` raises there, or
+    earlier, before it reaches a later round."""
+    sets, demands = [], {}
+    try:
+        for ev in events:
+            if ev["event"] == "demand":
+                demands[ev["agent"]] = float(ev["demand"])
+            elif ev["event"] == "round":
+                active = _active(demands)
+                valid = all(type(i) is int and 0 <= i < oracle.n for i in active)
+                sets.append(active if valid else None)
+    except (KeyError, TypeError, ValueError):
+        pass  # the replay below raises it at its own event
+    ranked = iter(oracle.rank_without_each_many([s for s in sets if s is not None]))
+    return [None if s is None else next(ranked) for s in sets]
+
+
+def _replay_round(ev, r, demands, clinched, oracle, violations, ranked=None):
     """Check one `round` event against the demand-replayed active set and,
-    with `oracle`, the committed rank function; replay its clinches into
-    `clinched`. Returns whether the round cleared the market."""
+    with `oracle`, the committed rank function, whose values for the set
+    are `ranked` when given; replay its clinches into `clinched`. Returns
+    whether the round cleared the market."""
     price = float(ev["price"])
     announced, drops = ev["active"], ev["drops"]
     if not all(type(ev[key]) is list for key in ("active", "drops", "clinches")):
         raise StructureError(f"round {r}: active, drops and clinches must be lists")
-    active = sorted(i for i, d in demands.items() if d > CLINCH_TOL)
+    active = _active(demands)
     # an id equal to an agent's but not an int (1.0, True) is a wrong id
     complete = (
         len(announced) == len(active) == len(drops)
@@ -115,7 +142,7 @@ def _replay_round(ev, r, demands, clinched, oracle, violations):
             {"kind": "missing_rank", "round": r, "price": price, "active": active}
         )
     if oracle is not None:
-        true_full, true_drops = oracle.rank_without_each(active)
+        true_full, true_drops = ranked or oracle.rank_without_each(active)
         if complete:
             for k, (value, truth) in enumerate(
                 zip([f_active, *f_without], [true_full, *true_drops])
@@ -198,8 +225,12 @@ def verify_transcript(transcript, commitment_root, oracle=None):
     replayed active set with one drop per member (else `missing_rank`).
     Its clinches are recomputed from the announced rank values, or from
     `oracle`'s when the announcement is incomplete (`wrong_clinch`); with
-    `oracle`, one `rank_without_each` pass per round also checks every
-    announced value against the committed rank function (`wrong_rank`).
+    `oracle`, every announced value is also checked against the committed
+    rank function (`wrong_rank`). A first pass replays the demand lines
+    alone for every round's active set, and one `rank_without_each_many`
+    call ranks them all, one array pass for a laminar oracle; a round
+    whose set fails the id checks is ranked on its own, so a bad id raises
+    at its round as before.
     A log whose last round neither clears the market nor leaves the active
     set empty is unfinished (`missing_rank`). The oracle fixes the ground
     set, so with it every agent 0..n-1 needs an opening demand line, one
@@ -213,6 +244,7 @@ def verify_transcript(transcript, commitment_root, oracle=None):
     demands = {}
     clinched = defaultdict(float)
     head = commitment_root
+    truths = _round_truths(events, oracle) if oracle is not None else []
     rounds = 0
     cleared = False
     # a field of the wrong type (a non-numeric price, an unhashable agent,
@@ -250,7 +282,8 @@ def verify_transcript(transcript, commitment_root, oracle=None):
                         {"kind": "inauthentic_rank", "round": rounds, "price": ev["price"]}
                     )
                 head = tag
-                cleared = _replay_round(ev, rounds, demands, clinched, oracle, violations)
+                ranked = truths[rounds] if rounds < len(truths) else None
+                cleared = _replay_round(ev, rounds, demands, clinched, oracle, violations, ranked)
                 rounds += 1
             elif kind in ("price_step", "rank_announce"):
                 raise StructureError(

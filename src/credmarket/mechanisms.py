@@ -474,12 +474,15 @@ def _round_clinches(members, demand, clinched, f_active, f_without):
     need not be a polymatroid's; see test_replay_sells_the_clearing_rest.
     """
     clinches, held = [], {}
-    for k, i in enumerate(members):
-        take = max(0.0, min(demand[i], f_active - f_without[k]) - clinched[i])
+    for i, drop in zip(members, f_without):
+        d, supply = demand[i], f_active - drop
+        # min(d, supply) as `min` picks it; only a take above 1e-12 is
+        # kept, and there max(0, take) is the take itself
+        take = (supply if supply < d else d) - clinched[i]
         if take > 1e-12:
             clinches.append([i, take])
             held[i] = clinched[i] + take
-    cleared = sum(demand[i] for i in members) <= f_active + 1e-12
+    cleared = sum(map(demand.__getitem__, members)) <= f_active + 1e-12
     if cleared:
         for i in members:
             rest = demand[i] - held.get(i, clinched[i])
@@ -498,11 +501,16 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     which is non-decreasing as others drop out, so cumulative clinches never
     have to be revoked.
 
-    A round takes f(D) and every f(D - i) from one
-    `oracle.rank_without_each` pass over the sorted active set, O(|D|)
-    for a laminar oracle instead of |D| + 1 rank evaluations, and logs
-    them with the round's clinches as one `round` event. The flat demands
-    are the oracle's `singleton_ranks`, ranked once per oracle.
+    The rounds' active sets depend only on the values: an agent leaves
+    once the clock passes its value, whatever it has clinched, so D only
+    shrinks. The whole chain D_0 > D_1 > ..., with each round's price and
+    leavers, is built before the first rank value is read. Every round's
+    f(D) and f(D - i) then come from one `oracle.rank_without_each_many`
+    call over the chain, one array pass for a laminar oracle, when the
+    oracle `batches_drops`; other oracles get one `rank_without_each` call
+    per round, so that no round past the clearing one is ranked. Each
+    round is logged with its clinches as one `round` event. The flat
+    demands are the oracle's `singleton_ranks`, ranked once per oracle.
     """
     n = oracle.n
     values = _validate_bids(oracle, values)
@@ -517,14 +525,29 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
             # log reconstruct the active set from these lines
             transcript.demand(i, demand[i] if values[i] > 0 else 0.0)
 
+    chain, prices, exits = [], [], []
+    members = [i for i in range(n) if values[i] > 0 and demand[i] > 0]
+    price = 0.0
+    while members:
+        chain.append(members)
+        prices.append(price)
+        # fast-forward to the next exit: first clock multiple >= min active value
+        exit_value = min(values[i] for i in members)
+        price = math.ceil(exit_value / step - 1e-12) * step
+        # the ceiling's tolerance is relative to the step: a large step can
+        # put the clock just below the lowest value, whose holders then
+        # leave at that multiple all the same
+        cut = max(price + 1e-12, exit_value)
+        exits.append([i for i in members if values[i] <= cut])
+        members = [i for i in members if values[i] > cut]
+
     clinched = {i: 0.0 for i in range(n)}
     paid = {i: 0.0 for i in range(n)}
-    active = {i for i in range(n) if values[i] > 0 and demand[i] > 0}
-
-    price = 0.0
-    while active:
-        members = sorted(active)
-        f_active, f_without = oracle.rank_without_each(members)
+    if oracle.batches_drops:
+        ranked = oracle.rank_without_each_many(chain)
+    else:
+        ranked = map(oracle.rank_without_each, chain)
+    for price, members, leavers, (f_active, f_without) in zip(prices, chain, exits, ranked):
         clinches, cleared = _round_clinches(members, demand, clinched, f_active, f_without)
         for i, qty in clinches:
             clinched[i] += qty
@@ -533,14 +556,9 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
             transcript.round(price, members, f_active, f_without, clinches)
         if cleared:
             break
-        # fast-forward to the next exit: first clock multiple >= min active value
-        exit_value = min(values[i] for i in active)
-        price = math.ceil(exit_value / step - 1e-12) * step
-        leavers = sorted(i for i in active if values[i] <= price + 1e-12)
         if transcript is not None:
             for i in leavers:
                 transcript.demand(i, 0.0)
-        active.difference_update(leavers)
     return MarketOutcome(
         allocation=clinched,
         payments=paid,

@@ -392,13 +392,33 @@ class RankOracle:
         per oracle (the flat demands of `mechanisms.clinching_auction`)."""
         return tuple(self.rank({i}) for i in range(self.n))
 
+    #: whether `rank_without_each_many` costs less than a call per set
+    batches_drops = False
+
     def rank_without_each(self, members):
         """(f(S), [f(S - {m}) for m in members]) for S = members, a list of
         distinct agent ids in ascending order; a bad id raises DomainError
         as `rank` does."""
+        return self._rank_without_each(self._drop_ids(members))
+
+    def rank_without_each_many(self, sets):
+        """[rank_without_each(s) for s in sets], for any lists of ids that
+        `rank_without_each` takes, nested or not. Every set is checked
+        before any is ranked. Evaluators with an array form of the
+        drop-one values override `_rank_without_each_many` and set
+        `batches_drops`."""
+        return self._rank_without_each_many([self._drop_ids(s) for s in sets])
+
+    def _drop_ids(self, members):
+        given = list(members)
+        # plain ascending ints in range pass at once; anything else takes
+        # the loop, which names the first bad id
+        if set(map(type, given)) <= {int} and all(map(operator.lt, given, given[1:])):
+            if not given or (given[0] >= 0 and given[-1] < self.n):
+                return given
         n = self.n
         ids = []
-        for a in members:
+        for a in given:
             try:
                 i = operator.index(a)
             except TypeError:
@@ -408,13 +428,16 @@ class RankOracle:
             if ids and i <= ids[-1]:
                 raise DomainError(f"members must ascend without repeats: {a!r} after {ids[-1]}")
             ids.append(i)
-        return self._rank_without_each(ids)
+        return ids
 
     def _rank_without_each(self, ids):
         # generic default: one rank per drop; evaluators with a closed form
         # for the drop-one values override this
         rank = self.rank
         return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
+
+    def _rank_without_each_many(self, sets):
+        return [self._rank_without_each(ids) for ids in sets]
 
     def rank_prefixes(self, order):
         """[f(order[:1]), ..., f(order)] for `order`, distinct agent ids in
@@ -704,6 +727,36 @@ class LaminarOracle(RankOracle):
         amounts = self._demand_list + self._cap_list
         return all(map(float.is_integer, amounts)) and sum(self._demand_list) <= 2**53
 
+    @property
+    def batches_drops(self):
+        return self._integral
+
+    def _rank_without_each_many(self, sets):
+        # one array pass over (set x member): a bincount gives each set's
+        # group loads, and the drop-one values follow from them as in
+        # `_rank_without_each`, each min written as its `x if x < cap else
+        # cap`. On integer loads every step is exact, so the pass is
+        # bitwise `_rank_without_each`; other data takes the default
+        if not self._integral or not sets:
+            return super()._rank_without_each_many(sets)
+        sizes = list(map(len, sets))
+        flat = np.fromiter(itertools.chain.from_iterable(sets), int, sum(sizes))
+        row = np.repeat(np.arange(len(sets)), sizes)
+        caps, groups = self.group_caps, len(self._cap_list)
+        group = self.group_of[flat]
+        cell = row * groups + group
+        demand = self.demands[flat]
+        loads = np.bincount(cell, demand, len(sets) * groups).reshape(len(sets), groups)
+        served = np.where(loads < caps, loads, caps)
+        inner = served.sum(axis=1)
+        root = self.root_cap
+        full = np.where(inner < root, inner, root).tolist()
+        rest, cap = loads.ravel()[cell] - demand, caps[group]
+        drops = inner[row] - served.ravel()[cell] + np.where(rest < cap, rest, cap)
+        drops = np.where(drops < root, drops, root).tolist()
+        ends = itertools.accumulate(sizes)
+        return [(f, drops[end - k : end]) for f, k, end in zip(full, sizes, ends)]
+
     def rank_prefixes(self, order):
         # one running group-load pass: adding i changes only its group's
         # term, and only while that group is under its cap. On integer
@@ -937,22 +990,37 @@ class SubstituteCloneOracle(RankOracle):
         base = self.base.singleton_ranks
         return (*base, base[self.position_agent])
 
-    def _rank_without_each(self, ids):
+    @property
+    def batches_drops(self):
+        return self.base.batches_drops
+
+    def _on_base(self, ids):
+        """(base ids, back): the base's set with the same drop-one values
+        as `ids`, and the map from the base's (f, drops) back to them."""
         # the clone id is the largest, so it can only be the last member
         if not ids or ids[-1] != self.clone_id:
-            return self.base._rank_without_each(ids)
+            return ids, lambda full, drops: (full, drops)
         real, source = ids[:-1], self.position_agent
         if source in real:
             # the clone and its source stand in for each other: dropping
             # either one leaves f(S) as it is
-            full, drops = self.base._rank_without_each(real)
             k = real.index(source)
-            drops[k] = full
-            return full, drops + [full]
+            return real, lambda full, drops: (full, drops[:k] + [full] + drops[k + 1 :] + [full])
         # the clone holds its source's slot: drop the clone = drop the source
         k = bisect.bisect(real, source)
-        full, drops = self.base._rank_without_each(real[:k] + [source] + real[k:])
-        return full, drops[:k] + drops[k + 1 :] + [drops[k]]
+        return real[:k] + [source] + real[k:], lambda full, drops: (
+            full, drops[:k] + drops[k + 1 :] + [drops[k]]
+        )
+
+    def _rank_without_each(self, ids):
+        real, back = self._on_base(ids)
+        return back(*self.base._rank_without_each(real))
+
+    def _rank_without_each_many(self, sets):
+        # every set onto its base set, then one base call
+        mapped = [self._on_base(ids) for ids in sets]
+        ranked = self.base._rank_without_each_many([real for real, _ in mapped])
+        return [back(*pair) for (_, back), pair in zip(mapped, ranked)]
 
     def threshold_outcome(self, bids, clone_of=None, clone_level=0.0):
         # the base prices the clone, if it can; a second clone it cannot

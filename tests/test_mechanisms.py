@@ -661,6 +661,56 @@ def test_clinching_rejects_bad_step():
             clinching_auction(WORKED, [10.0, 5.0], step=step)
 
 
+def test_clinching_clock_stops_just_below_a_value():
+    # 3000 + 5e-10 is within the ceiling's 1e-12 tolerance of 3 steps of
+    # 1000, so the clock stops at 3000, more than 1e-12 below the value:
+    # its holder leaves there, where the clock once stood for ever
+    oracle = LaminarOracle([1.0, 1.0], [0, 0], [1.0])
+    out = clinching_auction(oracle, [3000 + 5e-10, 5000.0], step=1000.0)
+    assert out.allocation == {0: 0.0, 1: 1.0}
+    assert out.payments == {0: 0.0, 1: 3000.0}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_clinching_ranks_only_the_sets_it_logs(seed, n, grid):
+    # a generic oracle is ranked round by round, so no round past the
+    # clearing one is ranked: every set in the memo is some round's D or
+    # D - i, or a singleton, whose rank is an opening demand line
+    rng = np.random.default_rng(seed)
+    oracle = random_table_oracle(rng, n)
+    if grid:
+        values = [float(v) for v in rng.choice([0.0, 1.0, 2.5, 4.0], n)]
+    else:
+        values = random_bids(rng, n)
+    t = ClinchTranscript(commitment_root="r00t")
+    clinching_auction(oracle, values, transcript=t)
+    logged = {1 << i for i in range(n)}
+    for e in t.events:
+        if e["event"] == "round":
+            d = sum(1 << i for i in e["active"])
+            logged |= {d, *(d ^ 1 << i for i in e["active"])}
+    assert set(oracle._memo) <= logged
+
+
+@given(
+    st.one_of(
+        laminar_markets(integer=True, root="slack"),
+        laminar_markets(integer=True, root="binding"),
+        laminar_markets(integer=False, root="slack"),
+    ),
+    st.sampled_from([0.01, 0.5, 2.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_clinching_outcome_does_not_depend_on_the_log(market, step):
+    # exp2 logs the honest run only when it audits it, in a rerun
+    oracle, values = market
+    logged = clinching_auction(oracle, values, step, ClinchTranscript(commitment_root="r00t"))
+    bare = clinching_auction(oracle, values, step)
+    for field in ("allocation", "payments", "order"):
+        assert repr(getattr(bare, field)) == repr(getattr(logged, field))
+
+
 def _chained(prev_tag, event):
     # the chain link, written out: SHA-256 of the previous tag followed by
     # the round's sorted-key compact JSON without its own tag

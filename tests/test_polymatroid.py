@@ -377,6 +377,58 @@ def test_drop_one_pass_edges_and_bad_ids():
 
 
 # --------------------------------------------------------------------------
+# Batched drop-one pass: rank_without_each_many(sets) = a pass per set
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_without_each_many_is_a_pass_per_set(data):
+    # any list of sets, nested or not, with empty and repeated ones: a
+    # tampered log's rounds need not nest. A clone's sets hold the clone
+    # with or without its source, or alone
+    kind, oracle, twin, _ = data.draw(prefix_oracles())
+    one = st.sets(st.integers(0, oracle.n - 1)).map(sorted)
+    sets = data.draw(st.lists(one, max_size=6))
+    sets += data.draw(st.lists(st.sampled_from(sets), max_size=3)) if sets else []
+    got = oracle.rank_without_each_many(sets)
+    want = [twin.rank_without_each(s) for s in sets]
+    assert repr(got) == repr(want), kind
+    # only integer laminar loads, under a clone or not, take the array pass
+    laminar = getattr(oracle, "base", oracle)
+    assert oracle.batches_drops == (isinstance(laminar, LaminarOracle) and laminar._integral)
+
+
+def test_rank_without_each_many_keeps_signed_zeros():
+    # the array pass must not turn a 0.0 of the scalar pass into -0.0
+    sets = [[], [0], [0, 1], [0, 1, 2], [2]]
+    for caps, root in (([-0.0], math.inf), ([-0.0, -0.0], -0.0), ([-0.0, 2.0], math.inf)):
+        oracle = LaminarOracle([0.0, -0.0, 1.0], [0, 0, len(caps) - 1], caps, root_cap=root)
+        assert oracle.batches_drops
+        want = [oracle.rank_without_each(s) for s in sets]
+        assert repr(oracle.rank_without_each_many(sets)) == repr(want)
+
+
+def test_rank_without_each_many_rejects_what_one_pass_rejects():
+    table = TableOracle(2, {(): 0.0, (0,): 1.0, (1,): 1.0, (0, 1): 2.0})
+    laminar = LaminarOracle([1, 2, 3], [0, 0, 1], [2, 5])
+    wide = LaminarOracle(np.ones(40), np.zeros(40, dtype=int), [100.0])
+    for oracle in (table, laminar, wide, SubstituteCloneOracle(laminar, 1), entangled_oracle(3)):
+        assert oracle.rank_without_each_many([]) == []
+        assert oracle.rank_without_each_many([(a for a in (0, 1))]) == [
+            oracle.rank_without_each([0, 1])
+        ]
+        n = oracle.n
+        bad_ids = (-1, n, 1.0, 0.5, np.float64(0.0), np.int64(100), "0", None)
+        unsorted = ([1, 0], [0, 0], [0, 1, 1])
+        for bad in [[0, b] for b in bad_ids] + list(unsorted):
+            with pytest.raises(DomainError) as by_one:
+                oracle.rank_without_each(bad)
+            with pytest.raises(DomainError) as by_many:
+                oracle.rank_without_each_many([[0], bad, [1]])
+            assert str(by_many.value) == str(by_one.value)
+
+
+# --------------------------------------------------------------------------
 # Prefix pass: rank_prefixes(order) = [f(order[:1]), ..., f(order)]
 
 

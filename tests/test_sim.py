@@ -17,7 +17,7 @@ from credmarket.credibility import (
     tamper_inflate_clinch,
     verify_transcript,
 )
-from credmarket.errors import ConfigError, DomainError
+from credmarket.errors import ConfigError, DomainError, StructureError
 from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
 from credmarket._stream import Lanes, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
@@ -795,6 +795,85 @@ def test_every_tamper_of_an_exp2_log_is_flagged():
         for name, bad in _tampered_logs(honest, profile.n).items():
             verdict = verify_transcript(bad, root, oracle=oracle)
             assert not verdict.consistent, name
+
+
+def _malformed_logs(honest, n):
+    # a bad line before the first round and after the third: an id the
+    # oracle cannot rank raises DomainError at its round, any other bad
+    # field StructureError, and an earlier bad round wins over a later id
+    events = honest.events
+    rounds = [k for k, e in enumerate(events) if e["event"] == "round"]
+    untagged = {k: v for k, v in events[rounds[1]].items() if k != "tag"}
+    lines = {
+        "non-dict": ["demand", 0, 1.0],
+        "unknown-kind": {"event": "price_step"},
+        "text-demand": {"event": "demand", "agent": 0, "demand": "x"},
+        "unhashable-agent": {"event": "demand", "agent": [0], "demand": 1.0},
+        "text-agent": {"event": "demand", "agent": "a", "demand": 1.0},
+        "float-agent": {"event": "demand", "agent": 1.5, "demand": 1.0},
+        "out-of-range-agent": {"event": "demand", "agent": n, "demand": 1.0},
+    }
+    logs = {}
+    for name, line in lines.items():
+        for at in (rounds[0], rounds[3]):
+            logs[f"{name}@{at}"] = events[:at] + [line] + events[at:]
+    logs["untagged-then-bad-id"] = (
+        events[: rounds[1]] + [untagged] + events[rounds[1] + 1 : rounds[3]]
+        + [lines["out-of-range-agent"]] + events[rounds[3] :]
+    )
+    return {
+        name: ClinchTranscript(commitment_root=honest.commitment_root, events=new)
+        for name, new in logs.items()
+    }
+
+
+def test_batched_replay_is_the_per_round_replay(monkeypatch):
+    # the verifier ranks every round's set in one batched call; with that
+    # call swapped for a plain pass per set, every verdict and every error
+    # must stay the same, so the array pass cannot hide a detection
+    logs = []
+    config = ScenarioConfig(rounds=2, seeds=(17, 42))
+    for profile, oracle, root, honest, sybil in _clinch_logs(config):
+        gap = [k for k, e in enumerate(honest.events) if e["event"] == "round"][2]
+        cases = {
+            "honest": honest,
+            "sybil": sybil,
+            "gap": ClinchTranscript(root, [e for k, e in enumerate(honest.events) if k != gap]),
+            **_tampered_logs(honest, profile.n),
+            **_malformed_logs(honest, profile.n),
+        }
+        logs += [(name, log, root, oracle) for name, log in cases.items()]
+
+    def outcomes():
+        out = []
+        for name, log, root, oracle in logs:
+            try:
+                out.append((name, "verdict", verify_transcript(log, root, oracle=oracle).to_json()))
+            except Exception as exc:
+                out.append((name, type(exc), str(exc)))
+        return out
+
+    singles, one = [], RankOracle.rank_without_each
+
+    def single(self, members):
+        singles.append([a for a in members if not (type(a) is int and 0 <= a < self.n)])
+        return one(self, members)
+
+    monkeypatch.setattr(RankOracle, "rank_without_each", single)
+    batched = outcomes()
+    # the batched call ranked every round whose set passes the id checks
+    assert singles and all(singles)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        RankOracle, "rank_without_each_many", lambda self, sets: [one(self, s) for s in sets]
+    )
+    assert outcomes() == batched
+    raised = {name.split("@")[0]: kind for name, kind, _ in batched if kind != "verdict"}
+    assert len(raised) == 8
+    assert raised["float-agent"] is raised["out-of-range-agent"] is DomainError
+    assert raised["untagged-then-bad-id"] is raised["text-agent"] is StructureError
+    # of the 4 rounds' logs only the honest ones replay clean
+    assert sum(v["consistent"] for _, kind, v in batched if kind == "verdict") == 4
 
 
 def test_r5_propagates_unexpected_errors(monkeypatch):
