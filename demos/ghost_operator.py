@@ -2,19 +2,21 @@
 
 Generates a service-market round (eight capacity pods, forty agents),
 settles it honestly under threshold payments, scans every rationalizable
-phantom-bid placement, executes the most damaging one, and then prints
-the per-agent alibi certificates showing why no bidder can prove foul play.
+phantom-bid placement, then executes and certifies the most damaging one
+through `apply_deviation` and prints the per-agent alibi certificates, each
+described by its shape, showing why no bidder can prove foul play.
 """
 
 import argparse
 
 from credmarket import (
+    DeviationStrategy,
+    Mechanism,
     ScenarioConfig,
+    apply_deviation,
     best_ghost,
-    certify_ghost,
     generate_round,
     ghost_candidates,
-    ghost_settle,
     settle_threshold,
 )
 
@@ -45,27 +47,38 @@ def main():
         )
 
     pick = best_ghost(profile, alloc_h, pay_h)
-    alloc_d, pay_d = ghost_settle(profile, pick.source, pick.level)
+    bids = profile.bids.tolist()
+    result = apply_deviation(
+        DeviationStrategy("ghost_bid", source=pick.source, level=pick.level),
+        bids, Mechanism(payment_rule="vcg"), profile.oracle,
+    )
+    alloc_d, pay_d = result.deviated.allocation, result.deviated.payments
     rev_d = sum(pay_d.values())
     print(f"\nexecuting the worst one: revenue {rev_h:.2f} -> {rev_d:.2f}")
 
-    safe, certs = certify_ghost(
-        profile, pick.source, pick.level, (alloc_h, pay_h), (alloc_d, pay_d)
-    )
     moved = [a for a in range(profile.n) if abs(alloc_d[a] - alloc_h[a]) > 1e-9
              or abs(pay_d[a] - pay_h[a]) > 1e-9]
     print(f"{len(moved)} agents saw their outcome move: {moved}")
-    print(f"all {profile.n} agents certified unable to detect: {all(safe.values())}")
-    stories = {
-        "honest": lambda c: "the honest field itself",
-        "lifted_source": lambda c: (
-            f"agent {pick.source} honestly raising its bid to {c['level']:.3f}"
-        ),
-        "wall": lambda c: f"pod rivals honestly bidding {c['level']:.3f}",
-    }
+    print(f"all {profile.n} agents certified unable to detect: "
+          f"{all(result.undetectable.values())}")
     for a in moved[:3]:
-        cert = certs[a]
-        print(f"  agent {a}: outcome reproduced by {stories[cert['family']](cert)}")
+        print(f"  agent {a}: outcome reproduced by {story(result.certificates[a], bids)}")
+
+
+def story(cert, bids):
+    """What a certificate world is, read off its shape."""
+    if cert.entrant is not None:
+        return (
+            f"a newcomer bidding {cert.entrant['level']:.3f} for agent "
+            f"{cert.entrant['source']}'s slot"
+        )
+    if cert.profile == bids:
+        return "the honest field itself"
+    rivals = {c for k, c in enumerate(cert.profile) if k != cert.agent}
+    if len(rivals) == 1:
+        return f"every rival honestly bidding {rivals.pop():.3f}"
+    (k,) = [k for k, (b, c) in enumerate(zip(bids, cert.profile)) if b != c]
+    return f"agent {k} honestly raising its bid to {cert.profile[k]:.3f}"
 
 
 if __name__ == "__main__":

@@ -62,10 +62,8 @@ from .metrics import (
 from .sim import (
     ScenarioConfig,
     best_ghost,
-    certify_ghost,
     generate_round,
     ghost_candidates,
-    ghost_settle,
     run_experiment,
     settle_threshold,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "apply_deviation",
     "bertrand_price",
     "best_ghost",
-    "certify_ghost",
     "clinching_auction",
     "construct_perturbation",
     "edmonds_greedy",
@@ -106,7 +103,6 @@ __all__ = [
     "generate_round",
     "generate_topology",
     "ghost_candidates",
-    "ghost_settle",
     "knife_edge_sweep",
     "level1_matroid",
     "make_commitment",

@@ -15,6 +15,9 @@ allocation, and payment. That information gap is what this module probes:
   certificate it returns has been replayed: each strategy proposes
   certificate worlds, and one pass keeps the first whose honest run
   matches.
+* ``ghost_certificates`` is the one statement of a phantom bid's
+  certificate families, which ``apply_deviation`` and the simulator's
+  exp1 both replay.
 * ``check_safe_deviation`` is the agent-side tool: given only one agent's
   observation, decide whether ANY legitimate opponent profile explains it.
 
@@ -25,6 +28,7 @@ confined to the original dimension.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +131,7 @@ def _world(profile, entrant=None):
     their runs on one oracle, mechanism and seed are the same run. It holds
     the exact bits of every bid (-0.0 apart from 0.0, an int bid as the
     float the mechanism reads) and the entrant's source and level."""
-    bits = tuple(float(b).hex() for b in profile)
+    bits = array("d", profile).tobytes()
     if entrant is None:
         return bits, None
     return bits, (entrant["source"], float(entrant["level"]).hex())
@@ -318,6 +322,31 @@ def _phantom_world(oracle, bids, mechanism, seed, honest, source, level):
     return _restated(out, meta, oracle.n), out.allocation[plus.clone_id]
 
 
+def ghost_certificates(bids, source, level, agent):
+    """The certificates to try, in order, for an `agent` whose view of the
+    run on `bids` moved when a phantom clone of `source` bid `level`.
+
+    Everyone but the source sees the honest run of the profile with the
+    source raised to `level`: the clone presses the same capacity slot. A
+    displaced source is explained by opponents filling its slot, every one
+    bidding max(max(bids), level), or, when the phantom outbids it, by a
+    substitute entrant of it at `level`. These are the sealed-bid
+    explanations of a phantom (Akbarpour and Li's certificates); every
+    ghost certification replays them.
+    """
+    if agent != source:
+        raised = list(bids)
+        raised[source] = level
+        return [Certificate(agent=agent, profile=raised)]
+    fill = [max(max(bids), level)] * len(bids)
+    fill[source] = bids[source]
+    proposals = [Certificate(agent=source, profile=fill)]
+    if level > bids[source]:
+        entrant = {"source": source, "level": level}
+        proposals.append(Certificate(agent=source, profile=list(bids), entrant=entrant))
+    return proposals
+
+
 def _restated(base, meta, n, payments=None):
     """`base` over agents 0..n-1 with new `meta`: copied allocation,
     payments (`payments` when given) and order, so editing the copy leaves
@@ -412,25 +441,11 @@ def apply_deviation(strategy, bids, mechanism, oracle, seed=0):
             oracle, bids, mechanism, seed, honest, source, level
         )
         ghost = {"source": source, "level": level, "undelivered": undelivered}
-        # everyone but the source sees the honest run of the profile with
-        # the source raised to the phantom level (the clone presses the
-        # same capacity slot); a displaced source is explained by
-        # opponents filling its slot, or by a substitute entrant above it
-        raised = list(bids)
-        raised[source] = level
 
         def candidates(i):
             if _unchanged(honest, deviated, i):
                 return honest_profile(i)
-            if i != source:
-                return [Certificate(agent=i, profile=raised)]
-            top = max(max(bids), level)
-            fill = [top if k != source else bids[source] for k in agents]
-            proposals = [Certificate(agent=source, profile=fill)]
-            if level > bids[source]:
-                entrant = {"source": source, "level": level}
-                proposals.append(Certificate(agent=source, profile=list(bids), entrant=entrant))
-            return proposals
+            return ghost_certificates(bids, source, level, i)
 
     elif strategy.kind == "capacity_misreport":
         shrunk = _ScaledOracle(oracle, strategy.shrink_factor)

@@ -12,8 +12,9 @@ world as it would on a `SubstituteCloneOracle` over it. One engine,
 `LaminarOracle.settle`, prices every pod in an array pass, and a round
 makes one call to it (`RoundProfile.settlement`): a row per pod for the
 honest world, then a row per phantom placement for the ghost scan. The
-operator's pick is read off its placement row, and each certificate adds
-one more call of two rows, the lifted and the walled replay. Each agent's
+operator's pick is read off its placement row, and exp1 certifies it with
+one more call: a row per distinct world of `adversary.ghost_certificates`,
+the certificate families `apply_deviation` tries. Each agent's
 draws replay numpy's seeded PCG64 stream (`_stream`). A runner iterates
 a seed's rounds (`seed_rounds`): a block of rounds hashes all of its
 (round, agent) streams in one pass and draws every stream's tasks in one
@@ -47,7 +48,9 @@ from itertools import chain, product
 import numpy as np
 
 from ._stream import Lanes, entropy_words, seed_states
-from .adversary import apply_deviation, construct_perturbation
+from .adversary import (
+    _world as _world_key, apply_deviation, construct_perturbation, ghost_certificates,
+)
 from .credibility import make_commitment, verify_transcript
 from .errors import ConfigError, CredmarketError, DomainError, NoDeviationError, NoWindowError
 from .mechanisms import (
@@ -509,20 +512,11 @@ def best_ghost(profile, alloc=None, pay=None):
     return max(cands, key=lambda c: c.damage, default=None)
 
 
-def ghost_settle(profile, source, level):
-    """Deviated allocation and threshold payments of the real agents, with
-    the phantom folded in: the generic clone route (`vcg_outcome` on a
-    `SubstituteCloneOracle`), which the runners' scan-row read equals."""
-    plus = SubstituteCloneOracle(profile.oracle, source)
-    out = vcg_outcome(plus, [*profile.bids.tolist(), level])
-    real = range(profile.n)
-    return {a: out.allocation[a] for a in real}, {a: out.payments[a] for a in real}
-
-
 def _ghost_world(profile, pick, honest):
-    """`ghost_settle(profile, pick.source, pick.level)` without a settle
+    """The pick's deviated world, (allocation, payments), without a settle
     call: the pick's pod members from its scan row, every other agent from
-    the honest world (allocation, payments)."""
+    the honest world. It equals the generic clone route, `vcg_outcome` on
+    a `SubstituteCloneOracle` with the phantom bidding `pick.level`."""
     alloc_rows, pay_rows, _ = profile.settlement
     members = profile.oracle.group_members[pick.pod]
     alloc, pay = (dict(x) for x in honest)
@@ -531,62 +525,49 @@ def _ghost_world(profile, pick, honest):
     return alloc, pay
 
 
-def certify_ghost(profile, source, level, honest, deviated):
-    """Per-agent rationalizability of the deviated round, in closed form.
+def _certify_pick(profile, pick, honest, deviated):
+    """Each moved agent's certificate for the pick's deviated world: the
+    first of `adversary.ghost_certificates` whose honest run reproduces
+    its allocation and payment within 1e-7, as `Certificate.matches`
+    would, or None. An agent whose view did not move holds the honest
+    profile.
 
-    Agents outside the phantom's pod, and members whose outcome did not
-    move, are covered by the honest field itself. A moved non-source member
-    is covered by the field with the source lifted to the phantom's level
-    (substitute equivalence makes the replay exact). The displaced source
-    is covered by walls: all pod opponents above its bid, which the scan's
-    rationalizability precondition guarantees can absorb the pod.
+    Only the pick's pod members move, and the root is slack, so a
+    certificate world settles on that pod alone. Each distinct world
+    proposed to a moved agent, or to the source whether it moved or not,
+    is a row of one `settle` call, its entrant the row's clone.
     """
-    alloc_h, pay_h = honest
-    alloc_d, pay_d = deviated
-    oracle = profile.oracle
+    (alloc_h, pay_h), (alloc_d, pay_d) = honest, deviated
     bids = profile.bids.tolist()
-    pod = int(profile.pod_of[source])
-    members = oracle.group_members[pod]
-    # the pod replayed twice in one settlement: with the source bidding at
-    # the phantom level, and with every opponent walled above the source
-    wall_level = min(VALUE_HI, max(level, bids[source] + 1.0))
-    lifted, walls = list(bids), list(bids)
-    lifted[source] = level
-    for m in members:
-        if m != source:
-            walls[m] = wall_level
-    (lift, wall), (lift_pay, _) = oracle.settle(
-        [lifted, walls], [pod, pod], [-1, -1], [0.0, 0.0]
+    members = profile.oracle.group_members[pick.pod]
+    moved = [
+        a for a in members
+        if abs(alloc_d[a] - alloc_h[a]) > POS_TOL or abs(pay_d[a] - pay_h[a]) > POS_TOL
+    ]
+    tried = [
+        (a, cert, _world_key(cert.profile, cert.entrant))
+        for a in dict.fromkeys([pick.source, *moved])
+        for cert in ghost_certificates(bids, pick.source, pick.level, a)
+    ]
+    worlds = {}
+    for _, cert, key in tried:
+        worlds.setdefault(key, cert)
+    row = {key: w for w, key in enumerate(worlds)}
+    clones = [
+        (c.entrant["source"], c.entrant["level"]) if c.entrant else (-1, 0.0)
+        for c in worlds.values()
+    ]
+    alloc, pay = profile.oracle.settle(
+        [c.profile for c in worlds.values()], [pick.pod] * len(worlds), *zip(*clones)
     )
-    lift_alloc, lift_pay = (dict(zip(members, row.tolist())) for row in (lift, lift_pay))
-    walled = wall[members.index(source)]
-    safe, certs = {}, {}
-    for a in range(profile.n):
-        moved = (
-            abs(alloc_d[a] - alloc_h[a]) > POS_TOL
-            or abs(pay_d[a] - pay_h[a]) > POS_TOL
-        )
-        if not moved:
-            safe[a] = True
-            certs[a] = {"family": "honest", "profile": None}
+    kept = {}
+    for a, cert, key in tried:
+        if a not in moved or kept.get(a) is not None:
             continue
-        if a != source:
-            ok = (
-                abs(lift_alloc.get(a, 0.0) - alloc_d[a]) <= 1e-7
-                and abs(lift_pay.get(a, 0.0) - pay_d[a]) <= 1e-7
-            )
-            safe[a] = ok
-            certs[a] = {"family": "lifted_source", "agent": a, "level": level}
-            continue
-        # the source itself: zero outcome under a wall of opponents
-        ok = (
-            alloc_d[a] <= POS_TOL
-            and pay_d[a] <= POS_TOL
-            and walled <= POS_TOL
-        )
-        safe[a] = ok
-        certs[a] = {"family": "wall", "agent": a, "level": wall_level}
-    return safe, certs
+        w, slot = row[key], members.index(a)
+        x, p = alloc[w, slot], pay[w, slot]
+        kept[a] = cert if abs(x - alloc_d[a]) <= 1e-7 and abs(p - pay_d[a]) <= 1e-7 else None
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -646,10 +627,8 @@ def _exp1_seed(config, seed):
             continue
         alloc_d, pay_d = _ghost_world(profile, pick, (alloc_h, pay_h))
         deviated, _, _ = _world(profile, alloc_d, pay_d)
-        safe, _ = certify_ghost(
-            profile, pick.source, pick.level, (alloc_h, pay_h), (alloc_d, pay_d)
-        )
-        certified.append(all(safe.values()))
+        kept = _certify_pick(profile, pick, (alloc_h, pay_h), (alloc_d, pay_d))
+        certified.append(None not in kept.values())
         surplus_series.append(deviated[0] - honest[0])
         picks.append(
             {"seed": seed, "round": r, "source": pick.source, "level": pick.level}

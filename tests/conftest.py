@@ -28,6 +28,7 @@ from credmarket.mechanisms import (
     archer_tardos_payment,
     edmonds_greedy,
     priority_order,
+    vcg_outcome,
 )
 from credmarket.polymatroid import RANK_TOL, LaminarOracle, SubstituteCloneOracle, TableOracle
 from credmarket.sim import (
@@ -346,6 +347,17 @@ def unshared_worlds():
         yield
     finally:
         credmarket.adversary._world = shared
+
+
+def ghost_settle(profile, source, level):
+    """Deviated allocation and threshold payments of the real agents, with
+    the phantom folded in: the generic clone route, `vcg_outcome` on a
+    `SubstituteCloneOracle` with the clone bidding `level`, which the
+    runners' scan-row read (`sim._ghost_world`) equals."""
+    plus = SubstituteCloneOracle(profile.oracle, source)
+    out = vcg_outcome(plus, [*profile.bids.tolist(), level])
+    real = range(profile.n)
+    return {a: out.allocation[a] for a in real}, {a: out.payments[a] for a in real}
 
 
 def clone_splice_posted(oracle, bids, price, arrival, source, level):

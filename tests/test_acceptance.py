@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import (
     bruteforce_welfare,
+    ghost_settle,
     quadrature_payment,
     random_bids,
     random_table_oracle,
@@ -51,11 +52,8 @@ from credmarket.polymatroid import (
 )
 from credmarket.sim import (
     ScenarioConfig,
-    certify_ghost,
     generate_round,
-    ghost_settle,
     run_experiment,
-    settle_threshold,
 )
 
 WORKED = TableOracle(2, {(): 0.0, (0,): 2.0, (1,): 2.0, (0, 1): 3.0})
@@ -179,16 +177,19 @@ def test_c05_sealed_bid_ghost_profits_and_stays_plausible():
         assert summary["positive_rate"] >= 0.95
         assert summary["all_certified"]
         assert 0.05 <= summary["conc"]["conc_w"] <= 0.20
-        # independent replay of a sample of the logged phantom placements
+        # independent replay of a sample of the logged phantom placements,
+        # through the generic engine: every agent holds a certificate, and
+        # none needs an entrant, so real opponents explain the source
         picks = report["picks"]
+        vcg = Mechanism(payment_rule="vcg")
         for pick in (picks[0], picks[len(picks) // 2], picks[-1]):
             profile = generate_round(config, pick["seed"], pick["round"])
-            honest = settle_threshold(profile)
-            deviated = ghost_settle(profile, pick["source"], pick["level"])
-            safe, _ = certify_ghost(
-                profile, pick["source"], pick["level"], honest, deviated
-            )
-            assert all(safe.values())
+            strategy = DeviationStrategy("ghost_bid", source=pick["source"], level=pick["level"])
+            result = apply_deviation(strategy, profile.bids.tolist(), vcg, profile.oracle)
+            assert all(result.undetectable.values())
+            assert all(cert.entrant is None for cert in result.certificates.values())
+            deviated = (result.deviated.allocation, result.deviated.payments)
+            assert deviated == ghost_settle(profile, pick["source"], pick["level"])
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0
 

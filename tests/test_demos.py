@@ -20,7 +20,7 @@ DEMO_STDOUT_SHA256 = {
     "broadcast_audit": "c728108e1cf061f4895c27a83fee715ec04ed864c4b0e23630c76ea57beaaa72",
     "dra_deposits": "45d01af61aa58f6bdc0d7329ab6d680c144a7a6a63929ef40dd3dd3e1b3d7edc",
     "fee_separation": "4a0542bc9c53d9bf9e8e75695a12cd83a15c5b2fa8bc56e510a59fb44321c62a",
-    "ghost_operator": "a6799f6c24041f11659fb897c19b796bd3500e1f1660487254eb45726beb4cb2",
+    "ghost_operator": "596a1d74203e7349b1f02dec087826409e850fc49acd363d038997b793684791",
     "topology_tour": "b1241394b3b2d7290893aba20f7daf939504f2885272dc364bd0d302f17e2195",
     "worked_example": "334a9cc7ce63e05318ae53ccd2738e812578207a80d6dd7b6f6347ee1ab0aa2f",
 }

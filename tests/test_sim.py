@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from credmarket import sim
+from credmarket.adversary import DeviationStrategy, apply_deviation
 from credmarket.credibility import (
     make_commitment,
     tamper_forge_rank,
@@ -18,7 +19,7 @@ from credmarket.credibility import (
     verify_transcript,
 )
 from credmarket.errors import ConfigError, DomainError, StructureError
-from credmarket.mechanisms import ClinchTranscript, clinching_auction, vcg_outcome
+from credmarket.mechanisms import ClinchTranscript, Mechanism, clinching_auction, vcg_outcome
 from credmarket._stream import Lanes, entropy_words, seed_states
 from credmarket.polymatroid import LaminarOracle, RankOracle, SubstituteCloneOracle
 from credmarket.sim import (
@@ -29,10 +30,8 @@ from credmarket.sim import (
     _SybilTranscript,
     arrival_order,
     best_ghost,
-    certify_ghost,
     generate_round,
     ghost_candidates,
-    ghost_settle,
     report_digest,
     report_json,
     rows_to_csv,
@@ -45,6 +44,7 @@ from credmarket.sim import (
 
 from conftest import (
     clone_splice_posted,
+    ghost_settle,
     rechain,
     reference_generate_round,
     reference_ghost_candidates,
@@ -382,9 +382,10 @@ def test_every_settlement_is_one_engine_call(monkeypatch):
     vcg_outcome(oracle, [5.0, 5.0, 0.0, 2.5])
     vcg_outcome(SubstituteCloneOracle(oracle, 2), [5.0, 5.0, 0.0, 2.5, 4.75])
     assert calls == [pods, 2, 2]
-    # both certificate replays, lifted and walled, as two rows of one call
-    certify_ghost(profile, pick.source, pick.level, honest, deviated)
-    assert calls == [pods, 2, 2, 2]
+    # the pick's certificate worlds, raised, fill and entrant, as three
+    # rows of one call
+    sim._certify_pick(profile, pick, honest, deviated)
+    assert calls == [pods, 2, 2, 3]
 
 
 def _rounds_settled(report):
@@ -478,10 +479,45 @@ def test_live_winning_sources_need_opponent_cover():
 def test_profitable_phantom_round_is_fully_certified():
     profile, honest, pick = _first_ghost_round(ScenarioConfig(rounds=60, seeds=(17,)), 17)
     deviated = ghost_settle(profile, pick.source, pick.level)
-    safe, certs = certify_ghost(profile, pick.source, pick.level, honest, deviated)
-    assert set(safe) == set(range(profile.n))
-    assert all(safe.values())
-    assert len(certs) == profile.n
+    kept = sim._certify_pick(profile, pick, honest, deviated)
+    # every moved agent, and only a moved agent, needs a certificate of
+    # its own; the rest hold the honest profile
+    moved = {
+        a for a in range(profile.n)
+        if abs(deviated[0][a] - honest[0][a]) > POS_TOL
+        or abs(deviated[1][a] - honest[1][a]) > POS_TOL
+    }
+    assert moved and set(kept) == moved
+    assert None not in kept.values()
+
+
+def test_exp1_certifies_as_apply_deviation_does():
+    # the pod-row replay and the generic replay try the same certificate
+    # families: equal verdicts on every pick, and each moved agent keeps
+    # the certificate `apply_deviation` keeps
+    config = ScenarioConfig(rounds=30, seeds=(17, 42))
+    vcg = Mechanism(payment_rule="vcg")
+    picks = 0
+    for seed in config.seeds:
+        for profile in sim.seed_rounds(config, seed):
+            honest = settle_threshold(profile)
+            pick = best_ghost(profile, *honest)
+            if pick is None:
+                continue
+            picks += 1
+            deviated = sim._ghost_world(profile, pick, honest)
+            kept = sim._certify_pick(profile, pick, honest, deviated)
+            strategy = DeviationStrategy("ghost_bid", source=pick.source, level=pick.level)
+            result = apply_deviation(strategy, profile.bids.tolist(), vcg, profile.oracle)
+            verdict = {a: kept.get(a, True) is not None for a in range(profile.n)}
+            assert verdict == result.undetectable
+            assert kept == {a: result.certificates[a] for a in kept}
+            # a view that no certificate reproduces stays uncertified
+            a = next(iter(kept))
+            alloc, pay = dict(deviated[0]), dict(deviated[1])
+            pay[a] += 1e-6
+            assert sim._certify_pick(profile, pick, honest, (alloc, pay))[a] is None
+    assert picks > 0
 
 
 def test_round_settlement_checks_bids_and_falls_back_on_a_binding_root():
