@@ -16,6 +16,7 @@
 """
 
 import copy
+import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .mechanisms import (
     Mechanism,
     UniformPrior,
     _digest,
+    _is_real,
     _round_clinches,
     _round_tag,
     run_mechanism,
@@ -464,8 +466,9 @@ def run_dra(bids, matroid, priors, operator_deposit=None, operator_strategy=None
     hi = _prior_bound(priors, n)
     if operator_deposit is None:
         operator_deposit = n * hi
-    if operator_deposit < 0:
-        raise ConfigError("operator deposit must be nonnegative")
+    # NaN fails the comparison, so one check rejects NaN, inf and negatives
+    if not (_is_real(operator_deposit) and 0 <= operator_deposit < math.inf):
+        raise ConfigError("operator deposit must be a nonnegative finite number")
 
     commitment = make_commitment(oracle, "greedy", "threshold")
     deposits = {str(i): bids[i] for i in range(n)}
@@ -532,10 +535,10 @@ class FeeOperator:
     stake: float = 0.0
 
     def __post_init__(self):
-        if self.fee_per_unit < 0:
-            raise ConfigError("fee per unit must be nonnegative")
-        if not 0.0 <= self.stake <= 1.0:
-            raise ConfigError("stake must lie in [0, 1]")
+        if not (_is_real(self.fee_per_unit) and 0 <= self.fee_per_unit < math.inf):
+            raise ConfigError("fee per unit must be a nonnegative finite number")
+        if not (_is_real(self.stake) and 0.0 <= self.stake <= 1.0):
+            raise ConfigError("stake must be a number in [0, 1]")
 
     def revenue(self, outcome):
         delivered = sum(outcome.allocation.values())

@@ -506,11 +506,12 @@ def clinching_auction(oracle, values, step=CLOCK_STEP, transcript=None):
     shrinks. The whole chain D_0 > D_1 > ..., with each round's price and
     leavers, is built before the first rank value is read. Every round's
     f(D) and f(D - i) then come from one `oracle.rank_without_each_many`
-    call over the chain, one array pass for a laminar oracle, when the
-    oracle `batches_drops`; other oracles get one `rank_without_each` call
-    per round, so that no round past the clearing one is ranked. Each
-    round is logged with its clinches as one `round` event. The flat
-    demands are the oracle's `singleton_ranks`, ranked once per oracle.
+    call over the chain when the oracle `batches_drops`, as a laminar
+    oracle (one array pass) and a clone of one do; other oracles get one
+    `rank_without_each` call per round, so that no round past the
+    clearing one is ranked. Each round is logged with its clinches as one
+    `round` event. The flat demands are the oracle's `singleton_ranks`,
+    ranked once per oracle.
     """
     n = oracle.n
     values = _validate_bids(oracle, values)

@@ -50,7 +50,7 @@ MEMO_MAX_AGENTS = 32  # bitmask memoisation only below this ground-set size
 
 def agent_id(a, n):
     """`a` as an exact Python int in range(n), else DomainError. The hot
-    loops of `RankOracle.rank` and `rank_without_each` inline this check."""
+    loop of `RankOracle.rank` inlines this check."""
     try:
         i = operator.index(a)
     except TypeError:
@@ -399,13 +399,14 @@ class RankOracle:
         """(f(S), [f(S - {m}) for m in members]) for S = members, a list of
         distinct agent ids in ascending order; a bad id raises DomainError
         as `rank` does."""
-        return self._rank_without_each(self._drop_ids(members))
+        return self._rank_without_each_many([self._drop_ids(members)])[0]
 
     def rank_without_each_many(self, sets):
         """[rank_without_each(s) for s in sets], for any lists of ids that
         `rank_without_each` takes, nested or not. Every set is checked
-        before any is ranked. Evaluators with an array form of the
-        drop-one values override `_rank_without_each_many` and set
+        before any is ranked. This is the one drop-one pass an evaluator
+        answers: the default ranks each drop, and evaluators with an array
+        form of the values override `_rank_without_each_many` and set
         `batches_drops`."""
         return self._rank_without_each_many([self._drop_ids(s) for s in sets])
 
@@ -416,28 +417,21 @@ class RankOracle:
         if set(map(type, given)) <= {int} and all(map(operator.lt, given, given[1:])):
             if not given or (given[0] >= 0 and given[-1] < self.n):
                 return given
-        n = self.n
         ids = []
         for a in given:
-            try:
-                i = operator.index(a)
-            except TypeError:
-                i = -1
-            if not 0 <= i < n:
-                raise DomainError(f"agent id {a!r} is not in the ground set")
+            i = agent_id(a, self.n)
             if ids and i <= ids[-1]:
                 raise DomainError(f"members must ascend without repeats: {a!r} after {ids[-1]}")
             ids.append(i)
         return ids
 
-    def _rank_without_each(self, ids):
-        # generic default: one rank per drop; evaluators with a closed form
-        # for the drop-one values override this
-        rank = self.rank
-        return rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))]
-
     def _rank_without_each_many(self, sets):
-        return [self._rank_without_each(ids) for ids in sets]
+        # generic default: one rank per set and per drop
+        rank = self.rank
+        return [
+            (rank(ids), [rank(ids[:k] + ids[k + 1 :]) for k in range(len(ids))])
+            for ids in sets
+        ]
 
     def rank_prefixes(self, order):
         """[f(order[:1]), ..., f(order)] for `order`, distinct agent ids in
@@ -650,6 +644,7 @@ class LaminarOracle(RankOracle):
     """
 
     evaluator = "tree_cut"
+    batches_drops = True
 
     def __init__(self, demands, group_of, group_caps, root_cap=math.inf):
         # checked once here so that `_rank` can trust its arrays: numpy
@@ -693,33 +688,19 @@ class LaminarOracle(RankOracle):
         self.group_members = tuple(map(tuple, members))
         # when the whole ground set fits under the root, the root never
         # binds and f is the direct sum of its group terms
-        self._slack_root = sum(self._loads(range(self.n))[1]) <= root_cap
+        self._slack_root = sum(self._loads(range(self.n))) <= root_cap
 
     def _loads(self, ids):
-        """(loads, served): each group's demand from `ids`, added in their
-        order, and the part of it its cap serves."""
+        """The part of each group's demand from `ids`, added in their
+        order, that its cap serves."""
         demand, group = self._demand_list, self._group_list
         loads = [0.0] * len(self._cap_list)
         for i in ids:
             loads[group[i]] += demand[i]
-        return loads, [min(c, x) for c, x in zip(self._cap_list, loads)]
+        return [min(c, x) for c, x in zip(self._cap_list, loads)]
 
     def _rank(self, subset):
-        return min(self.root_cap, sum(self._loads(subset)[1]))
-
-    def _rank_without_each(self, ids):
-        # dropping m changes only its group's term, so each drop-one value
-        # is O(1). Exact for integer-valued demands and caps; otherwise it
-        # can differ from `_rank` in the last bits
-        loads, served = self._loads(ids)
-        demand, group, caps = self._demand_list, self._group_list, self._cap_list
-        inner = sum(served)
-        root = self.root_cap
-        drops = []
-        for i in ids:
-            g = group[i]
-            drops.append(min(root, inner - served[g] + min(caps[g], loads[g] - demand[i])))
-        return min(root, inner), drops
+        return min(self.root_cap, sum(self._loads(subset)))
 
     @cached_property
     def _integral(self):
@@ -727,18 +708,12 @@ class LaminarOracle(RankOracle):
         amounts = self._demand_list + self._cap_list
         return all(map(float.is_integer, amounts)) and sum(self._demand_list) <= 2**53
 
-    @property
-    def batches_drops(self):
-        return self._integral
-
     def _rank_without_each_many(self, sets):
         # one array pass over (set x member): a bincount gives each set's
-        # group loads, and the drop-one values follow from them as in
-        # `_rank_without_each`, each min written as its `x if x < cap else
-        # cap`. On integer loads every step is exact, so the pass is
-        # bitwise `_rank_without_each`; other data takes the default
-        if not self._integral or not sets:
-            return super()._rank_without_each_many(sets)
+        # group loads, and dropping m changes only its group's term, each
+        # min written as its `x if x < cap else cap`. On integer loads
+        # every step is exact, so the pass is bitwise `_rank`; on other
+        # data it can differ from `_rank` in the last bits
         sizes = list(map(len, sets))
         flat = np.fromiter(itertools.chain.from_iterable(sets), int, sum(sizes))
         row = np.repeat(np.arange(len(sets)), sizes)
@@ -976,6 +951,7 @@ class SubstituteCloneOracle(RankOracle):
         self.position_agent = agent_id(position_agent, base.n)
         self.clone_id = base.n
         self.evaluator = base.evaluator
+        self.batches_drops = base.batches_drops
         super().__init__(base.n + 1)
 
     def _rank(self, subset):
@@ -989,10 +965,6 @@ class SubstituteCloneOracle(RankOracle):
         # the base's, then the clone's: its source's rank alone
         base = self.base.singleton_ranks
         return (*base, base[self.position_agent])
-
-    @property
-    def batches_drops(self):
-        return self.base.batches_drops
 
     def _on_base(self, ids):
         """(base ids, back): the base's set with the same drop-one values
@@ -1011,10 +983,6 @@ class SubstituteCloneOracle(RankOracle):
         return real[:k] + [source] + real[k:], lambda full, drops: (
             full, drops[:k] + drops[k + 1 :] + [drops[k]]
         )
-
-    def _rank_without_each(self, ids):
-        real, back = self._on_base(ids)
-        return back(*self.base._rank_without_each(real))
 
     def _rank_without_each_many(self, sets):
         # every set onto its base set, then one base call

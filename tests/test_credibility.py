@@ -375,6 +375,18 @@ def test_fee_operator_validation():
         FeeOperator(fee_per_unit=1.0, stake=1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"])
+def test_fee_and_deposit_must_be_finite_numbers(bad):
+    # a NaN or infinite amount would reach the deposit ledger and every
+    # surplus; a string would fail a comparison with a bare TypeError
+    with pytest.raises(ConfigError):
+        FeeOperator(fee_per_unit=bad)
+    with pytest.raises(ConfigError):
+        FeeOperator(fee_per_unit=1.0, stake=bad)
+    with pytest.raises(ConfigError):
+        run_dra([9.0, 6.0, 3.0], token_matroid(), UniformPrior(1.0, 11.0), operator_deposit=bad)
+
+
 def test_zero_stake_operator_gains_nothing_from_payment_raise():
     oracle, result = ghost_result()
     op = FeeOperator(fee_per_unit=1.0, stake=0.0)

@@ -671,6 +671,24 @@ def test_clinching_clock_stops_just_below_a_value():
     assert out.payments == {0: 0.0, 1: 3000.0}
 
 
+def test_clinching_ranks_fractional_laminar_rounds_in_one_call(monkeypatch):
+    # every laminar oracle batches its drops, integer or not: one
+    # `rank_without_each_many` call per run ranks all of its rounds
+    oracle = LaminarOracle([1.5, 0.25, 2.75], [0, 0, 1], [1.0, 2.5])
+    calls, many = [], oracle.rank_without_each_many
+
+    def counted(sets):
+        calls.append(len(sets))
+        return many(sets)
+
+    monkeypatch.setattr(oracle, "rank_without_each_many", counted)
+    monkeypatch.setattr(oracle, "rank_without_each", None)
+    for transcript in (None, ClinchTranscript(commitment_root="r00t")):
+        calls.clear()
+        clinching_auction(oracle, [3.0, 2.0, 5.0], step=0.5, transcript=transcript)
+        assert calls == [3]
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_clinching_ranks_only_the_sets_it_logs(seed, n, grid):

@@ -393,9 +393,9 @@ def test_rank_without_each_many_is_a_pass_per_set(data):
     got = oracle.rank_without_each_many(sets)
     want = [twin.rank_without_each(s) for s in sets]
     assert repr(got) == repr(want), kind
-    # only integer laminar loads, under a clone or not, take the array pass
+    # every laminar oracle, under a clone or not, takes the array pass
     laminar = getattr(oracle, "base", oracle)
-    assert oracle.batches_drops == (isinstance(laminar, LaminarOracle) and laminar._integral)
+    assert oracle.batches_drops == isinstance(laminar, LaminarOracle)
 
 
 def test_rank_without_each_many_keeps_signed_zeros():
@@ -405,6 +405,15 @@ def test_rank_without_each_many_keeps_signed_zeros():
         oracle = LaminarOracle([0.0, -0.0, 1.0], [0, 0, len(caps) - 1], caps, root_cap=root)
         assert oracle.batches_drops
         want = [oracle.rank_without_each(s) for s in sets]
+        assert repr(oracle.rank_without_each_many(sets)) == repr(want)
+
+
+def test_laminar_drop_one_pass_keeps_rank_signed_zeros():
+    # the array pass keeps each zero's sign as `rank` gives it
+    sets = [[], [0], [0, 1], [0, 1, 2], [2]]
+    for caps, root in (([-0.0], math.inf), ([-0.0, -0.0], -0.0), ([-0.0, 2.0], math.inf)):
+        oracle = LaminarOracle([0.0, -0.0, 1.0], [0, 0, len(caps) - 1], caps, root_cap=root)
+        want = [_drop_one_by_rank(oracle, s) for s in sets]
         assert repr(oracle.rank_without_each_many(sets)) == repr(want)
 
 
@@ -466,10 +475,11 @@ def prefix_oracles(draw):
         laminar, _ = draw(laminar_instances(integer=kind == "laminar"))
         return kind, laminar, _twin_laminar(laminar), kind == "laminar"
     elif kind == "clone":
-        laminar, _ = draw(laminar_instances(integer=True))
+        integer = draw(st.booleans())
+        laminar, _ = draw(laminar_instances(integer=integer))
         source = draw(st.integers(0, laminar.n - 1))
         clone = SubstituteCloneOracle(laminar, source)
-        return kind, clone, SubstituteCloneOracle(_twin_laminar(laminar), source), True
+        return kind, clone, SubstituteCloneOracle(_twin_laminar(laminar), source), integer
     elif kind == "entangled":
         build = lambda: entangled_oracle(n)
     elif kind == "staircase":
