@@ -613,14 +613,13 @@ class MaxflowOracle(RankOracle):
 
 @lru_cache(maxsize=64)
 def _group_layout(n, group_members):
-    """(ids, slot, spot, tri) of a `LaminarOracle` over ids 0..n-1 with
-    these groups, built once per layout and read-only. ids is an (S,
-    groups) array, S = M + 1 for the largest group M: column g holds
-    group g's members in id order, padded with id n, and its last row is
-    the clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
+    """(ids, slot, spot) of a `LaminarOracle` over ids 0..n-1 with these
+    groups, built once per layout and read-only. ids is an (S, groups)
+    array, S = M + 1 for the largest group M: column g holds group g's
+    members in id order, padded with id n, and its last row is the
+    clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
     clone's. spot[a] = g * S + slot[a] for a's group g is a's place in
-    the (group, slot) rows flattened. tri[a, c] = c < a marks the slots
-    before a."""
+    the (group, slot) rows flattened."""
     size = max(map(len, group_members)) + 1
     ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in group_members]).T
     slot = [size - 1] * (n + 1)
@@ -629,7 +628,7 @@ def _group_layout(n, group_members):
         for k, a in enumerate(members):
             slot[a] = k
             spot[a] = g * size + k
-    layout = ids, np.array(slot), np.array(spot), np.tri(size, k=-1, dtype=bool)[:, :, None]
+    layout = ids, np.array(slot), np.array(spot)
     for array in layout:
         array.flags.writeable = False
     return layout
@@ -780,7 +779,7 @@ class LaminarOracle(RankOracle):
         own cap, not the market's outcome."""
         if not self._slack_root:
             return None
-        ids, _, spot, _, _ = self._slots
+        ids, _, spot = self._slots
         size, groups = ids.shape
         if clone_of is not None:
             spot = np.append(spot, self._group_list[clone_of] * size + size - 1)
@@ -790,24 +789,30 @@ class LaminarOracle(RankOracle):
 
     @cached_property
     def _slots(self):
-        """(ids, slot, spot, tri, demand) for `settle` and
-        `group_outcome`: the layout's arrays (`_group_layout`), shared by
-        every oracle with the same groups, then demand, the demands by id
-        and 0.0 at id n, which id -1 reads too."""
-        return (*_group_layout(self.n, self.group_members), np.append(self.demands, 0.0))
+        """(ids, slot, spot) for `settle` and `group_outcome`: the
+        layout's arrays (`_group_layout`), shared by every oracle with the
+        same groups."""
+        return _group_layout(self.n, self.group_members)
 
-    def settle(self, bids, groups, sources, levels):
+    def settle(self, bids, groups, sources, levels, demands=None):
         """Greedy allocation and threshold payments of groups settled
         alone, W rows in one array pass.
 
-        Row w settles group `groups[w]` (an index into `group_members`) on
-        its own cap under bid row w: `bids` is one (n,) vector shared by
-        every row or a (W, n) matrix, finite and nonnegative. With `sources[w]` a member of that group
-        (-1 for none) the row adds a substitute clone of it bidding
-        `levels[w]`, at any level; every level must be finite and
-        nonnegative, and a row without a clone leaves its level unused.
-        With a slack root a row is the group's share of the market's
-        outcome (the closed form behind `threshold_outcome`); with a
+        Row w settles group `groups[w]` (an int in [0, groups), an index
+        into `group_members`) on its own cap under bid row w: `bids` is
+        one (n,) vector shared by every row or a (W, n) matrix, finite and
+        nonnegative. `demands` is the same for the demands a row settles
+        on, finite and nonnegative too, and defaults to the oracle's own.
+        With `sources[w]` a member of that group (-1 for none) the row
+        adds a substitute clone of it bidding `levels[w]`, at any level;
+        every level must be finite and nonnegative, and a row without a
+        clone leaves its level unused. Any other input raises
+        `DomainError`. A row's arithmetic reads only its own bids, demands
+        and group, and never depends on the other rows of the call, so
+        rows of oracles that share groups and caps, each with its own
+        demands, settle in one call bitwise as each would alone on its own
+        oracle. With a slack root a row is the group's share of the
+        market's outcome (the closed form behind `threshold_outcome`); with a
         binding root it is the group standing on its own cap. Returns
         (alloc, pay), two (W, M + 1) float arrays: row w holds its group's
         members in `group_members` order, zero-padded to the largest group
@@ -825,6 +830,11 @@ class LaminarOracle(RankOracle):
         - d_a))), T(z) the footprint demand strictly above z, and
         p_a = b_a x_a - integral_0^b_a x_a(z) dz (Archer & Tardos).
 
+        The footprint demand ahead of a slot, and T(z), are running sums
+        of the loads in greedy order (bid high to low, a tie to the
+        earlier slot), added one footprint at a time from the highest, as
+        the greedy fill adds them.
+
         Exactness invariant: with integer-valued demands and caps (the
         simulator's unit sizes times arrival counts, integer pod caps)
         every load is an exact float in any summation order, and so is
@@ -840,20 +850,34 @@ class LaminarOracle(RankOracle):
         Python's `sum` adds floats left to right, as CPython 3.11 does.
         """
         bids = np.asarray(bids, dtype=float)
-        groups = np.asarray(groups, dtype=int)
+        groups = np.asarray(groups)
+        if not groups.size:  # an empty list reads as floats
+            groups = groups.astype(int)
         sources = np.asarray(sources, dtype=int)
         levels = np.asarray(levels, dtype=float)
+        demands = self.demands if demands is None else np.asarray(demands, dtype=float)
         n, rows = self.n, len(groups)
-        ids, slot, _, tri, pad = self._slots
-        if bids.shape not in ((n,), (rows, n)) or not (
-            groups.shape == sources.shape == levels.shape == (rows,)
+        ids, slot, _ = self._slots
+        if not (
+            bids.shape in ((n,), (rows, n)) and demands.shape in ((n,), (rows, n))
+            and groups.shape == sources.shape == levels.shape == (rows,)
         ):
-            raise DomainError("settle needs a group, a source and a level per bid row")
+            raise DomainError(
+                "settle needs a group, a source and a level per bid row, and "
+                "bids and demands as one row or a row each"
+            )
+        if groups.dtype.kind not in "iu" or not (
+            0 <= groups.min(initial=0) and groups.max(initial=0) < ids.shape[1]
+        ):
+            raise DomainError(f"group ids must be ints in [0, {ids.shape[1]})")
+        # a NaN fails both comparisons
+        for x in (bids, demands):
+            if not (0.0 <= x.min(initial=0.0) and x.max(initial=0.0) < math.inf):
+                raise DomainError("bids and demands must be finite and nonnegative")
         # (slot, row) arrays, the long row axis innermost so that every
         # array op makes few, long inner loops: np.take keeps that order,
         # where ids[:, groups] would lay rows outermost and make every
-        # mixed op strided. Bid and demand column n holds the 0.0 that
-        # padding id n and clone id -1 read
+        # mixed op strided
         row = np.arange(rows)
         member = ids.take(groups, axis=1)
         # a source's slot holds its id only inside its row's group; -1
@@ -869,13 +893,16 @@ class LaminarOracle(RankOracle):
                 "each clone needs a source in its row's group and a finite "
                 "nonnegative level"
             )
-        table = np.zeros((rows, n + 1))
-        table[:, :n] = bids
-        bid = table[row, member]
+        # the clone slot reads its source's demand, and padding id n, or
+        # id n standing for no clone, reads 0.0
+        member[-1] = np.where(sources >= 0, sources, n)
+        col = np.minimum(member, n - 1)
+        bid, demand = (
+            np.where(member < n, x[col] if x.ndim == 1 else x[row, col], 0.0)
+            for x in (bids, demands)
+        )
         level = np.where(sources >= 0, levels, 0.0)
         bid[-1] = level
-        demand = pad[member]
-        demand[-1] = pad[sources]
         cap = self.group_caps[groups]
         # a footprint's load is its demand while it bids; the pair's goes to
         # the source on a tie, and each of the two is zero below the
@@ -887,23 +914,31 @@ class LaminarOracle(RankOracle):
         floor = np.zeros_like(bid)
         floor[at, row] = level
         floor[-1] = source_bid
-        # c is ahead of a above it, or tied in an earlier slot
-        ahead = np.where(tri, bid >= bid[:, None], bid > bid[:, None])
-        residual = np.maximum(0.0, cap - np.einsum("acw,cw->aw", ahead, load))
+        # greedy order: bid high to low, a tie to the earlier slot. above[q]
+        # is the load of the first q footprints, added in that order, so
+        # the load ahead of a slot, and T(z), are entries of it
+        order = np.argsort(-bid, axis=0, kind="stable")
+        above = np.zeros((len(ids) + 1, rows))
+        np.cumsum(load[order, row], axis=0, out=above[1:])
+        place = np.empty_like(order)
+        place[order, row] = np.arange(len(ids))[:, None]
+        residual = np.maximum(0.0, cap - above[place, row])
         alloc = np.minimum(load, residual)
         # segment k spans zs[k]..zs[k+1]; T at its midpoint is constant on it
         zs = np.sort(np.vstack((np.zeros(rows), bid)), axis=0)
         lo, hi = zs[:-1], zs[1:]
         mid = (lo + hi) / 2.0
-        t = np.einsum("kcw,cw->kw", bid > mid[:, None], load)
-        # (segment, slot, row) areas: a slot's curve from its floor up to
-        # its bid, zero width elsewhere
-        curve = np.maximum(0.0, demand + np.minimum(0.0, cap - t)[:, None])
+        t = above[(bid > mid[:, None]).sum(axis=1), row]
+        # a slot's area on each segment: its curve from its floor up to its
+        # bid, zero width elsewhere. The areas are added from the lowest
+        # segment, one (slot, row) array at a time
         inside = (hi[:, None] <= bid) & (mid[:, None] >= floor)
-        areas = curve * ((hi - lo)[:, None] * inside)
-        area = areas[0]
-        for segment in areas[1:]:
-            area = area + segment
+        area = None
+        for width, within, short in zip(hi - lo, inside, np.minimum(0.0, cap - t)):
+            segment = demand + short
+            np.maximum(0.0, segment, out=segment)
+            segment *= width * within
+            area = segment if area is None else area + segment
         pay = np.where(alloc > RANK_TOL, bid * alloc - area, 0.0)
         return alloc.T, pay.T
 

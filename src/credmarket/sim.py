@@ -9,17 +9,20 @@ best unexpired value and the round demand is the arrived unit count.
 The root never binds, so a round's `LaminarOracle` (pods as groups)
 settles in closed form, as `mechanisms.vcg_outcome` would, and the ghost
 world as it would on a `SubstituteCloneOracle` over it. One engine,
-`LaminarOracle.settle`, prices every pod in an array pass, and a round
-makes one call to it (`RoundProfile.settlement`): a row per pod for the
-honest world, then a row per phantom placement for the ghost scan. The
-operator's pick is read off its placement row, and exp1 certifies it with
-one more call: a row per distinct world of `adversary.ghost_certificates`,
-the certificate families `apply_deviation` tries. Each agent's
-draws replay numpy's seeded PCG64 stream (`_stream`). A runner iterates
-a seed's rounds (`seed_rounds`): a block of rounds hashes all of its
-(round, agent) streams in one pass and draws every stream's tasks in one
-lane-parallel array pass, and each round's bids and demands are a row of
-the block's arrays.
+`LaminarOracle.settle`, prices every pod in an array pass, each row on
+its own bids and demands. A round's rows (`RoundProfile.settlement`) are
+a row per pod for the honest world, then a row per phantom placement for
+the ghost scan, and a round settles in one call with the rounds after it
+in its block, up to SETTLE_ROWS rows (`_Chunks`); one array pass lists
+the block's placements. The operator's pick is read off its placement
+row. exp1 certifies its picks together: each distinct world of
+`adversary.ghost_certificates`, the certificate families
+`apply_deviation` tries, is a row of one call on its round's demands.
+Each agent's draws replay numpy's seeded PCG64 stream (`_stream`). A
+runner iterates a seed's rounds (`seed_rounds`): a block of rounds
+hashes all of its (round, agent) streams in one pass and draws every
+stream's tasks in one lane-parallel array pass, and each round's bids
+and demands are a row of the block's arrays.
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -43,7 +46,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import chain, product
+from itertools import accumulate, chain, product, repeat
 
 import numpy as np
 
@@ -92,6 +95,11 @@ MAX_ARRIVAL_RATE = 1e3
 #: pass draws: a pass holds a few (rounds x agents) uint64 and float
 #: arrays, so long runs draw in blocks
 HASH_BLOCK_ROUNDS = 128
+
+#: most rows of one `LaminarOracle.settle` call: a round settles with the
+#: rounds after it in its block, and exp1 certifies its picks together,
+#: up to this many rows (a round or a pick with more takes a call alone)
+SETTLE_ROWS = 256
 
 SCENARIO_SCHEMA_VERSION = 1
 POS_TOL = 1e-9
@@ -234,13 +242,18 @@ class ScenarioConfig:
 class RoundProfile:
     """One round's realized market: bids, unit demands, pod structure.
     Its oracle and its settlement are built once, on first use, so the
-    arrays are not to change afterwards."""
+    arrays are not to change afterwards. `chunks` holds the bid and demand
+    rows of the block `seed_rounds` drew the round with, `index` its row
+    there; any other profile, a copy made with `dataclasses.replace`
+    included, is a block of one."""
 
     bids: np.ndarray
     demands: np.ndarray
     pod_of: np.ndarray
     pod_caps: np.ndarray
     root_cap: float
+    chunks: "_Chunks" = field(default=None, init=False, repr=False, compare=False)
+    index: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -255,39 +268,112 @@ class RoundProfile:
 
     @cached_property
     def settlement(self):
-        """The round's one `LaminarOracle.settle` call, as (alloc, pay,
-        placements): its first rows settle each pod honestly, in pod
-        order, and row pods + w the phantom placement w = (pod, source,
-        level, covered). Placements are listed before the honest
-        allocation is known; `covered` says whether the source's pod
-        opponents' demand covers the pod cap, and `ghost_candidates`
-        drops the live winners without that cover."""
-        oracle = self.oracle
-        bids, demands = self.bids.tolist(), self.demands.tolist()
-        if not all(0.0 <= b < math.inf for b in bids):
-            raise DomainError("bids must be finite and nonnegative")
-        caps = self.pod_caps.tolist()
-        placements = []
-        for p, members in enumerate(oracle.group_members):
-            levels = sorted((bids[a] for a in members if bids[a] > 0), reverse=True)
-            if not levels:
-                continue
-            total = sum(demands[m] for m in members)
-            for source in members:
-                if demands[source] <= 0:
-                    continue
-                covered = total - demands[source] >= caps[p] - POS_TOL
-                tops = [lv for lv in levels if lv > bids[source]]
-                for w in range(len(tops)):
-                    lo = tops[w + 1] if w + 1 < len(tops) else bids[source]
-                    hi = tops[w]
-                    if hi - lo <= 1e-6:
-                        continue
-                    placements.append((p, source, lo + 0.9 * (hi - lo), covered))
-        # (pod, source, level) rows: the honest pods have no clone
-        rows = [(p, -1, 0.0) for p in range(len(caps))] + [x[:3] for x in placements]
-        alloc, pay = oracle.settle(bids, *zip(*rows))
-        return alloc, pay, placements
+        """The round's rows of a `LaminarOracle.settle` call, as (alloc,
+        pay, placements): its first rows settle each pod honestly, in pod
+        order, and row pods + w the phantom placement w. `placements` is
+        the arrays (pod, source, level, covered), an entry per placement.
+        Placements are listed before the honest allocation is known;
+        `covered` says whether the source's pod opponents' demand covers
+        the pod cap, and `ghost_candidates` drops the live winners without
+        that cover. The call settles this round and the unsettled rounds
+        after it in its block (`_Chunks`)."""
+        chunks = self.chunks
+        if chunks is None:
+            chunks = _Chunks(self.bids[None], self.demands[None])
+        return chunks.take(self.index, self.oracle)
+
+
+def _placements(bids, demands, oracle):
+    """Every phantom placement of each round of (rounds, n) bids and
+    demands on the pods of `oracle`, as arrays (round, pod, source, level,
+    covered) in round, pod, source and window order. A source is a pod
+    member with demand. Its windows lie between adjacent pod bids above
+    its own, the lowest ending at its bid, and a placement sits 0.9 of the
+    way up each window wider than 1e-6, at lo + 0.9 * (hi - lo) as a
+    scalar would compute it. `covered` says whether the source's pod
+    opponents' demand, the pod total added in member order, covers the
+    pod cap."""
+    ids = _pod_members(oracle)
+    pad = np.zeros((len(bids), 1))
+    bid, demand = (np.hstack((x, pad))[:, ids] for x in (bids, demands))
+    # (round, pod, slot) arrays: each pod's bids high to low, then 0.0.
+    # Window j spans top j + 1 up to top j, and a source's windows are
+    # those under the tops above its bid: its own bid is the next top below
+    tops = -np.sort(-bid, axis=2)
+    after = np.concatenate((tops[..., 1:], np.zeros_like(tops[..., :1])), axis=2)
+    above = (tops[:, :, None, :] > bid[..., None]).sum(axis=3)
+    # (round, pod, source, window) flags
+    placed = (
+        (np.arange(ids.shape[1]) < above[..., None])
+        & (tops - after > 1e-6)[:, :, None, :]
+        & (demand > 0)[..., None]
+    )
+    r, p, k, j = np.nonzero(placed)
+    lo, hi = after[r, p, j], tops[r, p, j]
+    total = np.cumsum(demand, axis=2)[..., -1:]
+    covered = total - demand >= oracle.group_caps[:, None] - POS_TOL
+    return r, p, ids[p, k], lo + 0.9 * (hi - lo), covered[r, p, k]
+
+
+def _pod_members(oracle):
+    """Each pod's member ids in id order, padded with id n to the largest
+    pod: the rows `LaminarOracle.settle` lays a pod's members in, bar the
+    clone's."""
+    return oracle._slots[0][:-1].T
+
+
+class _Chunks:
+    """A block's bid and demand rows, one per round, settled a chunk at a
+    time. The first read lists the block's placements in one array pass
+    (`_placements`). Reading round i's settlement settles i and the
+    unsettled rounds after it, as many as fit in SETTLE_ROWS rows (one
+    round at least), in one `settle` call with each row's own demands, on
+    any oracle of the block's pod layout. Each round's slice waits here
+    until its profile takes it. No profile is held, so a profile is freed
+    with its round."""
+
+    def __init__(self, bids, demands):
+        self.bids, self.demands = bids, demands
+        self.placed = None  # the block's placements, and each round's first
+        self.waiting = {}  # round -> its (alloc, pay, placements)
+        self.done = set()
+
+    def take(self, index, oracle):
+        if index not in self.waiting:
+            self._settle(index, oracle)
+        return self.waiting.pop(index)
+
+    def _settle(self, start, oracle):
+        pods = len(oracle.group_members)
+        if self.placed is None:
+            placed = _placements(self.bids, self.demands, oracle)
+            first = np.searchsorted(placed[0], np.arange(len(self.bids) + 1)).tolist()
+            self.placed = placed[1:], first
+        placed, first = self.placed
+        counts = []  # the chunk's rounds' row counts
+        for r in range(start, len(self.bids)):
+            count = pods + first[r + 1] - first[r]
+            if r in self.done or counts and sum(counts) + count > SETTLE_ROWS:
+                break
+            counts.append(count)
+        rounds = range(start, start + len(counts))
+        self.done.update(rounds)
+        # (pod, source, level) rows: each round's honest pods with no
+        # clone, then its placements
+        honest = np.arange(pods), np.full(pods, -1), np.zeros(pods)
+        pieces = []
+        for r in rounds:
+            pieces += [honest, [x[first[r] : first[r + 1]] for x in placed[:3]]]
+        groups, sources, levels = (np.concatenate(x) for x in zip(*pieces))
+        index = np.repeat(rounds, counts)
+        alloc, pay = oracle.settle(
+            self.bids[index], groups, sources, levels, self.demands[index]
+        )
+        for r, count, end in zip(rounds, counts, accumulate(counts)):
+            self.waiting[r] = (
+                alloc[end - count : end], pay[end - count : end],
+                tuple(x[first[r] : first[r + 1]] for x in placed),
+            )
 
 
 def generate_round(config, seed, round_index):
@@ -352,11 +438,15 @@ def _realize(config, seed, start, count):
         lanes = Lanes(seed_states(rows.reshape(-1, rows.shape[-1])))
         bids, counts = _draw_tasks(config, lanes, np.tile(tier, end - start))
         demands = (counts.reshape(-1, n) * units).astype(float)
-        for b, d in zip(bids.reshape(-1, n), demands):
-            yield RoundProfile(
+        bids = bids.reshape(-1, n)
+        chunks = _Chunks(bids, demands)
+        for index, (b, d) in enumerate(zip(bids, demands)):
+            profile = RoundProfile(
                 bids=b, demands=d, pod_of=pod_of, pod_caps=pod_caps,
                 root_cap=config.tier_capacities[-1],
             )
+            profile.chunks, profile.index = chunks, index
+            yield profile
         start = end
 
 
@@ -403,9 +493,9 @@ def arrival_order(config, seed, round_index):
 
 def settle_threshold(profile):
     """Honest greedy + threshold payments on the round's oracle,
-    `vcg_outcome(profile.oracle, bids)` bitwise: read off the pod rows of
-    the round's one settle call (`RoundProfile.settlement`), or, should
-    the root bind, taken from `vcg_outcome` itself."""
+    `vcg_outcome(profile.oracle, bids)` bitwise: read off the round's pod
+    rows (`RoundProfile.settlement`), or, should the root bind, taken from
+    `vcg_outcome` itself."""
     alloc, pay, _ = profile.settlement
     honest = profile.oracle.group_outcome(alloc, pay)
     if honest is None:
@@ -461,38 +551,32 @@ def ghost_candidates(profile, alloc=None, pay=None):
     field); sleepers and already-displaced members carry no such burden.
     Candidate levels sit inside each bid window above the source.
 
-    Every placement is a row of the round's one `LaminarOracle.settle`
-    call (`RoundProfile.settlement`), after the pods' honest rows; the
-    cover test against `alloc` drops rows here. Surplus and damage then
-    add up over each pod's members in id order, from 0.0, as a running sum
+    Every placement is a row of the round's `LaminarOracle.settle` call
+    (`RoundProfile.settlement`), after the pods' honest rows; the cover
+    test against `alloc` drops rows here. Surplus and damage then add up
+    over each pod's members in id order, from 0.0, as a running sum
     would.
     """
     if alloc is None or pay is None:
         alloc, pay = settle_threshold(profile)
-    rows_alloc, rows_pay, placements = profile.settlement
-    bids = profile.bids.tolist()
-    first = len(profile.pod_caps)
-    kept = [
-        (first + w, p, source, level)
-        for w, (p, source, level, covered) in enumerate(placements)
-        if covered or not (bids[source] > 0 and alloc.get(source, 0.0) > POS_TOL)
-    ]
-    if not kept:
+    rows_alloc, rows_pay, (pods, sources, levels, covered) = profile.settlement
+    n = profile.n
+    # the honest allocation, payment and bid by id, and 0.0 at id n, which
+    # pads each pod's members as the settlement pads its rows
+    honest = np.array([
+        [*map(alloc.get, range(n), repeat(0.0)), 0.0],
+        [*map(pay.get, range(n), repeat(0.0)), 0.0],
+        [*profile.bids.tolist(), 0.0],
+    ])
+    live = (honest[2, sources] > 0) & (honest[0, sources] > POS_TOL)
+    kept = np.flatnonzero(covered | ~live)
+    if not kept.size:
         return []
-    rows, pods, sources, levels = map(list, zip(*kept))
+    pods, sources, levels = pods[kept], sources[kept], levels[kept]
+    rows = len(profile.pod_caps) + kept
     # the members' columns: the phantom's payment is no one's surplus
     dev_alloc, dev_pay = rows_alloc[rows, :-1], rows_pay[rows, :-1]
-    # each placement's pod members, padded with id n as the settlement pads
-    # its rows, and their honest allocation, payment and bid
-    oracle = profile.oracle
-    n, width = profile.n, dev_alloc.shape[1]
-    padded = [[*m, *[n] * (width - len(m))] for m in oracle.group_members]
-    honest = np.array([
-        [*(alloc.get(a, 0.0) for a in range(n)), 0.0],
-        [*(pay.get(a, 0.0) for a in range(n)), 0.0],
-        [*bids, 0.0],
-    ])
-    alloc_h, pay_h, bid = honest[:, np.array(padded)[pods]]
+    alloc_h, pay_h, bid = honest[:, _pod_members(profile.oracle)[pods]]
     # running sums from 0.0 in member order: a leading zero, then cumsum
     zero = np.zeros((len(kept), 1))
     surplus = np.cumsum(np.hstack((zero, dev_pay - pay_h)), axis=1)[:, -1]
@@ -500,7 +584,8 @@ def ghost_candidates(profile, alloc=None, pay=None):
     return [
         GhostCandidate(s, d, source, level, p, row)
         for s, d, row, p, source, level in zip(
-            surplus.tolist(), damage.tolist(), rows, pods, sources, levels
+            surplus.tolist(), damage.tolist(), rows.tolist(), pods.tolist(),
+            sources.tolist(), levels.tolist(),
         )
         if s > POS_TOL
     ]
@@ -525,18 +610,27 @@ def _ghost_world(profile, pick, honest):
     return alloc, pay
 
 
-def _certify_pick(profile, pick, honest, deviated):
-    """Each moved agent's certificate for the pick's deviated world: the
-    first of `adversary.ghost_certificates` whose honest run reproduces
-    its allocation and payment within 1e-7, as `Certificate.matches`
-    would, or None. An agent whose view did not move holds the honest
-    profile.
+@dataclass
+class _Claim:
+    """A pick's certificate worlds as settle rows, (profile, pod, entrant
+    source or -1, entrant level), with its round's demands, and the trials
+    of its moved agents in order: (agent, certificate, world, slot, seen
+    allocation, seen payment)."""
+
+    demands: np.ndarray
+    worlds: list
+    trials: list
+
+
+def _claim(profile, pick, honest, deviated):
+    """The certificates to replay for the pick's deviated world: the
+    worlds of `adversary.ghost_certificates` proposed to a moved agent, or
+    to the source whether it moved or not, each distinct world once. An
+    agent whose view did not move holds the honest profile.
 
     Only the pick's pod members move, and the root is slack, so a
-    certificate world settles on that pod alone. Each distinct world
-    proposed to a moved agent, or to the source whether it moved or not,
-    is a row of one `settle` call, its entrant the row's clone.
-    """
+    certificate world settles on that pod alone, its entrant the row's
+    clone."""
     (alloc_h, pay_h), (alloc_d, pay_d) = honest, deviated
     bids = profile.bids.tolist()
     members = profile.oracle.group_members[pick.pod]
@@ -553,21 +647,45 @@ def _certify_pick(profile, pick, honest, deviated):
     for _, cert, key in tried:
         worlds.setdefault(key, cert)
     row = {key: w for w, key in enumerate(worlds)}
-    clones = [
-        (c.entrant["source"], c.entrant["level"]) if c.entrant else (-1, 0.0)
-        for c in worlds.values()
-    ]
-    alloc, pay = profile.oracle.settle(
-        [c.profile for c in worlds.values()], [pick.pod] * len(worlds), *zip(*clones)
+    return _Claim(
+        profile.demands,
+        [
+            (c.profile, pick.pod, *(
+                (c.entrant["source"], c.entrant["level"]) if c.entrant else (-1, 0.0)
+            ))
+            for c in worlds.values()
+        ],
+        [
+            (a, cert, row[key], members.index(a), alloc_d[a], pay_d[a])
+            for a, cert, key in tried if a in moved
+        ],
     )
-    kept = {}
-    for a, cert, key in tried:
-        if a not in moved or kept.get(a) is not None:
-            continue
-        w, slot = row[key], members.index(a)
-        x, p = alloc[w, slot], pay[w, slot]
-        kept[a] = cert if abs(x - alloc_d[a]) <= 1e-7 and abs(p - pay_d[a]) <= 1e-7 else None
-    return kept
+
+
+def _certify(oracle, claims):
+    """Each claim's kept certificates, {moved agent: the first certificate
+    whose honest run reproduces its allocation and payment within 1e-7, as
+    `Certificate.matches` would, or None}. Every claim's worlds are rows of
+    one `settle` call on `oracle`, any oracle of the rounds' pod layout,
+    each row on its own round's demands."""
+    profiles, pods, sources, levels = zip(*(w for c in claims for w in c.worlds))
+    demands = np.repeat([c.demands for c in claims], [len(c.worlds) for c in claims], axis=0)
+    alloc, pay = oracle.settle(profiles, pods, sources, levels, demands)
+    verdicts, first = [], 0
+    for claim in claims:
+        kept = {}
+        for a, cert, w, slot, x_d, p_d in claim.trials:
+            if kept.get(a) is None:
+                x, p = alloc[first + w, slot], pay[first + w, slot]
+                kept[a] = cert if abs(x - x_d) <= 1e-7 and abs(p - p_d) <= 1e-7 else None
+        verdicts.append(kept)
+        first += len(claim.worlds)
+    return verdicts
+
+
+def _certify_pick(profile, pick, honest, deviated):
+    """The pick's kept certificates (`_certify`), a batch of one."""
+    return _certify(profile.oracle, [_claim(profile, pick, honest, deviated)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -615,6 +733,9 @@ def _conc(rows):
 
 def _exp1_seed(config, seed):
     rows, surplus_series, certified, picks = [], [], [], []
+    # picks awaiting certification, certified together in at most
+    # SETTLE_ROWS rows
+    claims, waiting = [], 0
     for r, profile in enumerate(seed_rounds(config, seed)):
         alloc_h, pay_h = settle_threshold(profile)
         honest, _, _ = _world(profile, alloc_h, pay_h)
@@ -627,13 +748,19 @@ def _exp1_seed(config, seed):
             continue
         alloc_d, pay_d = _ghost_world(profile, pick, (alloc_h, pay_h))
         deviated, _, _ = _world(profile, alloc_d, pay_d)
-        kept = _certify_pick(profile, pick, (alloc_h, pay_h), (alloc_d, pay_d))
-        certified.append(None not in kept.values())
+        claim = _claim(profile, pick, (alloc_h, pay_h), (alloc_d, pay_d))
+        if claims and waiting + len(claim.worlds) > SETTLE_ROWS:
+            certified += [None not in kept.values() for kept in _certify(profile.oracle, claims)]
+            claims, waiting = [], 0
+        claims.append(claim)
+        waiting += len(claim.worlds)
         surplus_series.append(deviated[0] - honest[0])
         picks.append(
             {"seed": seed, "round": r, "source": pick.source, "level": pick.level}
         )
         rows.append(_row(r, seed, "vcg-ghost", honest, deviated))
+    if claims:
+        certified += [None not in kept.values() for kept in _certify(profile.oracle, claims)]
     return rows, surplus_series, certified, picks
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -540,11 +541,16 @@ def test_rank_prefixes_rejects_bad_and_repeated_ids():
 BIDS = st.sampled_from([0.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 20.0)
 
 
+#: demands from a grid of integers, or any float
+DEMANDS = st.sampled_from([0.0, 1.0, 3.0, 8.0]) | st.floats(0.0, 10.0)
+
+
 @st.composite
 def settle_rows(draw, integer):
-    """A laminar oracle, bids (one shared vector or a row each) and 1-6
-    rows (group, source or -1, level), each clone level below, at or above
-    its source's bid or tied with a member's."""
+    """A laminar oracle, bids (one shared vector or a row each), 1-6 rows
+    (group, source or -1, level), each clone level below, at or above its
+    source's bid or tied with a member's, and a demand row for each row,
+    integer or fractional."""
     oracle, _ = draw(laminar_instances(integer))
     n, groups = oracle.n, oracle.group_members
     count = draw(st.integers(1, 6))
@@ -564,7 +570,8 @@ def settle_rows(draw, integer):
         ties = [row_bids[m] for m in groups[g]]
         level = draw(st.sampled_from([b, b / 2.0, b + 0.5, *ties]) | BIDS)
         rows.append((g, source, level))
-    return oracle, bids, rows
+    demands = [draw(st.lists(DEMANDS, min_size=n, max_size=n)) for _ in rows]
+    return oracle, bids, rows, demands
 
 
 def _rows_against_reference(oracle, bids, rows):
@@ -589,22 +596,30 @@ def _rows_against_reference(oracle, bids, rows):
 @given(settle_rows(integer=True))
 @settings(max_examples=300, deadline=None)
 def test_batch_placements_are_bitwise_settle_group(case):
-    oracle, bids, rows = case
+    oracle, bids, rows, demands = case
     for got, want in _rows_against_reference(oracle, bids, rows):
         assert repr(got) == repr(want)
-    # a row settled alone (W = 1) is its batch row
-    batch = oracle.settle(bids, *zip(*rows))
-    for w, row in enumerate(rows):
-        row_bids = bids[w] if np.ndim(bids) == 2 else bids
-        alone = oracle.settle(row_bids, *zip(row))
-        assert repr(alone[0].tolist()) == repr(batch[0][w : w + 1].tolist())
-        assert repr(alone[1].tolist()) == repr(batch[1][w : w + 1].tolist())
+    # a row settled alone (W = 1) is its batch row; a row on its own
+    # demands, integer or fractional, is that row alone on an oracle of
+    # those demands
+    own = [
+        LaminarOracle(d, oracle.group_of, oracle.group_caps, oracle.root_cap) for d in demands
+    ]
+    for batch, alone_on in (
+        (oracle.settle(bids, *zip(*rows)), [oracle] * len(rows)),
+        (oracle.settle(bids, *zip(*rows), demands), own),
+    ):
+        for w, row in enumerate(rows):
+            row_bids = bids[w] if np.ndim(bids) == 2 else bids
+            alone = alone_on[w].settle(row_bids, *zip(row))
+            assert repr(alone[0].tolist()) == repr(batch[0][w : w + 1].tolist())
+            assert repr(alone[1].tolist()) == repr(batch[1][w : w + 1].tolist())
 
 
 @given(settle_rows(integer=False))
 @settings(max_examples=200, deadline=None)
 def test_batch_placements_match_settle_group_on_float_demands(case):
-    for (alloc, pay), (want_alloc, want_pay) in _rows_against_reference(*case):
+    for (alloc, pay), (want_alloc, want_pay) in _rows_against_reference(*case[:3]):
         assert alloc == pytest.approx(want_alloc, rel=1e-9, abs=1e-9)
         assert pay == pytest.approx(want_pay, rel=1e-9, abs=1e-9)
 
@@ -659,6 +674,37 @@ def test_batch_placements_reject_levels_outside_a_window(groups, sources, levels
     oracle, bids = _sleeper_market()
     with pytest.raises(DomainError):
         oracle.settle(bids, groups, sources, levels)
+
+
+@pytest.mark.parametrize(
+    "bids, groups, demands",
+    [
+        ([math.nan, 5.0, 0.0, 2.5], [0], None),
+        ([math.inf, 5.0, 0.0, 2.5], [0], None),
+        ([-3.0, 5.0, 0.0, 2.5], [0], None),
+        ([5.0, 5.0, 0.0, 2.5], [7], None),
+        ([5.0, 5.0, 0.0, 2.5], [-1], None),
+        ([5.0, 5.0, 0.0, 2.5], [0.0], None),
+        ([5.0, 5.0, 0.0, 2.5], [True], None),
+        ([5.0, 5.0, 0.0, 2.5], [0], [4, 4, 3]),
+        ([5.0, 5.0, 0.0, 2.5], [0], [[4, 4, 3, 5]] * 2),
+        ([5.0, 5.0, 0.0, 2.5], [0], [4, 4, math.nan, 5]),
+        ([5.0, 5.0, 0.0, 2.5], [0], [4, 4, math.inf, 5]),
+        ([5.0, 5.0, 0.0, 2.5], [0], [4, -1, 3, 5]),
+    ],
+    ids=[
+        "nan-bid", "inf-bid", "negative-bid", "group-past-end", "negative-group",
+        "float-group", "bool-group", "short-demands", "extra-demand-row", "nan-demand",
+        "inf-demand", "negative-demand",
+    ],
+)
+def test_settle_rejects_bad_bids_groups_and_demands(bids, groups, demands):
+    # a bad input raises, with no NaN payment, warning or wrapped index
+    oracle = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            oracle.settle(bids, groups, [-1], [0.0], demands)
 
 
 def test_oracle_needs_one_agent():
@@ -877,13 +923,11 @@ def test_series_parallel_recognition_accepts_without_grammar():
 
 def test_laminar_layout_is_shared_and_read_only():
     # the member layout depends on the groups alone: oracles with the same
-    # groups share its arrays, and only the demand pad is their own
+    # groups share its arrays, whatever their demands and caps
     a = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
     b = LaminarOracle([1, 2, 3, 4], [0, 0, 0, 1], [8, 6])
-    *layout, pad = a._slots
-    for mine, theirs in zip(layout, b._slots):
+    assert len(a._slots) == 3
+    for mine, theirs in zip(a._slots, b._slots):
         assert mine is theirs
         with pytest.raises(ValueError):
             mine[...] = 0
-    assert pad.tolist() == [4.0, 4.0, 3.0, 5.0, 0.0]
-    assert b._slots[-1].tolist() == [1.0, 2.0, 3.0, 4.0, 0.0]

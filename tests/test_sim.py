@@ -1,10 +1,13 @@
 """Service-market simulator: scenario config, round generation, settlement
 routes, ghost scan, and the experiment runners."""
 
+import gc
 import hashlib
+import itertools
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +243,25 @@ def test_seed_rounds_draw_in_bounded_memory():
     assert peak < 2.5 * 2**20
 
 
+def test_a_round_profile_is_freed_after_its_round():
+    # a profile and its block's chunks form no reference cycle: once its
+    # round is done, a profile goes by reference counting alone, its
+    # oracle and settlement with it, while the block's later rounds wait
+    config = ScenarioConfig(rounds=12, seeds=(17,))
+    rounds = sim.seed_rounds(config, 17)
+    gc.disable()
+    try:
+        for _ in range(3):
+            profile = next(rounds)
+            best_ghost(profile, *settle_threshold(profile))
+            freed = weakref.ref(profile)
+            del profile
+            next(rounds)
+            assert freed() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("seed, r", [(-1, 0), (17, -1), (17, 1.0), (17, "1"), (True, 0)])
 def test_generate_round_rejects_bad_indices(seed, r):
     # a negative index has no entropy words: it used to loop forever
@@ -339,31 +361,67 @@ def test_ghost_scan_is_the_per_window_reference(monkeypatch, exp, config):
 
 
 def _count_settlements(monkeypatch):
-    # the row count of every `LaminarOracle.settle` call
+    # every `LaminarOracle.settle` call, as its rows (bids, demands, group,
+    # source, level), the bid and demand rows as tuples
     calls, settle = [], LaminarOracle.settle
 
-    def spy(self, bids, groups, sources, levels):
-        calls.append(len(groups))
-        return settle(self, bids, groups, sources, levels)
+    def spy(self, bids, groups, sources, levels, demands=None):
+        tables = (
+            np.broadcast_to(np.asarray(table, dtype=float), (len(groups), self.n)).tolist()
+            for table in (bids, self.demands if demands is None else demands)
+        )
+        calls.append([
+            (tuple(b), tuple(d), int(g), int(source), float(level))
+            for b, d, g, source, level in zip(*tables, groups, sources, levels)
+        ])
+        return settle(self, bids, groups, sources, levels, demands)
 
     monkeypatch.setattr(LaminarOracle, "settle", spy)
     return calls
 
 
+def _round_rows(profile):
+    # a round's settle rows: each pod honestly, then each phantom placement
+    bids, demands = tuple(profile.bids.tolist()), tuple(profile.demands.tolist())
+    _, _, (pods, sources, levels, _) = profile.settlement
+    return [(bids, demands, p, -1, 0.0) for p in range(len(profile.pod_caps))] + [
+        (bids, demands, *placement)
+        for placement in zip(pods.tolist(), sources.tolist(), levels.tolist())
+    ]
+
+
+def _check_round_calls(calls, profiles):
+    # the calls hold every round's rows exactly once, in round order, a few
+    # rounds to a call: a call ends only where a round ends, and holds at
+    # most SETTLE_ROWS rows
+    calls = list(calls)
+    rows = [_round_rows(profile) for profile in profiles]
+    assert sum(calls, []) == sum(rows, [])
+    ends = set(itertools.accumulate(map(len, rows)))
+    assert set(itertools.accumulate(map(len, calls))) <= ends
+    assert max(map(len, calls)) <= sim.SETTLE_ROWS
+    assert len(calls) < len(profiles)
+
+
 def test_ghost_scan_settles_no_single_window(monkeypatch):
     config = ScenarioConfig(rounds=10, seeds=(17,))
     calls = _count_settlements(monkeypatch)
-    found = 0
+    profiles, found = [], 0
     for profile in sim.seed_rounds(config, 17):
-        calls.clear()
         honest = settle_threshold(profile)
         cands = ghost_candidates(profile, *honest)
-        # one call a round for the honest world and every placement: a row
-        # per pod, then a row per placement
-        assert len(calls) == 1 and calls[0] >= len(profile.pod_caps) + len(cands)
+        # each candidate is its own placement's row, after a row per pod
+        _, _, placements = profile.settlement
+        first = len(profile.pod_caps)
         assert len(set(c.row for c in cands)) == len(cands)
+        for c in cands:
+            placement = [x[c.row - first] for x in placements[:3]]
+            assert placement == [c.pod, c.source, c.level]
+        profiles.append(profile)
         found += len(cands)
     assert found > 0
+    # the honest world and every placement of every round
+    _check_round_calls(calls, profiles)
 
 
 def test_every_settlement_is_one_engine_call(monkeypatch):
@@ -376,16 +434,17 @@ def test_every_settlement_is_one_engine_call(monkeypatch):
     assert calls == []
     # the generic clone route, the runners' reference, is one call too
     assert ghost_settle(profile, pick.source, pick.level) == deviated
-    assert calls == [pods]
+    assert list(map(len, calls)) == [pods]
     # a slack laminar oracle built by hand takes the same single call
     oracle = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
     vcg_outcome(oracle, [5.0, 5.0, 0.0, 2.5])
     vcg_outcome(SubstituteCloneOracle(oracle, 2), [5.0, 5.0, 0.0, 2.5, 4.75])
-    assert calls == [pods, 2, 2]
+    assert list(map(len, calls)) == [pods, 2, 2]
     # the pick's certificate worlds, raised, fill and entrant, as three
-    # rows of one call
+    # distinct rows of one call
     sim._certify_pick(profile, pick, honest, deviated)
-    assert calls == [pods, 2, 2, 3]
+    assert list(map(len, calls)) == [pods, 2, 2, 3]
+    assert len(set(calls[-1])) == 3
 
 
 def _rounds_settled(report):
@@ -398,15 +457,50 @@ def _rounds_settled(report):
 
 @pytest.mark.parametrize("exp", ["exp1", "exp2", "r5"])
 def test_each_round_settles_in_one_call(monkeypatch, exp):
-    # r5 and exp2's `best_ghost` settle a round once; exp1 settles it once
-    # and certifies each pick in one more call
+    # r5 and exp2's `best_ghost` settle a round in one call, with the
+    # rounds after it in its block; exp1 certifies its picks together,
+    # each pick's certificate worlds its distinct rows on its round's
+    # demands
     config = ScenarioConfig(rounds=12, seeds=(17, 42))
     calls = _count_settlements(monkeypatch)
+    profiles, claims, certifying = [], [], []
+    rounds, claim, certify = sim.seed_rounds, sim._claim, sim._certify
+
+    def drawn(config, seed):
+        for profile in rounds(config, seed):
+            profiles.append(profile)
+            yield profile
+
+    def claimed(*args):
+        claims.append(claim(*args))
+        return claims[-1]
+
+    def certified(oracle, batch):
+        first = len(calls)
+        verdicts = certify(oracle, batch)
+        certifying.extend(calls[first:])
+        del calls[first:]
+        return verdicts
+
+    monkeypatch.setattr(sim, "seed_rounds", drawn)
+    monkeypatch.setattr(sim, "_claim", claimed)
+    monkeypatch.setattr(sim, "_certify", certified)
     report = run_experiment(exp, config)
+    assert len(profiles) == _rounds_settled(report)
+    _check_round_calls(calls, profiles)
     picks = len(report.get("picks", ()))
-    assert len(calls) == _rounds_settled(report) + picks
-    assert exp != "exp1" or picks > 0
-    assert min(calls) >= 2
+    assert len(claims) == picks and (exp != "exp1" or picks > 0)
+    want = []
+    for c in claims:
+        rows = [
+            (tuple(b), tuple(c.demands.tolist()), pod, source, float(level))
+            for b, pod, source, level in c.worlds
+        ]
+        assert len(set(rows)) == len(rows)
+        want += rows
+    assert sum(certifying, []) == want
+    assert len(certifying) <= len(config.seeds) if picks else certifying == []
+    assert all(len(call) <= sim.SETTLE_ROWS for call in certifying)
 
 
 @pytest.mark.parametrize(
@@ -462,6 +556,29 @@ def test_ghost_surplus_and_damage_are_exact():
         (alloc_h[a] - alloc_d[a]) * profile.bids[a] for a in range(profile.n)
     )
     assert dropped == pytest.approx(pick.damage, abs=1e-9)
+
+
+def test_ghost_scan_is_the_reference_on_ties_and_narrow_windows():
+    # profiles built by hand, where bids tie, sleep at 0.0 or sit within
+    # 1e-6 of each other, pods differ in size and the root sometimes binds:
+    # the array pass lists the placements the per-window loop does
+    rng = np.random.default_rng(5)
+    grid = np.array([0.0, 2.0, 2.0 + 5e-7, 3.5, 5.0, 7.25])
+    found = 0
+    for _ in range(150):
+        pod_of = np.repeat(np.arange(3), rng.integers(1, 6, 3))
+        n = len(pod_of)
+        profile = RoundProfile(
+            bids=rng.choice(grid, n),
+            demands=rng.integers(0, 9, n).astype(float),
+            pod_of=pod_of,
+            pod_caps=rng.integers(1, 16, 3).astype(float),
+            root_cap=float(rng.choice([500.0, 12.0])),
+        )
+        got = ghost_candidates(profile)
+        assert repr(got) == repr(reference_ghost_candidates(profile))
+        found += len(got)
+    assert found > 0
 
 
 def test_live_winning_sources_need_opponent_cover():
