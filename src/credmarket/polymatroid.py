@@ -32,7 +32,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -611,29 +611,6 @@ class MaxflowOracle(RankOracle):
         return {"evaluator": self.evaluator, "dag": dag_to_obj(self.dag)}
 
 
-@lru_cache(maxsize=64)
-def _group_layout(n, group_members):
-    """(ids, slot, spot) of a `LaminarOracle` over ids 0..n-1 with these
-    groups, built once per layout and read-only. ids is an (S, groups)
-    array, S = M + 1 for the largest group M: column g holds group g's
-    members in id order, padded with id n, and its last row is the
-    clone's slot, id -1. slot[a] is agent a's row, and slot[-1] the
-    clone's. spot[a] = g * S + slot[a] for a's group g is a's place in
-    the (group, slot) rows flattened."""
-    size = max(map(len, group_members)) + 1
-    ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in group_members]).T
-    slot = [size - 1] * (n + 1)
-    spot = [0] * n
-    for g, members in enumerate(group_members):
-        for k, a in enumerate(members):
-            slot[a] = k
-            spot[a] = g * size + k
-    layout = ids, np.array(slot), np.array(spot)
-    for array in layout:
-        array.flags.writeable = False
-    return layout
-
-
 class LaminarOracle(RankOracle):
     """Two-level tree rank in closed form.
 
@@ -789,10 +766,31 @@ class LaminarOracle(RankOracle):
 
     @cached_property
     def _slots(self):
-        """(ids, slot, spot) for `settle` and `group_outcome`: the
-        layout's arrays (`_group_layout`), shared by every oracle with the
-        same groups."""
-        return _group_layout(self.n, self.group_members)
+        """(ids, slot, spot) for `settle` and `group_outcome`, built once
+        per oracle and read-only. ids is an (S, groups) array, S = M + 1
+        for the largest group M: column g holds group g's members in id
+        order, padded with id n, and its last row is the clone's slot, id
+        -1. slot[a] is agent a's row, and slot[-1] the clone's. spot[a] =
+        g * S + slot[a] for a's group g is a's place in the (group, slot)
+        rows flattened."""
+        n, size = self.n, max(map(len, self.group_members)) + 1
+        ids = np.array([[*m, *[n] * (size - 1 - len(m)), -1] for m in self.group_members]).T
+        slot = [size - 1] * (n + 1)
+        spot = [0] * n
+        for g, members in enumerate(self.group_members):
+            for k, a in enumerate(members):
+                slot[a] = k
+                spot[a] = g * size + k
+        layout = ids, np.array(slot), np.array(spot)
+        for array in layout:
+            array.flags.writeable = False
+        return layout
+
+    @property
+    def member_ids(self):
+        """Each group's member ids in id order, padded with id n to the
+        largest group: the rows `settle` lays a group's members in."""
+        return self._slots[0][:-1].T
 
     def settle(self, bids, groups, sources, levels, demands=None):
         """Greedy allocation and threshold payments of groups settled

@@ -10,19 +10,19 @@ The root never binds, so a round's `LaminarOracle` (pods as groups)
 settles in closed form, as `mechanisms.vcg_outcome` would, and the ghost
 world as it would on a `SubstituteCloneOracle` over it. One engine,
 `LaminarOracle.settle`, prices every pod in an array pass, each row on
-its own bids and demands. A round's rows (`RoundProfile.settlement`) are
-a row per pod for the honest world, then a row per phantom placement for
-the ghost scan, and a round settles in one call with the rounds after it
-in its block, up to SETTLE_ROWS rows (`_Chunks`); one array pass lists
+its own bids and demands. Each agent's draws replay numpy's seeded PCG64
+stream (`_stream`). A runner iterates a seed's rounds (`seed_rounds`): a
+block of rounds hashes all of its (round, agent) streams in one pass and
+draws every stream's tasks in one lane-parallel array pass, and each
+round's bids and demands are a row of the block's arrays (`_Block`).
+A round's rows (`RoundProfile.settlement`) are a row per pod for the
+honest world, then a row per phantom placement for the ghost scan, and
+a round settles in one call with the rounds after it in its block, up
+to SETTLE_ROWS rows, on the seed's one pod oracle; one array pass lists
 the block's placements. The operator's pick is read off its placement
-row. exp1 certifies its picks together: each distinct world of
-`adversary.ghost_certificates`, the certificate families
-`apply_deviation` tries, is a row of one call on its round's demands.
-Each agent's draws replay numpy's seeded PCG64 stream (`_stream`). A
-runner iterates a seed's rounds (`seed_rounds`): a block of rounds
-hashes all of its (round, agent) streams in one pass and draws every
-stream's tasks in one lane-parallel array pass, and each round's bids
-and demands are a row of the block's arrays.
+row. exp1 certifies a seed's picks together: each distinct world of
+`adversary.ghost_certificates` is a row on its round's demands. Only
+callers that rank or commit build a round's own `RoundProfile.oracle`.
 
 The r5 grid settles each of a round's worlds once (threshold, first
 price, ghost, and per posted level the posted, posted-ghost and inflated
@@ -241,18 +241,17 @@ class ScenarioConfig:
 @dataclass
 class RoundProfile:
     """One round's realized market: bids, unit demands, pod structure.
-    Its oracle and its settlement are built once, on first use, so the
-    arrays are not to change afterwards. `chunks` holds the bid and demand
-    rows of the block `seed_rounds` drew the round with, `index` its row
-    there; any other profile, a copy made with `dataclasses.replace`
-    included, is a block of one."""
+    Its oracle, block and settlement are built once, on first use, so the
+    arrays are not to change afterwards. `seed_rounds` sets `block` to the
+    block it drew the round with, and `index` to the round's row there;
+    any other profile, a copy made with `dataclasses.replace` included,
+    is a block of one on its own oracle."""
 
     bids: np.ndarray
     demands: np.ndarray
     pod_of: np.ndarray
     pod_caps: np.ndarray
     root_cap: float
-    chunks: "_Chunks" = field(default=None, init=False, repr=False, compare=False)
     index: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
@@ -261,10 +260,15 @@ class RoundProfile:
 
     @cached_property
     def oracle(self):
-        """The round's pod laminar, built once per profile."""
+        """The round's pod laminar on its own demands, built once per
+        profile for the callers that rank or commit."""
         return LaminarOracle(
             self.demands, self.pod_of, self.pod_caps, root_cap=self.root_cap
         )
+
+    @cached_property
+    def block(self):
+        return _Block(self.oracle, self.bids[None], self.demands[None])
 
     @cached_property
     def settlement(self):
@@ -275,12 +279,9 @@ class RoundProfile:
         Placements are listed before the honest allocation is known;
         `covered` says whether the source's pod opponents' demand covers
         the pod cap, and `ghost_candidates` drops the live winners without
-        that cover. The call settles this round and the unsettled rounds
-        after it in its block (`_Chunks`)."""
-        chunks = self.chunks
-        if chunks is None:
-            chunks = _Chunks(self.bids[None], self.demands[None])
-        return chunks.take(self.index, self.oracle)
+        that cover. The call settles this round and the rounds after it in
+        its block (`_Block`)."""
+        return self.block.take(self.index)
 
 
 def _placements(bids, demands, oracle):
@@ -293,7 +294,7 @@ def _placements(bids, demands, oracle):
     scalar would compute it. `covered` says whether the source's pod
     opponents' demand, the pod total added in member order, covers the
     pod cap."""
-    ids = _pod_members(oracle)
+    ids = oracle.member_ids
     pad = np.zeros((len(bids), 1))
     bid, demand = (np.hstack((x, pad))[:, ids] for x in (bids, demands))
     # (round, pod, slot) arrays: each pod's bids high to low, then 0.0.
@@ -315,49 +316,36 @@ def _placements(bids, demands, oracle):
     return r, p, ids[p, k], lo + 0.9 * (hi - lo), covered[r, p, k]
 
 
-def _pod_members(oracle):
-    """Each pod's member ids in id order, padded with id n to the largest
-    pod: the rows `LaminarOracle.settle` lays a pod's members in, bar the
-    clone's."""
-    return oracle._slots[0][:-1].T
-
-
-class _Chunks:
+class _Block:
     """A block's bid and demand rows, one per round, settled a chunk at a
-    time. The first read lists the block's placements in one array pass
-    (`_placements`). Reading round i's settlement settles i and the
-    unsettled rounds after it, as many as fit in SETTLE_ROWS rows (one
-    round at least), in one `settle` call with each row's own demands, on
-    any oracle of the block's pod layout. Each round's slice waits here
-    until its profile takes it. No profile is held, so a profile is freed
-    with its round."""
+    time on `oracle`, an oracle of the rounds' pod layout with a slack
+    root whose own demands no row reads. The first read lists the block's
+    placements in one array pass (`_placements`). Reading round i's
+    settlement, unless i is in the chunk last settled, settles i and the
+    rounds after it, as many as fit in SETTLE_ROWS rows (one round at
+    least), in one `settle` call with each row's own demands. No profile
+    is held, so a profile is freed with its round."""
 
-    def __init__(self, bids, demands):
-        self.bids, self.demands = bids, demands
+    def __init__(self, oracle, bids, demands):
+        self.oracle, self.bids, self.demands = oracle, bids, demands
         self.placed = None  # the block's placements, and each round's first
-        self.waiting = {}  # round -> its (alloc, pay, placements)
-        self.done = set()
+        self.chunk = {}  # round -> its (alloc, pay, placements)
 
-    def take(self, index, oracle):
-        if index not in self.waiting:
-            self._settle(index, oracle)
-        return self.waiting.pop(index)
+    def take(self, index):
+        if index not in self.chunk:
+            self._settle(index)
+        return self.chunk[index]
 
-    def _settle(self, start, oracle):
-        pods = len(oracle.group_members)
+    def _settle(self, start):
+        pods = len(self.oracle.group_members)
         if self.placed is None:
-            placed = _placements(self.bids, self.demands, oracle)
+            placed = _placements(self.bids, self.demands, self.oracle)
             first = np.searchsorted(placed[0], np.arange(len(self.bids) + 1)).tolist()
             self.placed = placed[1:], first
         placed, first = self.placed
-        counts = []  # the chunk's rounds' row counts
-        for r in range(start, len(self.bids)):
-            count = pods + first[r + 1] - first[r]
-            if r in self.done or counts and sum(counts) + count > SETTLE_ROWS:
-                break
-            counts.append(count)
-        rounds = range(start, start + len(counts))
-        self.done.update(rounds)
+        counts = [pods + first[r + 1] - first[r] for r in range(start, len(self.bids))]
+        rounds = range(start, start + _fits(counts))
+        counts = counts[: len(rounds)]
         # (pod, source, level) rows: each round's honest pods with no
         # clone, then its placements
         honest = np.arange(pods), np.full(pods, -1), np.zeros(pods)
@@ -366,14 +354,21 @@ class _Chunks:
             pieces += [honest, [x[first[r] : first[r + 1]] for x in placed[:3]]]
         groups, sources, levels = (np.concatenate(x) for x in zip(*pieces))
         index = np.repeat(rounds, counts)
-        alloc, pay = oracle.settle(
+        alloc, pay = self.oracle.settle(
             self.bids[index], groups, sources, levels, self.demands[index]
         )
-        for r, count, end in zip(rounds, counts, accumulate(counts)):
-            self.waiting[r] = (
+        self.chunk = {
+            r: (
                 alloc[end - count : end], pay[end - count : end],
                 tuple(x[first[r] : first[r + 1]] for x in placed),
             )
+            for r, count, end in zip(rounds, counts, accumulate(counts))
+        }
+
+
+def _fits(sizes):
+    """How many `sizes`, from the first, fit in SETTLE_ROWS rows (one at least)."""
+    return max(1, sum(1 for total in accumulate(sizes) if total <= SETTLE_ROWS))
 
 
 def generate_round(config, seed, round_index):
@@ -424,6 +419,10 @@ def _realize(config, seed, start, count):
     pod_of = np.repeat(np.arange(len(pods)), [len(pod.units) for pod in pods])
     pod_caps = np.array([pod.capacity for pod in pods])
     pod_of.flags.writeable = pod_caps.flags.writeable = False
+    # every block settles on one oracle, each row on its round's demands:
+    # `pods` keeps the pod caps inside the root, so the root never binds
+    root_cap = config.tier_capacities[-1]
+    oracle = LaminarOracle(np.zeros(n), pod_of, pod_caps, root_cap=root_cap)
     head = entropy_words(seed)
     stop = start + count
     while start < stop:
@@ -439,13 +438,12 @@ def _realize(config, seed, start, count):
         bids, counts = _draw_tasks(config, lanes, np.tile(tier, end - start))
         demands = (counts.reshape(-1, n) * units).astype(float)
         bids = bids.reshape(-1, n)
-        chunks = _Chunks(bids, demands)
+        block = _Block(oracle, bids, demands)
         for index, (b, d) in enumerate(zip(bids, demands)):
             profile = RoundProfile(
-                bids=b, demands=d, pod_of=pod_of, pod_caps=pod_caps,
-                root_cap=config.tier_capacities[-1],
+                bids=b, demands=d, pod_of=pod_of, pod_caps=pod_caps, root_cap=root_cap
             )
-            profile.chunks, profile.index = chunks, index
+            profile.block, profile.index = block, index
             yield profile
         start = end
 
@@ -494,10 +492,10 @@ def arrival_order(config, seed, round_index):
 def settle_threshold(profile):
     """Honest greedy + threshold payments on the round's oracle,
     `vcg_outcome(profile.oracle, bids)` bitwise: read off the round's pod
-    rows (`RoundProfile.settlement`), or, should the root bind, taken from
-    `vcg_outcome` itself."""
+    rows (`RoundProfile.settlement`) by its block's oracle, or, should the
+    root bind, taken from `vcg_outcome` itself."""
     alloc, pay, _ = profile.settlement
-    honest = profile.oracle.group_outcome(alloc, pay)
+    honest = profile.block.oracle.group_outcome(alloc, pay)
     if honest is None:
         out = vcg_outcome(profile.oracle, profile.bids.tolist())
         honest = out.allocation, out.payments
@@ -576,7 +574,7 @@ def ghost_candidates(profile, alloc=None, pay=None):
     rows = len(profile.pod_caps) + kept
     # the members' columns: the phantom's payment is no one's surplus
     dev_alloc, dev_pay = rows_alloc[rows, :-1], rows_pay[rows, :-1]
-    alloc_h, pay_h, bid = honest[:, _pod_members(profile.oracle)[pods]]
+    alloc_h, pay_h, bid = honest[:, profile.block.oracle.member_ids[pods]]
     # running sums from 0.0 in member order: a leading zero, then cumsum
     zero = np.zeros((len(kept), 1))
     surplus = np.cumsum(np.hstack((zero, dev_pay - pay_h)), axis=1)[:, -1]
@@ -603,7 +601,7 @@ def _ghost_world(profile, pick, honest):
     the honest world. It equals the generic clone route, `vcg_outcome` on
     a `SubstituteCloneOracle` with the phantom bidding `pick.level`."""
     alloc_rows, pay_rows, _ = profile.settlement
-    members = profile.oracle.group_members[pick.pod]
+    members = profile.block.oracle.group_members[pick.pod]
     alloc, pay = (dict(x) for x in honest)
     alloc.update(zip(members, alloc_rows[pick.row, : len(members)].tolist()))
     pay.update(zip(members, pay_rows[pick.row, : len(members)].tolist()))
@@ -633,7 +631,7 @@ def _claim(profile, pick, honest, deviated):
     clone."""
     (alloc_h, pay_h), (alloc_d, pay_d) = honest, deviated
     bids = profile.bids.tolist()
-    members = profile.oracle.group_members[pick.pod]
+    members = profile.block.oracle.group_members[pick.pod]
     moved = [
         a for a in members
         if abs(alloc_d[a] - alloc_h[a]) > POS_TOL or abs(pay_d[a] - pay_h[a]) > POS_TOL
@@ -665,27 +663,32 @@ def _claim(profile, pick, honest, deviated):
 def _certify(oracle, claims):
     """Each claim's kept certificates, {moved agent: the first certificate
     whose honest run reproduces its allocation and payment within 1e-7, as
-    `Certificate.matches` would, or None}. Every claim's worlds are rows of
-    one `settle` call on `oracle`, any oracle of the rounds' pod layout,
-    each row on its own round's demands."""
-    profiles, pods, sources, levels = zip(*(w for c in claims for w in c.worlds))
-    demands = np.repeat([c.demands for c in claims], [len(c.worlds) for c in claims], axis=0)
-    alloc, pay = oracle.settle(profiles, pods, sources, levels, demands)
-    verdicts, first = [], 0
-    for claim in claims:
-        kept = {}
-        for a, cert, w, slot, x_d, p_d in claim.trials:
-            if kept.get(a) is None:
-                x, p = alloc[first + w, slot], pay[first + w, slot]
-                kept[a] = cert if abs(x - x_d) <= 1e-7 and abs(p - p_d) <= 1e-7 else None
-        verdicts.append(kept)
-        first += len(claim.worlds)
+    `Certificate.matches` would, or None}. The claims' worlds are rows of
+    `settle` calls on `oracle`, any oracle of the rounds' pod layout with
+    a slack root, each row on its own round's demands: in claim order, as
+    many claims a call as fit in SETTLE_ROWS rows (one at least)."""
+    verdicts = []
+    while len(verdicts) < len(claims):
+        rest = claims[len(verdicts) :]
+        batch = rest[: _fits([len(c.worlds) for c in rest])]
+        profiles, pods, sources, levels = zip(*(w for c in batch for w in c.worlds))
+        demands = np.repeat([c.demands for c in batch], [len(c.worlds) for c in batch], axis=0)
+        alloc, pay = oracle.settle(profiles, pods, sources, levels, demands)
+        first = 0
+        for claim in batch:
+            kept = {}
+            for a, cert, w, slot, x_d, p_d in claim.trials:
+                if kept.get(a) is None:
+                    x, p = alloc[first + w, slot], pay[first + w, slot]
+                    kept[a] = cert if abs(x - x_d) <= 1e-7 and abs(p - p_d) <= 1e-7 else None
+            verdicts.append(kept)
+            first += len(claim.worlds)
     return verdicts
 
 
 def _certify_pick(profile, pick, honest, deviated):
     """The pick's kept certificates (`_certify`), a batch of one."""
-    return _certify(profile.oracle, [_claim(profile, pick, honest, deviated)])[0]
+    return _certify(profile.block.oracle, [_claim(profile, pick, honest, deviated)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -732,10 +735,7 @@ def _conc(rows):
 
 
 def _exp1_seed(config, seed):
-    rows, surplus_series, certified, picks = [], [], [], []
-    # picks awaiting certification, certified together in at most
-    # SETTLE_ROWS rows
-    claims, waiting = [], 0
+    rows, surplus_series, claims, picks = [], [], [], []
     for r, profile in enumerate(seed_rounds(config, seed)):
         alloc_h, pay_h = settle_threshold(profile)
         honest, _, _ = _world(profile, alloc_h, pay_h)
@@ -748,19 +748,14 @@ def _exp1_seed(config, seed):
             continue
         alloc_d, pay_d = _ghost_world(profile, pick, (alloc_h, pay_h))
         deviated, _, _ = _world(profile, alloc_d, pay_d)
-        claim = _claim(profile, pick, (alloc_h, pay_h), (alloc_d, pay_d))
-        if claims and waiting + len(claim.worlds) > SETTLE_ROWS:
-            certified += [None not in kept.values() for kept in _certify(profile.oracle, claims)]
-            claims, waiting = [], 0
-        claims.append(claim)
-        waiting += len(claim.worlds)
+        claims.append(_claim(profile, pick, (alloc_h, pay_h), (alloc_d, pay_d)))
         surplus_series.append(deviated[0] - honest[0])
         picks.append(
             {"seed": seed, "round": r, "source": pick.source, "level": pick.level}
         )
         rows.append(_row(r, seed, "vcg-ghost", honest, deviated))
-    if claims:
-        certified += [None not in kept.values() for kept in _certify(profile.oracle, claims)]
+    # every round of a seed settles on one oracle
+    certified = [None not in kept.values() for kept in _certify(profile.block.oracle, claims)]
     return rows, surplus_series, certified, picks
 
 

@@ -921,13 +921,12 @@ def test_series_parallel_recognition_accepts_without_grammar():
         )
 
 
-def test_laminar_layout_is_shared_and_read_only():
-    # the member layout depends on the groups alone: oracles with the same
-    # groups share its arrays, whatever their demands and caps
+def test_laminar_layout_is_read_only():
+    # the member layout is built once per oracle, and no reader can write
+    # to its arrays
     a = LaminarOracle([4, 4, 3, 5], [0, 0, 0, 1], [9, 5])
-    b = LaminarOracle([1, 2, 3, 4], [0, 0, 0, 1], [8, 6])
     assert len(a._slots) == 3
-    for mine, theirs in zip(a._slots, b._slots):
-        assert mine is theirs
+    assert a.member_ids.tolist() == [[0, 1, 2], [3, 4, 4]]
+    for array in (*a._slots, a.member_ids):
         with pytest.raises(ValueError):
-            mine[...] = 0
+            array[...] = 0

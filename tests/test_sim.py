@@ -1,6 +1,7 @@
 """Service-market simulator: scenario config, round generation, settlement
 routes, ghost scan, and the experiment runners."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -501,6 +502,94 @@ def test_each_round_settles_in_one_call(monkeypatch, exp):
     assert sum(certifying, []) == want
     assert len(certifying) <= len(config.seeds) if picks else certifying == []
     assert all(len(call) <= sim.SETTLE_ROWS for call in certifying)
+
+
+def _check_split(calls, units):
+    # the calls hold every unit's rows exactly once, in order, a call
+    # ending only where a unit ends; a call over SETTLE_ROWS rows holds
+    # one unit alone
+    assert sum(calls, []) == sum(units, [])
+    ends = set(itertools.accumulate(map(len, units)))
+    assert set(itertools.accumulate(map(len, calls))) <= ends
+    assert all(len(call) <= sim.SETTLE_ROWS or call in units for call in calls)
+
+
+@pytest.mark.parametrize("cap", [1, 40])
+@pytest.mark.parametrize(
+    "exp, config",
+    [
+        ("exp1", ScenarioConfig(rounds=30, seeds=(17, 42))),
+        ("r5", ScenarioConfig(rounds=4, seeds=(17, 42))),
+    ],
+    ids=["exp1", "r5_small"],
+)
+def test_the_row_cap_cuts_calls_and_moves_no_digest(monkeypatch, exp, config, cap):
+    # the cap only says where the rows of rounds and of claims are cut into
+    # calls: the digest is the default cap's, and exp1's certification
+    # crosses call boundaries
+    want = run_experiment(exp, config)["digest"]
+    monkeypatch.setattr(sim, "SETTLE_ROWS", cap)
+    calls = _count_settlements(monkeypatch)
+    profiles, claims, certifying = [], [], []
+    rounds, claim, certify = sim.seed_rounds, sim._claim, sim._certify
+
+    def drawn(config, seed):
+        for profile in rounds(config, seed):
+            profiles.append(profile)
+            yield profile
+
+    def claimed(*args):
+        claims.append(claim(*args))
+        return claims[-1]
+
+    def certified(oracle, batch):
+        first = len(calls)
+        verdicts = certify(oracle, batch)
+        certifying.extend(calls[first:])
+        del calls[first:]
+        return verdicts
+
+    monkeypatch.setattr(sim, "seed_rounds", drawn)
+    monkeypatch.setattr(sim, "_claim", claimed)
+    monkeypatch.setattr(sim, "_certify", certified)
+    assert run_experiment(exp, config)["digest"] == want
+    _check_split(calls, [_round_rows(profile) for profile in profiles])
+    _check_split(certifying, [
+        [
+            (tuple(b), tuple(c.demands.tolist()), pod, source, float(level))
+            for b, pod, source, level in c.worlds
+        ]
+        for c in claims
+    ])
+    assert len(certifying) > len(config.seeds) if exp == "exp1" else certifying == []
+
+
+def test_exp1_builds_one_oracle_per_seed(monkeypatch):
+    # every round of a seed settles, scans and certifies on its blocks'
+    # one pod oracle
+    builds, init = [], LaminarOracle.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaminarOracle, "__init__", counted)
+    config = ScenarioConfig(rounds=12, seeds=(17, 42))
+    report = run_experiment("exp1", config)
+    assert report["picks"] and 0 < len(builds) <= len(config.seeds)
+
+
+def test_a_replaced_profile_settles_on_its_own_bids():
+    # a `dataclasses.replace` copy of a drawn round, even one at the
+    # round's own index, is a block of one on its own oracle: it settles
+    # on its own bids, never on its source's block rows
+    profile = next(sim.seed_rounds(ScenarioConfig(rounds=3, seeds=(17,)), 17))
+    original = settle_threshold(profile)
+    copy = dataclasses.replace(profile, bids=profile.bids * 0.5)
+    want = vcg_outcome(copy.oracle, copy.bids.tolist())
+    got = settle_threshold(copy)
+    assert repr(got) == repr((want.allocation, want.payments))
+    assert got != original
 
 
 @pytest.mark.parametrize(
